@@ -30,131 +30,91 @@ step "cargo test --workspace"
 cargo test -q --workspace
 
 if [[ "${1:-}" != "quick" ]]; then
-  step "static schedule verification (repro analyze)"
-  # Exits non-zero on any error-severity finding; writes results/ANALYZE.json.
-  cargo run --release -p bench --bin repro -- analyze
+  # Every repro stage gates itself: the campaign's `violations()` name the
+  # failing cell on one `ERROR: repro <stage>: ...` stderr line and the
+  # process exits non-zero. Each stage rewrites its artifact under results/.
+  repro() { cargo run --release -p bench --bin repro -- "$@"; }
 
-  step "telemetry trace export + validation (repro trace)"
-  # Exits non-zero if any trace fails to reconcile exactly with its
-  # RunReport; writes results/TRACE_*.perfetto.json and results/TIMELINE.json.
-  cargo run --release -p bench --bin repro -- trace \
-    --problem 16x16x512 --cgs 4 --steps 5 --variant acc_simd.async
-  # Schema validation: well-formed trace-event JSON, non-empty tracks,
-  # overlap efficiency in [0,1], splits sum to windows, async > sync.
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/validate_trace.py results
-  else
-    echo "python3 not found; skipping trace JSON schema validation"
-  fi
+  step "static schedule verification (repro analyze)"
+  # Any error-severity finding fails; writes results/ANALYZE.json.
+  repro analyze
+
+  step "telemetry trace export (repro trace)"
+  # Every trace reconciles exactly with its RunReport, overlap efficiency
+  # in [0,1], async hides strictly more than sync per kernel; writes
+  # results/TRACE_*.perfetto.json and results/TIMELINE.json.
+  repro trace --problem 16x16x512 --cgs 4 --steps 5 --variant acc_simd.async
 
   step "resilience campaign (repro faults)"
   # Byte-identity under recoverable faults across all Table IV variants,
-  # kill + checkpoint-restart reconvergence, harsh-preset degradation.
-  # Exits non-zero on any failed proof; writes results/FAULTS.json and
-  # results/ckpt/step*.ckpt.
-  cargo run --release -p bench --bin repro -- faults --seed 42
-  # Schema + invariant validation of the written report.
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/validate_faults.py results
-  else
-    echo "python3 not found; skipping faults JSON validation"
-  fi
+  # kill + checkpoint-restart reconvergence, harsh-preset degradation;
+  # writes results/FAULTS.json and results/ckpt/step*.ckpt.
+  repro faults --seed 42
 
   step "torture campaign (repro torture)"
   # Fixed-seed differential config fuzzing: 200 random-but-valid configs
-  # through the full oracle battery (construct/complete/quiesce, telemetry
-  # reconciliation, Model-vs-Functional agreement, parallel + SIMD bit
-  # identity, checkpoint cadence semantics) plus intentionally-corrupted
-  # configs through the typed-rejection oracle. Exits non-zero on any
-  # oracle failure; writes results/TORTURE.json with minimized repros.
-  cargo run --release -p bench --bin repro -- torture --seed 0 --cases 200
-  # Schema + coverage validation of the written report.
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/validate_torture.py results
-  else
-    echo "python3 not found; skipping torture JSON validation"
-  fi
+  # through the full oracle battery plus intentionally-corrupted configs
+  # through the typed-rejection oracle, every oracle's coverage counted;
+  # writes results/TORTURE.json with minimized repros.
+  repro torture --seed 0 --cases 200
 
   step "adaptive-mesh campaign (repro amr)"
-  # Two-level adaptive hierarchy over the Burgers front: fixed-vs-adaptive
-  # resolution economy, >= 2 mid-run regrids with every recompiled plan
-  # re-verified (zero findings), byte identity across execution policies,
-  # checkpoint-restart across a regrid boundary, and telemetry-driven
-  # rebalancing with a measured makespan gain. Exits non-zero on any
-  # failed proof; writes results/AMR.json and results/amr-ckpt/*.ckpt.
-  cargo run --release -p bench --bin repro -- amr --seed 42
-  # Schema + invariant validation of the written report.
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/validate_amr.py results
-  else
-    echo "python3 not found; skipping amr JSON validation"
-  fi
+  # Fixed-vs-adaptive resolution economy, >= 2 mid-run regrids with every
+  # recompiled plan re-verified, byte identity across execution policies,
+  # checkpoint-restart across a regrid boundary, telemetry-driven
+  # rebalancing; writes results/AMR.json and results/amr-ckpt/*.ckpt.
+  repro amr --seed 42
 
   step "strong-scaling sweep (repro scale --quick)"
   # Serial vs conservative-PDES engine on the paper problem at 1/4/16 CGs:
-  # every cell asserts bit identity between the engines; exits non-zero on
-  # divergence; writes results/BENCH_scale.json. (The full paper axis plus
-  # the 256-CG extension runs via `repro scale`; `--full` pushes to 1024.)
-  cargo run --release -p bench --bin repro -- scale --quick
-  # Schema, strong-scaling shape, overlap advantage, honest host reporting.
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/validate_scale.py results
-  else
-    echo "python3 not found; skipping scale JSON validation"
-  fi
+  # bit identity per cell, monotone speedup, async no later than sync;
+  # OVERWRITES results/BENCH_scale.json with the quick axis (wall-clock
+  # fields, not byte-stable; `repro scale --full` regenerates the
+  # committed one).
+  repro scale --quick
 
   step "concurrency checker (repro check)"
-  # Static lookahead-safety proofs over every paper problem (plus the
-  # deliberate unsafe-lookahead demo, machine-verified to the picosecond),
-  # the vector-clock race detector + static/dynamic differential over
-  # instrumented runs, and the DPOR interleaving explorer asserting
-  # bit-identical warehouses across forced drain orders. Exits non-zero on
-  # any failed check; writes results/CHECK.json.
-  cargo run --release -p bench --bin repro -- check
-  # Schema + coverage validation: all three analyses ran, zero error
-  # findings, >= 50 non-equivalent interleavings explored.
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/validate_check.py results
-  else
-    echo "python3 not found; skipping check JSON validation"
-  fi
+  # Static lookahead-safety proofs (plus the unsafe-lookahead demo agreeing
+  # with the machine to the picosecond), the vector-clock race detector
+  # over instrumented runs, and >= 50 DPOR interleavings bit-identical;
+  # writes results/CHECK.json.
+  repro check
+
   step "comm-layer sweep (repro comm)"
-  # Endpoint counts x aggregation thresholds x eager/rendezvous crossover
-  # sizes: every cell byte-identical to the single-endpoint baseline,
-  # telemetry reconciled, lookahead proof safe over the coalesced channel
-  # models, and the canonical aggregated async overlap >= 0.800. Exits
-  # non-zero on any violation; writes results/COMM.json.
-  cargo run --release -p bench --bin repro -- comm
-  # Schema + invariant validation: full grid present, byte identity and
-  # proof safety on every cell, overlap bars held.
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/validate_comm.py results
-  else
-    echo "python3 not found; skipping comm JSON validation"
-  fi
+  # Endpoints x aggregation x eager/rendezvous crossover: every cell
+  # byte-identical to the single-endpoint baseline, reconciled, proved safe
+  # over the coalesced channels, canonical async overlap >= 0.800; writes
+  # results/COMM.json.
+  repro comm
 
   step "campaign service (repro serve, deterministic 64-job demo x2 + faulted)"
   # The same seeded 64-job demo campaign three times: cold cache, warm
-  # cache (must be 100% hits with the sampling oracle re-verifying bytes),
-  # and cold again under the standard worker-fault preset (injected worker
-  # deaths must be detected, retried, and recovered without changing a
-  # byte). Each serve exits non-zero on any lost/duplicated/failed job,
-  # oracle mismatch, or malformed job line; writes results/CAMPAIGN_*.json.
+  # cache, and cold again under the standard worker-fault preset. Each
+  # serve fails on any lost/duplicated/failed job, oracle mismatch, or
+  # malformed job line; writes results/CAMPAIGN_*.json.
   rm -rf results/cache_ci results/cache_ci_faulted
-  cargo run --release -p bench --bin repro -- serve --demo 64 --workers 4 \
-    --seed 42 --cache results/cache_ci --out results/CAMPAIGN_run1.json
-  cargo run --release -p bench --bin repro -- serve --demo 64 --workers 2 \
-    --seed 42 --cache results/cache_ci --out results/CAMPAIGN_run2.json
-  cargo run --release -p bench --bin repro -- serve --demo 64 --workers 4 \
-    --seed 42 --worker-faults standard --cache results/cache_ci_faulted \
-    --out results/CAMPAIGN_faulted.json
-  # Cross-run validation: byte-identical record arrays, run-2 hit rate 1.0,
-  # exactly-once everywhere, fault counters reconciled.
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/validate_campaign.py results
-  else
-    echo "python3 not found; skipping campaign JSON validation"
-  fi
+  repro serve --demo 64 --workers 4 --seed 42 \
+    --cache results/cache_ci --out results/CAMPAIGN_run1.json
+  repro serve --demo 64 --workers 2 --seed 42 \
+    --cache results/cache_ci --out results/CAMPAIGN_run2.json
+  repro serve --demo 64 --workers 4 --seed 42 --worker-faults standard \
+    --cache results/cache_ci_faulted --out results/CAMPAIGN_faulted.json
+  # Cross-run determinism: pool size, cache state and worker faults may
+  # move the `service` counters, never a byte of the `records` block.
+  records() { sed '/^  "service": {$/,$d' "$1"; }
+  for other in run2 faulted; do
+    cmp <(records results/CAMPAIGN_run1.json) <(records "results/CAMPAIGN_$other.json") \
+      || { echo "ci.sh: CAMPAIGN_$other.json records differ from run1"; exit 1; }
+  done
+
+  step "byte identity of the deterministic artifacts"
+  # Everything above except the wall-clock files (BENCH_scale.json, the
+  # campaigns' service blocks) must regenerate byte-for-byte as committed.
+  git diff --exit-code --stat -- \
+    results/ANALYZE.json results/AMR.json results/CHECK.json results/COMM.json \
+    results/FAULTS.json results/TORTURE.json results/TIMELINE.json \
+    'results/TRACE_*.perfetto.json' results/ckpt results/amr-ckpt \
+    || { echo "ci.sh: a deterministic artifact under results/ changed"; exit 1; }
 fi
 
 # Best-effort: run the unsafe paths under miri when the toolchain

@@ -128,35 +128,6 @@ impl LookaheadProof {
     pub fn violations(&self) -> impl Iterator<Item = &ChannelBound> {
         self.channels.iter().filter(|c| c.slack_ps < 0)
     }
-
-    /// Serialize the proof artifact as a JSON object (hand-rolled like
-    /// [`crate::AnalysisReport::to_json`]; the serde shim is manifest-only).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128 + 96 * self.channels.len());
-        s.push('{');
-        s.push_str(&format!("\"lookahead_ps\":{},", self.lookahead_ps));
-        s.push_str(&format!("\"min_latency_ps\":{},", self.min_latency_ps));
-        s.push_str(&format!("\"safe\":{},", self.safe));
-        s.push_str(&format!("\"n_channels\":{},", self.channels.len()));
-        s.push_str("\"channels\":[");
-        for (i, c) in self.channels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"src_rank\":{},\"dst_rank\":{},\"bytes\":{},\
-                 \"min_latency_ps\":{},\"slack_ps\":{},\"label\":\"{}\"}}",
-                c.src_rank,
-                c.dst_rank,
-                c.bytes,
-                c.min_latency_ps,
-                c.slack_ps,
-                c.label.replace('"', "'"),
-            ));
-        }
-        s.push_str("]}");
-        s
-    }
 }
 
 /// Fold per-send channel models into the coalesced channels a message
@@ -388,14 +359,5 @@ mod tests {
         let bad = per_send.min_latency_ps + 1;
         assert!(!prove_lookahead(&channels, &net(), bad).0.safe);
         assert!(!prove_lookahead(&folded, &net(), bad).0.safe);
-    }
-
-    #[test]
-    fn proof_json_is_balanced_and_carries_slack() {
-        let (proof, _) = prove_lookahead(&[ch(0, 1, 1)], &net(), 2_000_000);
-        let j = proof.to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"safe\":false"), "{j}");
-        assert!(j.contains("\"slack_ps\":-992000"), "{j}");
     }
 }

@@ -170,70 +170,6 @@ impl AnalysisReport {
         }
         s
     }
-
-    /// Serialize as a JSON object (hand-rolled; the workspace is offline and
-    /// the serde shim is manifest-only).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + 128 * self.findings.len());
-        s.push('{');
-        s.push_str(&format!("\"name\":{},", json_str(&self.name)));
-        s.push_str(&format!("\"variant\":{},", json_str(&self.variant)));
-        s.push_str(&format!("\"n_tasks\":{},", self.n_tasks));
-        s.push_str(&format!("\"n_edges\":{},", self.n_edges));
-        s.push_str(&format!("\"pairs_checked\":{},", self.pairs_checked));
-        s.push_str(&format!("\"tile_plans\":{},", self.tile_plans));
-        s.push_str(&format!("\"tiles_checked\":{},", self.tiles_checked));
-        s.push_str(&format!("\"clean\":{},", self.is_clean()));
-        s.push_str("\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            s.push_str(&format!("\"kind\":{},", json_str(f.kind.code())));
-            s.push_str(&format!(
-                "\"severity\":{},",
-                json_str(&f.severity.to_string())
-            ));
-            s.push_str(&format!("\"message\":{},", json_str(&f.message)));
-            s.push_str("\"tasks\":[");
-            for (j, t) in f.tasks.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&json_str(t));
-            }
-            s.push_str("],\"extra\":{");
-            for (j, (k, v)) in f.extra.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("{}:{}", json_str(k), json_str(v)));
-            }
-            s.push_str("}}");
-        }
-        s.push_str("]}");
-        s
-    }
-}
-
-/// Escape a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -261,32 +197,6 @@ mod tests {
             .push(Finding::new(FindingKind::Deadlock, Severity::Error, "e"));
         assert!(!r.is_clean());
         assert_eq!(r.errors(), 1);
-    }
-
-    #[test]
-    fn json_escapes_and_structure() {
-        let r = AnalysisReport {
-            name: "a\"b".into(),
-            variant: "v".into(),
-            n_tasks: 2,
-            n_edges: 1,
-            pairs_checked: 3,
-            tile_plans: 0,
-            tiles_checked: 0,
-            findings: vec![Finding::new(
-                FindingKind::WriteWriteRace,
-                Severity::Error,
-                "line1\nline2",
-            )
-            .task("k(p0)")
-            .extra("region", "[0,4)")],
-        };
-        let j = r.to_json();
-        assert!(j.contains("\"a\\\"b\""), "{j}");
-        assert!(j.contains("\\n"), "{j}");
-        assert!(j.contains("\"write_write_race\""), "{j}");
-        assert!(j.contains("\"clean\":false"), "{j}");
-        assert!(j.contains("\"region\":\"[0,4)\""), "{j}");
     }
 
     #[test]

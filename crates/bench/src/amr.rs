@@ -30,6 +30,10 @@ use burgers::BurgersAmr;
 use sw_amr::{AmrApplication, AmrConfig, AmrSimulation, AmrStats, RegridPolicy};
 use sw_math::ExpKind;
 use sw_resilience::Checkpoint;
+use sw_telemetry::json::{
+    arr, fixed, lit, obj,
+    Layout::{Block, Row},
+};
 use uintah_core::grid::{iv, Level};
 use uintah_core::{ExecPolicy, Variant};
 
@@ -153,121 +157,201 @@ pub struct AmrOutcome {
 }
 
 impl AmrOutcome {
-    fn cell(&self, label: &str) -> &ResolutionCell {
-        self.resolution
-            .iter()
-            .find(|c| c.label == label)
-            .expect("resolution cell")
-    }
-
-    /// Number of failed acceptance checks (0 = all proofs hold).
-    pub fn failures(&self) -> usize {
-        let mut n = 0;
-        let (ad, fine, coarse) = (
-            self.cell("adaptive"),
-            self.cell("uniform_fine"),
-            self.cell("uniform_coarse"),
-        );
-        // Economy: materially fewer updates than uniformly fine, at the
-        // fine run's error (and clearly better than uniformly coarse).
-        if ad.cell_updates >= (fine.cell_updates * 3) / 5 {
-            n += 1;
-        }
-        if ad.max_error > fine.max_error * 1.1 {
-            n += 1;
-        }
-        if ad.max_error > coarse.max_error * 0.8 {
-            n += 1;
+    /// Every failed proof, one line each. Empty = all five proofs hold.
+    pub fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        let cell = |label: &str| self.resolution.iter().find(|c| c.label == label);
+        match (
+            cell("adaptive"),
+            cell("uniform_fine"),
+            cell("uniform_coarse"),
+        ) {
+            (Some(ad), Some(fine), Some(coarse)) => {
+                for c in [ad, fine, coarse] {
+                    if c.cell_updates == 0 || c.max_error <= 0.0 || c.dt <= 0.0 {
+                        v.push(format!(
+                            "resolution {}: non-positive cell_updates, error or dt",
+                            c.label
+                        ));
+                    }
+                }
+                if ad.dt != fine.dt || ad.dt != coarse.dt {
+                    v.push(format!(
+                        "resolution: cells disagree on dt ({:e}, {:e}, {:e})",
+                        ad.dt, fine.dt, coarse.dt
+                    ));
+                }
+                // Economy: materially fewer updates than uniformly fine, at
+                // the fine run's error (and clearly better than coarse).
+                if ad.cell_updates >= (fine.cell_updates * 3) / 5 {
+                    v.push(format!(
+                        "resolution adaptive: {} cell updates, not under 60% of uniform_fine's {}",
+                        ad.cell_updates, fine.cell_updates
+                    ));
+                }
+                if ad.max_error > fine.max_error * 1.1 {
+                    v.push(format!(
+                        "resolution adaptive: error {:.4e} exceeds 1.1x the uniform_fine error {:.4e}",
+                        ad.max_error, fine.max_error
+                    ));
+                }
+                if ad.max_error > coarse.max_error * 0.8 {
+                    v.push(format!(
+                        "resolution adaptive: error {:.4e} does not clearly beat uniform_coarse's {:.4e}",
+                        ad.max_error, coarse.max_error
+                    ));
+                }
+            }
+            _ => v.push(
+                "resolution: needs the adaptive, uniform_fine and uniform_coarse cells".to_string(),
+            ),
         }
         // Regridding really happened, and every recompile verified clean.
         let s = &self.adaptive.stats;
         if s.regrids < 2 {
-            n += 1;
+            v.push(format!(
+                "adaptive: only {} regrid(s), the run must regrid >= 2 times",
+                s.regrids
+            ));
         }
-        if s.verify_errors != 0 || s.lookahead_violations != 0 || s.verified_clean != s.recompiles {
-            n += 1;
+        if s.verify_errors != 0
+            || s.lookahead_violations != 0
+            || s.verified_clean != s.recompiles
+            || s.recompiles == 0
+        {
+            v.push(format!(
+                "adaptive: {} of {} recompiles verified clean ({} error(s), {} lookahead finding(s))",
+                s.verified_clean, s.recompiles, s.verify_errors, s.lookahead_violations
+            ));
         }
-        if self.adaptive.n_levels != 2 || self.adaptive.fine_window_frac >= 1.0 {
-            n += 1;
+        let frac = self.adaptive.fine_window_frac;
+        if self.adaptive.n_levels != 2 || frac <= 0.0 || frac >= 1.0 {
+            v.push(format!(
+                "adaptive: {} level(s) with the fine window covering {frac:.6} of the domain, \
+                 refinement is not selective",
+                self.adaptive.n_levels
+            ));
+        }
+        if self.identity.len() < 3 {
+            v.push(format!(
+                "byte_identity: only {} execution policies, need >= 3",
+                self.identity.len()
+            ));
         }
         for c in &self.identity {
             if !c.bit_identical || !c.same_regrids {
-                n += 1;
+                v.push(format!(
+                    "byte_identity {}: adaptive run diverged (bit_identical={}, same_regrids={})",
+                    c.label, c.bit_identical, c.same_regrids
+                ));
             }
         }
-        if !self.restart.restart_identical || self.restart.tail_regrids == 0 {
-            n += 1;
+        let r = &self.restart;
+        if !r.restart_identical {
+            v.push("restart: restored run diverged from the uninterrupted run".to_string());
         }
-        if self.rebalance.rebalances == 0 || self.rebalance.gain_frac <= 0.0 {
-            n += 1;
+        if r.resumed_step == 0 || r.ckpt_bytes == 0 || r.tail_regrids == 0 {
+            v.push(format!(
+                "restart: resumed from step {} ({} ckpt bytes) and crossed {} regrid(s), \
+                 the proof is vacuous",
+                r.resumed_step, r.ckpt_bytes, r.tail_regrids
+            ));
         }
-        n
+        let rb = &self.rebalance;
+        if rb.rebalances == 0
+            || rb.gain_frac <= 0.0
+            || rb.rebalanced_makespan_ps >= rb.static_makespan_ps
+        {
+            v.push(format!(
+                "rebalance: {} applied, weighted makespan {} -> {} ps is not an improvement",
+                rb.rebalances, rb.static_makespan_ps, rb.rebalanced_makespan_ps
+            ));
+        }
+        v
     }
 
-    /// Render as a JSON document (hand-rolled: the workspace serde is a
-    /// no-op shim).
+    /// Render `AMR.json`.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str("  \"resolution\": [\n");
-        for (i, c) in self.resolution.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"cell_updates\": {}, \"max_error\": {:e}, \"dt\": {:e}}}{}\n",
-                c.label,
-                c.cell_updates,
-                c.max_error,
-                c.dt,
-                if i + 1 < self.resolution.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
+        let resolution = self.resolution.iter().map(|c| {
+            obj(
+                Row,
+                [
+                    ("label", c.label.into()),
+                    ("cell_updates", c.cell_updates.into()),
+                    ("max_error", lit(format_args!("{:e}", c.max_error))),
+                    ("dt", lit(format_args!("{:e}", c.dt))),
+                ],
+            )
+        });
+        let identity = self.identity.iter().map(|c| {
+            obj(
+                Row,
+                [
+                    ("label", c.label.into()),
+                    ("bit_identical", c.bit_identical.into()),
+                    ("same_regrids", c.same_regrids.into()),
+                ],
+            )
+        });
         let a = &self.adaptive;
-        s.push_str(&format!(
-            "  \"adaptive\": {{\"regrids\": {}, \"rebalances\": {}, \"recompiles\": {}, \
-             \"verified_clean\": {}, \"verify_errors\": {}, \"lookahead_violations\": {}, \
-             \"cell_updates\": {}, \"checkpoints\": {}, \"n_levels\": {}, \
-             \"fine_window_frac\": {:.6}}},\n",
-            a.stats.regrids,
-            a.stats.rebalances,
-            a.stats.recompiles,
-            a.stats.verified_clean,
-            a.stats.verify_errors,
-            a.stats.lookahead_violations,
-            a.stats.cell_updates,
-            a.stats.checkpoints,
-            a.n_levels,
-            a.fine_window_frac,
-        ));
-        s.push_str("  \"byte_identity\": [\n");
-        for (i, c) in self.identity.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"bit_identical\": {}, \"same_regrids\": {}}}{}\n",
-                c.label,
-                c.bit_identical,
-                c.same_regrids,
-                if i + 1 < self.identity.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"restart\": {{\"resumed_step\": {}, \"ckpt_bytes\": {}, \"tail_regrids\": {}, \
-             \"restart_identical\": {}}},\n",
-            self.restart.resumed_step,
-            self.restart.ckpt_bytes,
-            self.restart.tail_regrids,
-            self.restart.restart_identical,
-        ));
-        s.push_str(&format!(
-            "  \"rebalance\": {{\"rebalances\": {}, \"static_makespan_ps\": {}, \
-             \"rebalanced_makespan_ps\": {}, \"gain_frac\": {:.6}}},\n",
-            self.rebalance.rebalances,
-            self.rebalance.static_makespan_ps,
-            self.rebalance.rebalanced_makespan_ps,
-            self.rebalance.gain_frac,
-        ));
-        s.push_str(&format!("  \"failures\": {}\n", self.failures()));
-        s.push('}');
-        s
+        let doc = obj(
+            Block,
+            [
+                ("seed", self.seed.into()),
+                ("resolution", arr(Block, resolution)),
+                (
+                    "adaptive",
+                    obj(
+                        Row,
+                        [
+                            ("regrids", a.stats.regrids.into()),
+                            ("rebalances", a.stats.rebalances.into()),
+                            ("recompiles", a.stats.recompiles.into()),
+                            ("verified_clean", a.stats.verified_clean.into()),
+                            ("verify_errors", a.stats.verify_errors.into()),
+                            ("lookahead_violations", a.stats.lookahead_violations.into()),
+                            ("cell_updates", a.stats.cell_updates.into()),
+                            ("checkpoints", a.stats.checkpoints.into()),
+                            ("n_levels", a.n_levels.into()),
+                            ("fine_window_frac", fixed(a.fine_window_frac, 6)),
+                        ],
+                    ),
+                ),
+                ("byte_identity", arr(Block, identity)),
+                (
+                    "restart",
+                    obj(
+                        Row,
+                        [
+                            ("resumed_step", self.restart.resumed_step.into()),
+                            ("ckpt_bytes", self.restart.ckpt_bytes.into()),
+                            ("tail_regrids", self.restart.tail_regrids.into()),
+                            ("restart_identical", self.restart.restart_identical.into()),
+                        ],
+                    ),
+                ),
+                (
+                    "rebalance",
+                    obj(
+                        Row,
+                        [
+                            ("rebalances", self.rebalance.rebalances.into()),
+                            (
+                                "static_makespan_ps",
+                                self.rebalance.static_makespan_ps.into(),
+                            ),
+                            (
+                                "rebalanced_makespan_ps",
+                                self.rebalance.rebalanced_makespan_ps.into(),
+                            ),
+                            ("gain_frac", fixed(self.rebalance.gain_frac, 6)),
+                        ],
+                    ),
+                ),
+                ("failures", self.violations().len().into()),
+            ],
+        );
+        doc.render() + "\n"
     }
 }
 
@@ -433,7 +517,7 @@ pub fn run_amr(seed: u64, ckpt_dir: &Path) -> AmrOutcome {
 pub fn write_amr_json(dir: &Path, seed: u64) -> io::Result<AmrOutcome> {
     std::fs::create_dir_all(dir)?;
     let outcome = run_amr(seed, &dir.join("amr-ckpt"));
-    std::fs::write(dir.join("AMR.json"), outcome.to_json() + "\n")?;
+    std::fs::write(dir.join("AMR.json"), outcome.to_json())?;
     Ok(outcome)
 }
 
@@ -460,5 +544,109 @@ mod tests {
         assert_eq!(p.max_levels, 2);
         assert_eq!(p.ratio, 2);
         assert_eq!(p.regrid_every, REGRID_EVERY);
+    }
+
+    /// The committed `results/AMR.json` as an in-memory outcome.
+    fn passing() -> AmrOutcome {
+        let cell = |label, cell_updates, max_error| ResolutionCell {
+            label,
+            cell_updates,
+            max_error,
+            dt: 2.5e-3,
+        };
+        let identity = |label| AmrIdentityCell {
+            label,
+            bit_identical: true,
+            same_regrids: true,
+        };
+        AmrOutcome {
+            seed: 42,
+            resolution: vec![
+                cell("adaptive", 391_680, 5.17e-2),
+                cell("uniform_fine", 983_040, 5.15e-2),
+                cell("uniform_coarse", 122_880, 8.25e-2),
+            ],
+            adaptive: AdaptiveProof {
+                stats: AmrStats {
+                    steps: STEPS,
+                    regrids: 3,
+                    recompiles: 8,
+                    verified_clean: 8,
+                    cell_updates: 391_680,
+                    checkpoints: 3,
+                    ..AmrStats::default()
+                },
+                n_levels: 2,
+                fine_window_frac: 0.421875,
+            },
+            identity: vec![
+                identity("parallel_tiles"),
+                identity("scalar_kernel"),
+                identity("sync_scheduler"),
+            ],
+            restart: AmrRestartProof {
+                resumed_step: 10,
+                ckpt_bytes: 168_620,
+                tail_regrids: 2,
+                restart_identical: true,
+            },
+            rebalance: RebalanceProof {
+                rebalances: 9,
+                static_makespan_ps: 4_323_305_656,
+                rebalanced_makespan_ps: 2_918_850_220,
+                gain_frac: 0.324857,
+            },
+        }
+    }
+
+    #[test]
+    fn violations_name_the_corrupted_proof() {
+        let o = passing();
+        assert_eq!(o.violations(), Vec::<String>::new());
+        let j = o.to_json();
+        assert!(j.contains("\"failures\": 0\n"));
+        assert!(j.contains("\"max_error\": 5.17e-2"), "{j}");
+
+        let named = |corrupt: &dyn Fn(&mut AmrOutcome), needle: &str| {
+            let o = crate::cli::assert_names(passing(), corrupt, AmrOutcome::violations, needle);
+            assert!(!o.to_json().contains("\"failures\": 0\n"));
+        };
+        named(
+            &|o| o.resolution.retain(|c| c.label != "uniform_fine"),
+            "needs the adaptive, uniform_fine",
+        );
+        named(
+            &|o| o.resolution[1].cell_updates = 0,
+            "resolution uniform_fine: non-positive",
+        );
+        named(&|o| o.resolution[2].dt = 1e-3, "disagree on dt");
+        named(&|o| o.resolution[0].cell_updates = 600_000, "not under 60%");
+        named(&|o| o.resolution[0].max_error = 6e-2, "exceeds 1.1x");
+        named(
+            &|o| o.resolution[2].max_error = 6e-2,
+            "does not clearly beat",
+        );
+        named(&|o| o.adaptive.stats.regrids = 1, "only 1 regrid(s)");
+        named(
+            &|o| o.adaptive.stats.verified_clean = 7,
+            "7 of 8 recompiles",
+        );
+        named(
+            &|o| o.adaptive.stats.lookahead_violations = 1,
+            "1 lookahead finding",
+        );
+        named(&|o| o.adaptive.fine_window_frac = 1.0, "not selective");
+        named(&|o| o.identity.truncate(2), "only 2 execution policies");
+        named(
+            &|o| o.identity[1].bit_identical = false,
+            "byte_identity scalar_kernel: adaptive run diverged",
+        );
+        named(
+            &|o| o.restart.restart_identical = false,
+            "restart: restored run diverged",
+        );
+        named(&|o| o.restart.tail_regrids = 0, "the proof is vacuous");
+        named(&|o| o.rebalance.rebalances = 0, "rebalance: 0 applied");
+        named(&|o| o.rebalance.gain_frac = 0.0, "not an improvement");
     }
 }

@@ -10,10 +10,10 @@
 //! shape) is additionally checked on the smallest problem so multi-stage
 //! ghost exchanges are covered.
 
-use std::io::Write as _;
 use std::path::Path;
 
 use sw_analyze::AnalysisReport;
+use sw_telemetry::json::{arr, obj, Json, Layout::Compact};
 use uintah_core::grid::Level;
 use uintah_core::task::plan::build_rank_plan;
 use uintah_core::{verify_plans, LoadBalancer, MachineConfig, SchedulerOptions, Variant};
@@ -101,28 +101,64 @@ pub fn total_errors(cells: &[AnalyzeCell]) -> usize {
     cells.iter().map(|c| c.report.errors()).sum()
 }
 
+/// One verifier report as a compact JSON object.
+fn report_json(r: &AnalysisReport) -> Json {
+    let findings = r.findings.iter().map(|f| {
+        let extra = f.extra.iter().map(|(k, v)| (k.as_str(), v.as_str().into()));
+        obj(
+            Compact,
+            [
+                ("kind", f.kind.code().into()),
+                ("severity", f.severity.to_string().into()),
+                ("message", f.message.as_str().into()),
+                (
+                    "tasks",
+                    arr(Compact, f.tasks.iter().map(|t| t.as_str().into())),
+                ),
+                ("extra", obj(Compact, extra)),
+            ],
+        )
+    });
+    obj(
+        Compact,
+        [
+            ("name", r.name.as_str().into()),
+            ("variant", r.variant.as_str().into()),
+            ("n_tasks", r.n_tasks.into()),
+            ("n_edges", r.n_edges.into()),
+            ("pairs_checked", r.pairs_checked.into()),
+            ("tile_plans", r.tile_plans.into()),
+            ("tiles_checked", r.tiles_checked.into()),
+            ("clean", r.is_clean().into()),
+            ("findings", arr(Compact, findings)),
+        ],
+    )
+}
+
 /// Serialize the sweep as one JSON document.
 pub fn analyze_json(cells: &[AnalyzeCell]) -> String {
-    let mut s = String::from("{\"generated_by\":\"repro analyze\",\"configs\":[");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"problem\":\"{}\",\"cgs\":{},\"stages\":{},\"report\":{}}}",
-            c.problem,
-            c.cgs,
-            c.stages,
-            c.report.to_json()
-        ));
-    }
-    s.push_str(&format!(
-        "],\"n_configs\":{},\"total_errors\":{},\"clean\":{}}}",
-        cells.len(),
-        total_errors(cells),
-        total_errors(cells) == 0
-    ));
-    s
+    let configs = cells.iter().map(|c| {
+        obj(
+            Compact,
+            [
+                ("problem", c.problem.into()),
+                ("cgs", c.cgs.into()),
+                ("stages", c.stages.into()),
+                ("report", report_json(&c.report)),
+            ],
+        )
+    });
+    let doc = obj(
+        Compact,
+        [
+            ("generated_by", "repro analyze".into()),
+            ("configs", arr(Compact, configs)),
+            ("n_configs", cells.len().into()),
+            ("total_errors", total_errors(cells).into()),
+            ("clean", (total_errors(cells) == 0).into()),
+        ],
+    );
+    doc.render() + "\n"
 }
 
 /// Run the sweep and write `results/ANALYZE.json`; returns the cells for
@@ -130,9 +166,7 @@ pub fn analyze_json(cells: &[AnalyzeCell]) -> String {
 pub fn write_analyze_json(dir: &Path) -> std::io::Result<Vec<AnalyzeCell>> {
     let cells = run_analyze();
     std::fs::create_dir_all(dir)?;
-    let mut f = std::fs::File::create(dir.join("ANALYZE.json"))?;
-    f.write_all(analyze_json(&cells).as_bytes())?;
-    f.write_all(b"\n")?;
+    std::fs::write(dir.join("ANALYZE.json"), analyze_json(&cells))?;
     Ok(cells)
 }
 
@@ -171,5 +205,46 @@ mod tests {
         assert!(j.contains("\"problem\":\"16x16x512\""), "{j}");
         assert!(j.contains("\"clean\":true"), "{j}");
         assert!(j.contains("\"total_errors\":0"), "{j}");
+    }
+
+    #[test]
+    fn unsafe_lookahead_findings_render_with_their_labels_escaped() {
+        // A channel label carrying `"`, `\` and a newline reaches the JSON
+        // through the proof's `lookahead_unsafe` finding (message + task).
+        use sw_analyze::{prove_lookahead, ChannelModel};
+        let channel = ChannelModel {
+            src_rank: 0,
+            dst_rank: 1,
+            bytes: 8,
+            label: "ghost(\"p3\"->p4\\XMinus)\n".into(),
+        };
+        let net = uintah_core::net_model(&MachineConfig::sw26010());
+        let (proof, findings) = prove_lookahead(&[channel], &net, u64::MAX / 2);
+        assert!(!proof.safe && findings.len() == 1);
+        let report = AnalysisReport {
+            name: "a\"b".into(),
+            variant: "v".into(),
+            n_tasks: 2,
+            n_edges: 1,
+            pairs_checked: 3,
+            tile_plans: 0,
+            tiles_checked: 0,
+            findings,
+        };
+        let j = report_json(&report).render();
+        assert!(
+            j.starts_with("{\"name\":\"a\\\"b\",\"variant\":\"v\",\"n_tasks\":2,"),
+            "{j}"
+        );
+        assert!(j.contains("\"clean\":false,\"findings\":[{\"kind\":\"lookahead_unsafe\",\"severity\":\"error\","), "{j}");
+        assert!(
+            j.contains("\"tasks\":[\"ghost(\\\"p3\\\"->p4\\\\XMinus)\\n\"]"),
+            "{j}"
+        );
+        assert!(
+            j.contains("\"extra\":{\"src_rank\":\"0\",\"dst_rank\":\"1\",\"bytes\":\"8\","),
+            "{j}"
+        );
+        assert!(!j.contains('\n'), "raw newline leaked into the JSON: {j}");
     }
 }

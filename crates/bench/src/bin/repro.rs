@@ -4,7 +4,6 @@
 //! cargo run --release -p bench --bin repro -- all
 //! cargo run --release -p bench --bin repro -- table5 fig9
 //! cargo run --release -p bench --bin repro -- all --jobs 4
-//! cargo run --release -p bench --bin repro -- bench-json
 //! cargo run --release -p bench --bin repro -- analyze
 //! cargo run --release -p bench --bin repro -- trace --problem 16x16x512 --cgs 4
 //! cargo run --release -p bench --bin repro -- faults --seed 42
@@ -109,10 +108,7 @@ fn run_faults(seed: u64) {
         outcome.total_injected(),
         dir.join("FAULTS.json").display()
     );
-    let failures = outcome.failures();
-    if failures > 0 {
-        bench::cli::fail("faults", &format!("{failures} resilience proof(s) failed"));
-    }
+    bench::cli::gate("faults", &outcome.violations());
 }
 
 /// `amr` subcommand: the adaptive-mesh-refinement campaign — resolution
@@ -163,10 +159,7 @@ fn run_amr(seed: u64) {
         -outcome.rebalance.gain_frac * 100.0
     );
     println!("wrote {}", dir.join("AMR.json").display());
-    let failures = outcome.failures();
-    if failures > 0 {
-        bench::cli::fail("amr", &format!("{failures} AMR proof(s) failed"));
-    }
+    bench::cli::gate("amr", &outcome.violations());
 }
 
 /// `torture` subcommand: the seeded differential config-fuzzing campaign.
@@ -196,20 +189,13 @@ fn run_torture(seed: u64, cases: u64) {
         eprintln!("  minimized: {}", f.minimized);
         eprintln!("  regression test:\n{}", f.regression_test);
     }
+    let violations = outcome.violations();
     println!(
         "wrote {} (ok={})",
-        bench::torture::results_file(dir).display(),
-        outcome.ok()
+        dir.join("TORTURE.json").display(),
+        violations.is_empty()
     );
-    if !outcome.ok() {
-        bench::cli::fail(
-            "torture",
-            &format!(
-                "{} torture case(s) failed an oracle",
-                outcome.failures.len()
-            ),
-        );
-    }
+    bench::cli::gate("torture", &violations);
 }
 
 /// `check` subcommand: the concurrency-checker campaign — static
@@ -266,15 +252,14 @@ fn run_check() {
             c.identical
         );
     }
+    let violations = outcome.violations();
     println!(
         "{} interleavings explored; wrote {} (ok={})",
         outcome.total_explored(),
-        bench::check::results_file(dir).display(),
-        outcome.ok()
+        dir.join("CHECK.json").display(),
+        violations.is_empty()
     );
-    if !outcome.ok() {
-        bench::cli::fail("check", "a concurrency check failed");
-    }
+    bench::cli::gate("check", &violations);
 }
 
 /// `comm` subcommand: the communication-layer sweep — endpoint counts ×
@@ -311,17 +296,16 @@ fn run_comm() {
             c.proof_safe
         );
     }
+    let violations = outcome.violations();
     println!(
         "overlap: sync {:.3} async {:.3} async+agg {:.3}; wrote {} (ok={})",
         outcome.sync_overlap,
         outcome.async_overlap,
         outcome.async_agg_overlap,
-        bench::comm::results_file(dir).display(),
-        outcome.ok()
+        dir.join("COMM.json").display(),
+        violations.is_empty()
     );
-    if !outcome.ok() {
-        bench::cli::fail("comm", "a comm-layer proof failed");
-    }
+    bench::cli::gate("comm", &violations);
 }
 
 /// `scale` subcommand: strong-scaling sweeps on serial vs PDES engines.
@@ -329,7 +313,8 @@ fn run_comm() {
 /// 1024-patch extension at 256 CGs (512/1024 with `--full`; `--quick`
 /// stops at 16 CGs for the ci.sh stage). Every cell asserts PDES-vs-serial
 /// bit identity; writes `results/BENCH_scale.json`; exits non-zero if any
-/// cell diverged.
+/// cell diverged, a speedup curve collapsed, or async lost to sync on the
+/// paper problem while ranks still held patches to overlap.
 fn run_scale(quick: bool, full: bool) {
     let dir = std::path::Path::new("results");
     let outcome =
@@ -373,12 +358,7 @@ fn run_scale(quick: bool, full: bool) {
         outcome.max_cgs(),
         dir.join("BENCH_scale.json").display()
     );
-    if !outcome.all_identical() {
-        bench::cli::fail(
-            "scale",
-            "PDES engine diverged from the serial engine on a swept config",
-        );
-    }
+    bench::cli::gate("scale", &outcome.violations());
 }
 
 /// `serve` subcommand: the campaign service front-end. Jobs come from
@@ -488,20 +468,7 @@ fn run_serve(args: &[String], seed: u64) {
         eprintln!("bad job line {line}");
     }
     println!("wrote {}", serve_args.out.display());
-    if !summary.ok() {
-        bench::cli::fail(
-            "serve",
-            &format!(
-                "{} lost, {} duplicated, {} failed, {}/{} oracle passes, {} bad job line(s)",
-                o.lost,
-                o.duplicated,
-                o.failed,
-                o.oracle_passes,
-                o.oracle_checks,
-                summary.bad_lines.len()
-            ),
-        );
-    }
+    bench::cli::gate("serve", &summary.violations());
 }
 
 /// Torture corpus size: `--cases N`, default 200.
@@ -566,7 +533,6 @@ fn run_trace(args: &[String]) {
         "== Telemetry trace: {} on {} CGs, {} steps ==",
         p.name, cgs, steps
     );
-    let mut bad = false;
     for c in &cases {
         let (compute, hidden, exposed, idle) = c.phases.totals();
         println!(
@@ -581,14 +547,51 @@ fn run_trace(args: &[String]) {
             c.reconciled,
             dir.join(&c.trace_file).display()
         );
-        bad |= !c.reconciled;
     }
     println!(
         "wrote {} (load traces at https://ui.perfetto.dev)",
         dir.join("TIMELINE.json").display()
     );
-    if bad {
-        bench::cli::fail("trace", "a trace failed to reconcile with its RunReport");
+    bench::cli::gate("trace", &bench::trace::violations(&cases));
+}
+
+/// `analyze` subcommand: every problem x variant plan through the
+/// sw-analyze verifier. Writes `results/ANALYZE.json`; exits non-zero on
+/// any error-severity finding (the ci.sh analyze stage relies on it).
+fn run_analyze() {
+    let dir = std::path::Path::new("results");
+    let cells = bench::analyze::write_analyze_json(dir).expect("write results/ANALYZE.json");
+    let errors = bench::analyze::total_errors(&cells);
+    println!("== Static schedule verification ==");
+    for c in &cells {
+        println!(
+            "{:>11} x {:<14} cgs {:>3} stages {}: {} tasks, {} edges, {} pairs, {} tiles -> {}",
+            c.problem,
+            c.report.variant,
+            c.cgs,
+            c.stages,
+            c.report.n_tasks,
+            c.report.n_edges,
+            c.report.pairs_checked,
+            c.report.tiles_checked,
+            if c.report.is_clean() {
+                "clean"
+            } else {
+                "FINDINGS"
+            }
+        );
+        if !c.report.is_clean() {
+            print!("{}", c.report.render());
+        }
+    }
+    println!(
+        "{} configs, {} errors; wrote {}",
+        cells.len(),
+        errors,
+        dir.join("ANALYZE.json").display()
+    );
+    if errors > 0 {
+        bench::cli::fail("analyze", &format!("{errors} error-severity finding(s)"));
     }
 }
 
@@ -640,188 +643,52 @@ fn main() {
             })
             .collect()
     };
+    // The campaigns: explicit only (each writes its artifact under results/
+    // and exits non-zero through `bench::cli` on a failed proof; none is a
+    // paper table, so `all` does not include them). Requested campaigns run
+    // in this order; tables and figures follow only if any were asked for.
+    let campaigns: [(&str, &dyn Fn()); 9] = [
+        ("trace", &|| run_trace(&args)),
+        ("serve", &|| run_serve(&args, seed)),
+        ("faults", &|| run_faults(seed)),
+        ("amr", &|| run_amr(seed)),
+        ("torture", &|| run_torture(seed, cases_arg(&args))),
+        ("check", &run_check),
+        ("comm", &run_comm),
+        ("scale", &|| {
+            run_scale(
+                args.iter().any(|a| a == "--quick"),
+                args.iter().any(|a| a == "--full"),
+            )
+        }),
+        ("analyze", &run_analyze),
+    ];
+    let is_campaign = |a: &str| campaigns.iter().any(|(name, _)| *name == a);
+    if let Some(unknown) = positional
+        .iter()
+        .find(|a| !is_campaign(a) && !bench::cli::EXPERIMENTS.contains(&a.as_str()))
+    {
+        bench::cli::fail(
+            unknown,
+            &format!(
+                "unknown subcommand (campaigns: {}; experiments: {})",
+                campaigns.map(|(name, _)| name).join(" "),
+                bench::cli::EXPERIMENTS.join(" ")
+            ),
+        );
+    }
+    for (name, run) in campaigns {
+        if positional.iter().any(|a| *a == name) {
+            run();
+        }
+    }
+    if !positional.is_empty() && positional.iter().all(|a| is_campaign(a)) {
+        return;
+    }
     let want = |name: &str| -> bool {
         positional.is_empty() || positional.iter().any(|a| *a == name || *a == "all")
     };
 
-    // Telemetry trace export: instrumented runs -> Perfetto JSON + derived
-    // phase metrics. Explicit only (writes results/, not a paper table).
-    if positional.iter().any(|a| *a == "trace") {
-        run_trace(&args);
-        if positional.iter().all(|a| *a == "trace") {
-            return;
-        }
-    }
-
-    // Campaign service: sharded worker pool + content-addressed cache +
-    // reproducibility oracle -> results/CAMPAIGN.json. Explicit only
-    // (writes results/, not a paper table); exits non-zero on any lost,
-    // duplicated, or failed job, oracle mismatch, or bad job line.
-    if positional.iter().any(|a| *a == "serve") {
-        run_serve(&args, seed);
-        if positional.iter().all(|a| *a == "serve") {
-            return;
-        }
-    }
-
-    // Resilience campaign: fault injection, checkpoint/restart, and
-    // degradation proofs -> results/FAULTS.json. Explicit only (writes
-    // results/, not a paper table); exits non-zero on a failed proof.
-    if positional.iter().any(|a| *a == "faults") {
-        run_faults(seed);
-        if positional.iter().all(|a| *a == "faults") {
-            return;
-        }
-    }
-
-    // AMR campaign: adaptive vs uniform resolution economy, regrid +
-    // re-verify, cross-policy identity, restart across a regrid,
-    // telemetry rebalancing -> results/AMR.json. Explicit only (writes
-    // results/, not a paper table); exits non-zero on a failed proof.
-    if positional.iter().any(|a| *a == "amr") {
-        run_amr(seed);
-        if positional.iter().all(|a| *a == "amr") {
-            return;
-        }
-    }
-
-    // Torture campaign: seeded differential config fuzzing with shrinking
-    // -> results/TORTURE.json. Explicit only (writes results/, not a paper
-    // table); exits non-zero on any oracle failure.
-    if positional.iter().any(|a| *a == "torture") {
-        run_torture(seed, cases_arg(&args));
-        if positional.iter().all(|a| *a == "torture") {
-            return;
-        }
-    }
-
-    // Concurrency-checker campaign: static lookahead proofs, dynamic race
-    // detection, DPOR interleaving exploration -> results/CHECK.json.
-    // Explicit only (writes results/, not a paper table); exits non-zero
-    // on any failed check.
-    if positional.iter().any(|a| *a == "check") {
-        run_check();
-        if positional.iter().all(|a| *a == "check") {
-            return;
-        }
-    }
-
-    // Communication-layer sweep: endpoints x aggregation x crossover with
-    // byte-identity, overlap, and coalesced-proof checks on every cell ->
-    // results/COMM.json. Explicit only (writes results/, not a paper
-    // table); exits non-zero on any violation.
-    if positional.iter().any(|a| *a == "comm") {
-        run_comm();
-        if positional.iter().all(|a| *a == "comm") {
-            return;
-        }
-    }
-
-    // Strong-scaling sweep: serial vs conservative-PDES engines over the
-    // paper's CG axis and beyond -> results/BENCH_scale.json. Explicit only
-    // (writes results/, not a paper table); exits non-zero on divergence.
-    if positional.iter().any(|a| *a == "scale") {
-        run_scale(
-            args.iter().any(|a| a == "--quick"),
-            args.iter().any(|a| a == "--full"),
-        );
-        if positional.iter().all(|a| *a == "scale") {
-            return;
-        }
-    }
-
-    // Static schedule verification: every problem x variant plan through
-    // the sw-analyze verifier, JSON report under results/. Exits non-zero
-    // on any error-severity finding (the ci.sh analyze stage relies on it).
-    if positional.iter().any(|a| *a == "analyze") {
-        let dir = std::path::Path::new("results");
-        let cells = bench::analyze::write_analyze_json(dir).expect("write results/ANALYZE.json");
-        let errors = bench::analyze::total_errors(&cells);
-        println!("== Static schedule verification ==");
-        for c in &cells {
-            println!(
-                "{:>11} x {:<14} cgs {:>3} stages {}: {} tasks, {} edges, {} pairs, {} tiles -> {}",
-                c.problem,
-                c.report.variant,
-                c.cgs,
-                c.stages,
-                c.report.n_tasks,
-                c.report.n_edges,
-                c.report.pairs_checked,
-                c.report.tiles_checked,
-                if c.report.is_clean() {
-                    "clean"
-                } else {
-                    "FINDINGS"
-                }
-            );
-            if !c.report.is_clean() {
-                print!("{}", c.report.render());
-            }
-        }
-        println!(
-            "{} configs, {} errors; wrote {}",
-            cells.len(),
-            errors,
-            dir.join("ANALYZE.json").display()
-        );
-        if errors > 0 {
-            bench::cli::fail("analyze", &format!("{errors} error-severity finding(s)"));
-        }
-        if positional.len() == 1 {
-            return;
-        }
-    }
-
-    // Wall-clock pool benchmark: explicit only (it measures this host, so it
-    // is not part of `all`'s paper tables).
-    if positional.iter().any(|a| *a == "bench-json") {
-        let dir = std::path::Path::new("results");
-        let (benches, telemetry) =
-            bench::perf::write_bench_json(dir, jobs).expect("write results/BENCH_functional.json");
-        println!("== Functional-engine wall-clock baseline ==");
-        for b in &benches {
-            println!(
-                "{}: {} | serial {:.3} ms, parallel {:.3} ms ({} threads) -> {:.2}x, bit_identical={}",
-                b.name,
-                b.workload,
-                b.serial_ms,
-                b.parallel_ms,
-                b.threads,
-                b.speedup(),
-                b.bit_identical
-            );
-            if b.serial_fallbacks > 0 {
-                eprintln!(
-                    "WARNING: {} parallel offload(s) in `{}` were demoted to \
-                     serial (non-exact tile partition) — the parallel numbers \
-                     measured the serial path",
-                    b.serial_fallbacks, b.name
-                );
-            }
-        }
-        println!(
-            "{}: {} | off {:.3} ms, on {:.3} ms -> {:+.1}% overhead, {} events, identical_reports={}",
-            telemetry.name,
-            telemetry.workload,
-            telemetry.off_ms,
-            telemetry.on_ms,
-            telemetry.overhead_frac() * 100.0,
-            telemetry.events,
-            telemetry.identical_reports
-        );
-        if !telemetry.identical_reports {
-            eprintln!(
-                "WARNING: enabling telemetry changed the run report — the \
-                 recorder must never touch virtual time"
-            );
-        }
-        println!("wrote {}", dir.join("BENCH_functional.json").display());
-        if positional.len() == 1 {
-            warn_serial_fallbacks();
-            return;
-        }
-    }
     let print_table = |title: &str, t: &bench::TextTable| {
         println!("== {title} ==");
         println!("{}", t.render());

@@ -18,17 +18,20 @@
 //!   graph's equivalence classes ([`sw_sim::WindowGraph`]); every explored
 //!   interleaving must reproduce the baseline warehouse bit-for-bit.
 //!
-//! `scripts/validate_check.py` enforces the shape (all three sections
-//! present, zero error findings, ≥ 50 interleavings explored).
+//! [`CheckOutcome::violations`] is the gate: all three analyses ran on
+//! non-vacuous inputs, zero findings, ≥ 50 interleavings explored.
 
-use std::fmt::Write as _;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use burgers::BurgersApp;
 use sw_math::ExpKind;
 use sw_sim::{Machine, SimTime, WindowGraph};
+use sw_telemetry::json::{
+    arr, obj, Json,
+    Layout::{Block, Row},
+};
 use uintah_core::task::build_rank_plan;
 use uintah_core::{
     iv, prove_lookahead_for_plans, race_check, Application, ExecMode, Level, RunConfig, Simulation,
@@ -36,6 +39,7 @@ use uintah_core::{
 };
 
 use crate::problems::{ProblemSpec, PROBLEMS, SMALL};
+use crate::runner::bits;
 
 /// One statically proved (problem, cgs) configuration.
 pub struct StaticCell {
@@ -137,16 +141,89 @@ impl CheckOutcome {
         self.dpors.iter().map(|d| d.explored).sum()
     }
 
-    /// Every section held: all proofs safe, the demo's two paths agree,
-    /// all traces clean, all interleavings bit-identical.
-    pub fn ok(&self) -> bool {
-        self.statics.iter().all(|s| s.safe)
-            && self.unsafe_demo.findings >= 1
-            && self.unsafe_demo.machine_agrees
-            && !self.dynamics.is_empty()
-            && self.dynamics.iter().all(|d| d.clean)
-            && !self.dpors.is_empty()
-            && self.dpors.iter().all(|d| d.identical)
+    /// Every way the campaign fell short, one line per cell: an unsafe or
+    /// vacuous proof, the demo's two paths disagreeing, a trace with
+    /// nothing to check or anything found, a diverged or unpermuted DPOR
+    /// config, or too little explored overall. Empty = the campaign holds.
+    pub fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        if self.statics.is_empty() {
+            v.push("static: no proved configurations".to_string());
+        }
+        for c in &self.statics {
+            let cell = format!("static {} at {} cgs", c.problem, c.cgs);
+            if !c.safe {
+                v.push(format!(
+                    "{cell}: UNSAFE, min latency {} ps < lookahead {} ps",
+                    c.min_latency_ps, c.lookahead_ps
+                ));
+            }
+            if c.channels == 0 {
+                v.push(format!("{cell}: proved zero channels (vacuous)"));
+            }
+        }
+        let d = &self.unsafe_demo;
+        if d.findings < 1 {
+            v.push("unsafe_demo: the provably unsafe lookahead produced no findings".to_string());
+        }
+        if !d.machine_agrees || d.machine_deliver_ps != d.min_latency_ps {
+            v.push(format!(
+                "unsafe_demo: machine delivered at {} ps, proof predicted {} ps \
+                 (machine_agrees={})",
+                d.machine_deliver_ps, d.min_latency_ps, d.machine_agrees
+            ));
+        }
+        if self.dynamics.len() < 3 {
+            v.push(format!(
+                "dynamic: only {} race-checked run(s), need >= 3",
+                self.dynamics.len()
+            ));
+        }
+        for c in &self.dynamics {
+            let cell = format!("dynamic {}@{}cg", c.variant, c.cgs);
+            if c.events == 0 || c.msg_edges == 0 {
+                v.push(format!("{cell}: empty trace or no message edges"));
+            }
+            if c.races != 0 || c.structural != 0 || c.unmatched != 0 || !c.clean {
+                v.push(format!(
+                    "{cell}: {} race(s), {} structural defect(s), {} unmatched edge(s), clean={}",
+                    c.races, c.structural, c.unmatched, c.clean
+                ));
+            }
+        }
+        if self.dpors.len() < 3 {
+            v.push(format!(
+                "dpor: only {} explored config(s), need >= 3",
+                self.dpors.len()
+            ));
+        }
+        for c in &self.dpors {
+            if c.message_windows == 0 {
+                v.push(format!(
+                    "dpor {}: no message windows, nothing permuted",
+                    c.name
+                ));
+            }
+            if !c.identical {
+                v.push(format!(
+                    "dpor {}: a forced drain order diverged from the baseline",
+                    c.name
+                ));
+            }
+            if c.explored != c.replays + 1 {
+                v.push(format!(
+                    "dpor {}: explored {} != baseline + {} replays",
+                    c.name, c.explored, c.replays
+                ));
+            }
+        }
+        if self.total_explored() < 50 {
+            v.push(format!(
+                "dpor: only {} interleavings explored in total, need >= 50",
+                self.total_explored()
+            ));
+        }
+        v
     }
 }
 
@@ -281,22 +358,6 @@ pub fn run_dynamic() -> Vec<DynCell> {
     cells
 }
 
-/// Final warehouse of every patch as exact bit patterns.
-fn bits(sim: &Simulation) -> Vec<Vec<u64>> {
-    let level = sim.level();
-    (0..level.n_patches())
-        .map(|p| {
-            let var = sim.solution(p);
-            level
-                .patch(p)
-                .region
-                .iter()
-                .map(|c| var.get(c).to_bits())
-                .collect()
-        })
-        .collect()
-}
-
 /// A tiny DPOR configuration: a functional run small enough to replay
 /// dozens of times.
 struct DporConfig {
@@ -415,100 +476,110 @@ pub fn run_check() -> CheckOutcome {
 
 /// Render `CHECK.json`.
 pub fn check_json(o: &CheckOutcome) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"generated_by\": \"repro check\",\n");
-    s.push_str("  \"static\": {\n    \"configs\": [\n");
-    for (i, c) in o.statics.iter().enumerate() {
-        let _ = write!(
-            s,
-            "      {{\"problem\": \"{}\", \"cgs\": {}, \"channels\": {}, \
-             \"min_latency_ps\": {}, \"lookahead_ps\": {}, \"safe\": {}}}",
-            c.problem, c.cgs, c.channels, c.min_latency_ps, c.lookahead_ps, c.safe
-        );
-        s.push_str(if i + 1 < o.statics.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("    ],\n");
+    let statics = o.statics.iter().map(|c| {
+        obj(
+            Row,
+            [
+                ("problem", c.problem.into()),
+                ("cgs", c.cgs.into()),
+                ("channels", c.channels.into()),
+                ("min_latency_ps", c.min_latency_ps.into()),
+                ("lookahead_ps", c.lookahead_ps.into()),
+                ("safe", c.safe.into()),
+            ],
+        )
+    });
     let d = &o.unsafe_demo;
-    let _ = writeln!(
-        s,
-        "    \"unsafe_demo\": {{\"lookahead_ps\": {}, \"min_latency_ps\": {}, \
-         \"findings\": {}, \"machine_deliver_ps\": {}, \"machine_agrees\": {}}},",
-        d.lookahead_ps, d.min_latency_ps, d.findings, d.machine_deliver_ps, d.machine_agrees
+    let demo = obj(
+        Row,
+        [
+            ("lookahead_ps", d.lookahead_ps.into()),
+            ("min_latency_ps", d.min_latency_ps.into()),
+            ("findings", d.findings.into()),
+            ("machine_deliver_ps", d.machine_deliver_ps.into()),
+            ("machine_agrees", d.machine_agrees.into()),
+        ],
     );
-    let _ = writeln!(s, "    \"all_safe\": {}", o.statics.iter().all(|c| c.safe));
-    s.push_str("  },\n  \"dynamic\": {\n    \"cases\": [\n");
-    for (i, c) in o.dynamics.iter().enumerate() {
-        let _ = write!(
-            s,
-            "      {{\"variant\": \"{}\", \"cgs\": {}, \"steps\": {}, \
-             \"events\": {}, \"accesses\": {}, \"pairs_checked\": {}, \
-             \"msg_edges\": {}, \"races\": {}, \"structural\": {}, \
-             \"unmatched\": {}, \"clean\": {}}}",
-            c.variant,
-            c.cgs,
-            c.steps,
-            c.events,
-            c.accesses,
-            c.pairs_checked,
-            c.msg_edges,
-            c.races,
-            c.structural,
-            c.unmatched,
-            c.clean
-        );
-        s.push_str(if i + 1 < o.dynamics.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("    ],\n");
-    let _ = writeln!(
-        s,
-        "    \"all_clean\": {}",
-        o.dynamics.iter().all(|c| c.clean)
+    let dynamics = o.dynamics.iter().map(|c| {
+        obj(
+            Row,
+            [
+                ("variant", Json::from(c.variant)),
+                ("cgs", c.cgs.into()),
+                ("steps", c.steps.into()),
+                ("events", c.events.into()),
+                ("accesses", c.accesses.into()),
+                ("pairs_checked", c.pairs_checked.into()),
+                ("msg_edges", c.msg_edges.into()),
+                ("races", c.races.into()),
+                ("structural", c.structural.into()),
+                ("unmatched", c.unmatched.into()),
+                ("clean", c.clean.into()),
+            ],
+        )
+    });
+    let dpors = o.dpors.iter().map(|c| {
+        obj(
+            Row,
+            [
+                ("name", Json::from(c.name)),
+                ("ranks", c.ranks.into()),
+                ("steps", c.steps.into()),
+                ("windows", c.windows.into()),
+                ("message_windows", c.message_windows.into()),
+                ("explored", c.explored.into()),
+                ("replays", c.replays.into()),
+                ("identical", c.identical.into()),
+            ],
+        )
+    });
+    let doc = obj(
+        Block,
+        [
+            ("generated_by", "repro check".into()),
+            (
+                "static",
+                obj(
+                    Block,
+                    [
+                        ("configs", arr(Block, statics)),
+                        ("unsafe_demo", demo),
+                        ("all_safe", o.statics.iter().all(|c| c.safe).into()),
+                    ],
+                ),
+            ),
+            (
+                "dynamic",
+                obj(
+                    Block,
+                    [
+                        ("cases", arr(Block, dynamics)),
+                        ("all_clean", o.dynamics.iter().all(|c| c.clean).into()),
+                    ],
+                ),
+            ),
+            (
+                "dpor",
+                obj(
+                    Block,
+                    [
+                        ("configs", arr(Block, dpors)),
+                        ("total_explored", o.total_explored().into()),
+                        ("all_identical", o.dpors.iter().all(|c| c.identical).into()),
+                    ],
+                ),
+            ),
+            ("ok", o.violations().is_empty().into()),
+        ],
     );
-    s.push_str("  },\n  \"dpor\": {\n    \"configs\": [\n");
-    for (i, c) in o.dpors.iter().enumerate() {
-        let _ = write!(
-            s,
-            "      {{\"name\": \"{}\", \"ranks\": {}, \"steps\": {}, \
-             \"windows\": {}, \"message_windows\": {}, \"explored\": {}, \
-             \"replays\": {}, \"identical\": {}}}",
-            c.name,
-            c.ranks,
-            c.steps,
-            c.windows,
-            c.message_windows,
-            c.explored,
-            c.replays,
-            c.identical
-        );
-        s.push_str(if i + 1 < o.dpors.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("    ],\n");
-    let _ = writeln!(s, "    \"total_explored\": {},", o.total_explored());
-    let _ = writeln!(
-        s,
-        "    \"all_identical\": {}",
-        o.dpors.iter().all(|c| c.identical)
-    );
-    s.push_str("  },\n");
-    let _ = writeln!(s, "  \"ok\": {}", o.ok());
-    s.push_str("}\n");
-    s
-}
-
-/// Where the campaign's JSON lands.
-pub fn results_file(dir: &Path) -> PathBuf {
-    dir.join("CHECK.json")
+    doc.render() + "\n"
 }
 
 /// Run the campaign and write `CHECK.json` under `dir`.
 pub fn write_check_json(dir: &Path) -> io::Result<CheckOutcome> {
     std::fs::create_dir_all(dir)?;
     let outcome = run_check();
-    std::fs::write(results_file(dir), check_json(&outcome))?;
+    std::fs::write(dir.join("CHECK.json"), check_json(&outcome))?;
     Ok(outcome)
 }
 
@@ -532,7 +603,7 @@ mod tests {
         let plans = plans_for(&level, &assignment, 4, 1);
         let (proof, findings) =
             prove_lookahead_for_plans(&plans, &cfg.machine, cfg.machine.net_latency.0);
-        assert!(proof.safe, "{}", proof.to_json());
+        assert!(proof.safe, "{proof:?}");
         assert!(findings.is_empty());
     }
 
@@ -565,9 +636,32 @@ mod tests {
         assert_eq!(cell.explored, cell.replays + 1);
     }
 
-    #[test]
-    fn check_json_is_balanced() {
-        let o = CheckOutcome {
+    /// A minimal outcome that holds every invariant.
+    fn passing() -> CheckOutcome {
+        let dynamic = |variant| DynCell {
+            variant,
+            cgs: 2,
+            steps: 2,
+            events: 10,
+            accesses: 4,
+            pairs_checked: 3,
+            msg_edges: 2,
+            races: 0,
+            structural: 0,
+            unmatched: 0,
+            clean: true,
+        };
+        let dpor = |name, explored| DporCell {
+            name,
+            ranks: 2,
+            steps: 2,
+            windows: 9,
+            message_windows: 3,
+            explored,
+            replays: explored - 1,
+            identical: true,
+        };
+        CheckOutcome {
             statics: vec![StaticCell {
                 problem: "p",
                 cgs: 2,
@@ -583,34 +677,56 @@ mod tests {
                 machine_deliver_ps: 1,
                 machine_agrees: true,
             },
-            dynamics: vec![DynCell {
-                variant: "acc.async",
-                cgs: 2,
-                steps: 2,
-                events: 10,
-                accesses: 4,
-                pairs_checked: 3,
-                msg_edges: 2,
-                races: 0,
-                structural: 0,
-                unmatched: 0,
-                clean: true,
-            }],
-            dpors: vec![DporCell {
-                name: "line2",
-                ranks: 2,
-                steps: 2,
-                windows: 9,
-                message_windows: 3,
-                explored: 4,
-                replays: 3,
-                identical: true,
-            }],
+            dynamics: vec![
+                dynamic("acc.sync"),
+                dynamic("acc.async"),
+                dynamic("host.sync"),
+            ],
+            dpors: vec![dpor("line2", 4), dpor("ring4", 44), dpor("deep", 4)],
+        }
+    }
+
+    #[test]
+    fn violations_name_the_corrupted_cell() {
+        let o = passing();
+        assert_eq!(o.violations(), Vec::<String>::new());
+        assert_eq!(o.total_explored(), 52);
+        assert!(check_json(&o).contains("\"ok\": true"));
+
+        let named = |corrupt: &dyn Fn(&mut CheckOutcome), needle: &str| {
+            let o = crate::cli::assert_names(passing(), corrupt, CheckOutcome::violations, needle);
+            assert!(check_json(&o).contains("\"ok\": false"));
         };
-        let json = check_json(&o);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"ok\": true"));
-        assert!(o.ok());
-        assert_eq!(o.total_explored(), 4);
+        named(&|o| o.statics[0].safe = false, "static p at 2 cgs: UNSAFE");
+        named(&|o| o.statics[0].channels = 0, "zero channels");
+        named(&|o| o.statics.clear(), "no proved configurations");
+        named(&|o| o.dpors.truncate(2), "only 2 explored config(s)");
+        named(&|o| o.unsafe_demo.findings = 0, "unsafe_demo");
+        named(
+            &|o| o.unsafe_demo.machine_deliver_ps = 7,
+            "delivered at 7 ps",
+        );
+        named(&|o| o.dynamics.truncate(2), "only 2 race-checked");
+        named(
+            &|o| o.dynamics[1].races = 1,
+            "dynamic acc.async@2cg: 1 race",
+        );
+        named(
+            &|o| o.dynamics[2].msg_edges = 0,
+            "dynamic host.sync@2cg: empty",
+        );
+        named(
+            &|o| o.dpors[1].identical = false,
+            "dpor ring4: a forced drain",
+        );
+        named(
+            &|o| o.dpors[0].message_windows = 0,
+            "dpor line2: no message",
+        );
+        named(&|o| o.dpors[2].replays = 0, "dpor deep: explored 4");
+        named(
+            &|o| o.dpors[1].explored = 4,
+            "interleavings explored in total",
+        );
     }
 }

@@ -2,10 +2,34 @@
 //!
 //! Every `repro` subcommand that can partially fail reports it the same
 //! way: one `ERROR: repro <subcommand>: <detail>` line on stderr and a
-//! non-zero exit. Scripts (ci.sh, the validate_*.py gates) key off both —
-//! the exit code for control flow, the stderr line for log triage — so no
-//! subcommand is allowed to invent its own failure dialect or to exit
-//! non-zero silently.
+//! non-zero exit. ci.sh keys off both — the exit code for control flow, the
+//! stderr line for log triage — so no subcommand is allowed to invent its
+//! own failure dialect or to exit non-zero silently.
+
+/// The positional arguments `repro` accepts besides its campaign
+/// subcommands: `all` and the experiment names it expands to.
+pub const EXPERIMENTS: &[&str] = &[
+    "all",
+    "dot",
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "timeline",
+    "weak",
+    "breakdown",
+    "fidelity",
+    "ablation",
+];
 
 /// Print the uniform failure line and exit 1.
 pub fn fail(subcmd: &str, detail: &str) -> ! {
@@ -13,14 +37,29 @@ pub fn fail(subcmd: &str, detail: &str) -> ! {
     std::process::exit(1);
 }
 
-#[cfg(test)]
-mod tests {
-    // `fail` never returns, so the unit test is about the message shape
-    // only; it is exercised end-to-end by scripts/validate_campaign.py.
-    #[test]
-    fn failure_line_shape() {
-        let line = format!("ERROR: repro {}: {}", "serve", "2 job(s) failed");
-        assert!(line.starts_with("ERROR: repro "));
-        assert!(line.contains(": "));
+/// [`fail`] naming every violation of a campaign's `violations()`; returns
+/// when there are none.
+pub fn gate(subcmd: &str, violations: &[String]) {
+    if !violations.is_empty() {
+        fail(subcmd, &violations.join("; "));
     }
+}
+
+/// Test support for the campaigns' negative tests: `corrupt` one field of a
+/// passing outcome and assert that its `violations` name it. Returns the
+/// corrupted outcome so the caller can also check the rendered artifact.
+#[cfg(test)]
+pub(crate) fn assert_names<T>(
+    mut outcome: T,
+    corrupt: &dyn Fn(&mut T),
+    violations: impl Fn(&T) -> Vec<String>,
+    needle: &str,
+) -> T {
+    corrupt(&mut outcome);
+    let v = violations(&outcome);
+    assert!(
+        v.iter().any(|line| line.contains(needle)),
+        "no violation names `{needle}`: {v:?}"
+    );
+    outcome
 }

@@ -19,16 +19,20 @@
 //!   channel models ([`uintah_core::prove_lookahead_for_plans_with`])
 //!   must come back safe at the default lookahead.
 //!
-//! `scripts/validate_comm.py` enforces all three on the JSON and exits
-//! non-zero on any violation (the ci.sh comm stage relies on it).
+//! [`CommOutcome::violations`] enforces all three plus grid coverage and
+//! the aggregation-engaged checks; `repro comm` exits non-zero naming the
+//! cell (the ci.sh comm stage relies on it).
 
-use std::fmt::Write as _;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use burgers::BurgersApp;
 use sw_math::ExpKind;
+use sw_telemetry::json::{
+    arr, fixed, obj,
+    Layout::{Block, Row},
+};
 use sw_telemetry::{analyze, Event};
 use uintah_core::task::build_rank_plan;
 use uintah_core::{
@@ -36,6 +40,8 @@ use uintah_core::{
 };
 
 use crate::problems::{ProblemSpec, SMALL};
+use crate::runner::bits;
+use crate::trace::reconciles;
 
 /// Endpoint counts swept.
 pub const ENDPOINTS: [u32; 3] = [1, 2, 4];
@@ -99,24 +105,6 @@ pub struct CommCell {
     pub proof_safe: bool,
 }
 
-impl CommCell {
-    /// The comm knobs this cell ran under.
-    pub fn comm(&self) -> CommConfig {
-        CommConfig {
-            endpoints: self.endpoints,
-            agg_bytes: self.agg_bytes,
-            agg_deadline_ps: self.agg_deadline_ps,
-            eager_crossover: self.crossover,
-            progress_lane: true,
-        }
-    }
-
-    /// All three proofs held.
-    pub fn ok(&self) -> bool {
-        self.bit_identical && self.reconciled && self.proof_safe
-    }
-}
-
 /// The whole sweep's outcome.
 pub struct CommOutcome {
     /// Sweep problem name.
@@ -135,16 +123,108 @@ pub struct CommOutcome {
     pub async_agg_overlap: f64,
 }
 
+/// The canonical aggregated async overlap must hold this bar (the plain
+/// async baseline's 0.800).
+pub const MIN_ASYNC_AGG_OVERLAP: f64 = 0.800;
+
 impl CommOutcome {
-    /// Every cell held its three proofs, aggregation actually engaged
-    /// somewhere, and the canonical aggregated run kept the async
-    /// baseline's overlap bar.
-    pub fn ok(&self) -> bool {
-        !self.cells.is_empty()
-            && self.cells.iter().all(CommCell::ok)
-            && self.cells.iter().any(|c| c.agg_flushes > 0)
-            && self.async_agg_overlap >= 0.800
-            && self.async_overlap > self.sync_overlap
+    /// Every broken sweep invariant, one line per cell: the three proofs,
+    /// non-vacuity (channels proved, every axis swept, no duplicate cell),
+    /// aggregation actually engaging where it coalesced channels, and the
+    /// overlap bars. Empty = the sweep holds.
+    pub fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        let axis = |f: &dyn Fn(&CommCell) -> Option<u64>| {
+            let mut seen: Vec<_> = self.cells.iter().map(f).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            seen.len()
+        };
+        if axis(&|c| Some(u64::from(c.endpoints))) < 2
+            || axis(&|c| Some(c.agg_bytes)) < 2
+            || axis(&|c| c.crossover) < 2
+        {
+            v.push(format!(
+                "sweep too narrow: {} cell(s) do not vary every axis",
+                self.cells.len()
+            ));
+        }
+        for (i, c) in self.cells.iter().enumerate() {
+            let cell = format!(
+                "cell ep={} agg={} xo={:?}",
+                c.endpoints, c.agg_bytes, c.crossover
+            );
+            let same_knobs = |o: &CommCell| {
+                (o.endpoints, o.agg_bytes, o.crossover) == (c.endpoints, c.agg_bytes, c.crossover)
+            };
+            if self.cells[..i].iter().any(same_knobs) {
+                v.push(format!("{cell}: duplicate grid cell"));
+            }
+            if !c.bit_identical {
+                v.push(format!(
+                    "{cell}: warehouse diverged from the single-endpoint baseline"
+                ));
+            }
+            if !c.reconciled {
+                v.push(format!(
+                    "{cell}: phase pass did not reconcile with the RunReport"
+                ));
+            }
+            if !c.proof_safe {
+                v.push(format!(
+                    "{cell}: lookahead proof unsafe over the coalesced channels"
+                ));
+            }
+            if c.channels == 0 {
+                v.push(format!("{cell}: proved zero channels (vacuous)"));
+            }
+            if !(0.0..=1.0).contains(&c.overlap_efficiency) {
+                v.push(format!(
+                    "{cell}: overlap {} outside [0, 1]",
+                    c.overlap_efficiency
+                ));
+            }
+            // Fewer proved channels than the aggregation-off sibling means
+            // eager sends were coalesced, so the model run must have staged
+            // something. (A small crossover can push every payload to
+            // rendezvous: zero staging is then correct and the counts match.)
+            let sibling = self.cells.iter().find(|o| {
+                o.agg_bytes == 0 && o.endpoints == c.endpoints && o.crossover == c.crossover
+            });
+            if c.agg_bytes > 0
+                && c.agg_staged == 0
+                && sibling.is_some_and(|o| c.channels < o.channels)
+            {
+                v.push(format!(
+                    "{cell}: aggregation coalesced channels but nothing was staged"
+                ));
+            }
+            if c.agg_flushes > c.agg_staged {
+                v.push(format!(
+                    "{cell}: more flushes ({}) than staged messages ({})",
+                    c.agg_flushes, c.agg_staged
+                ));
+            }
+        }
+        if !self.cells.iter().any(|c| c.agg_flushes > 0) {
+            v.push(
+                "no cell ever flushed a coalesced packet: the aggregation path never ran"
+                    .to_string(),
+            );
+        }
+        if self.async_overlap <= self.sync_overlap {
+            v.push(format!(
+                "async overlap {:.6} does not beat sync {:.6}",
+                self.async_overlap, self.sync_overlap
+            ));
+        }
+        if self.async_agg_overlap < MIN_ASYNC_AGG_OVERLAP {
+            v.push(format!(
+                "canonical aggregated overlap {:.6} below the {MIN_ASYNC_AGG_OVERLAP} bar",
+                self.async_agg_overlap
+            ));
+        }
+        v
     }
 }
 
@@ -152,22 +232,6 @@ fn base_config(mode: ExecMode) -> RunConfig {
     let mut cfg = RunConfig::paper(Variant::ACC_ASYNC, mode, CGS);
     cfg.steps = STEPS;
     cfg
-}
-
-/// Final warehouse of every patch as exact bit patterns.
-fn bits(sim: &Simulation) -> Vec<Vec<u64>> {
-    let level = sim.level();
-    (0..level.n_patches())
-        .map(|p| {
-            let var = sim.solution(p);
-            level
-                .patch(p)
-                .region
-                .iter()
-                .map(|c| var.get(c).to_bits())
-                .collect()
-        })
-        .collect()
 }
 
 /// Functional run under `comm`; returns the final warehouse bits.
@@ -198,13 +262,7 @@ fn model_overlap(p: &ProblemSpec, variant: Variant, comm: CommConfig) -> (f64, b
     let report = sim.run();
     let snap = sim.recorder().snapshot();
     let phases = analyze(&snap);
-    let reconciled = phases.step_end_ps.len() == report.step_end.len()
-        && phases
-            .step_end_ps
-            .iter()
-            .zip(&report.step_end)
-            .all(|(&ps, t)| ps == t.0)
-        && phases.breakdowns.iter().all(|b| b.sum_ps() == b.window_ps);
+    let reconciled = reconciles(&phases, &report);
     let mut staged = 0usize;
     let mut flushes = 0usize;
     for r in snap.iter().flatten() {
@@ -287,67 +345,52 @@ pub fn run_comm() -> CommOutcome {
 
 /// Render `COMM.json`.
 pub fn comm_json(o: &CommOutcome) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"generated_by\": \"repro comm\",\n");
-    let _ = writeln!(s, "  \"problem\": \"{}\",", o.problem);
-    let _ = writeln!(s, "  \"cgs\": {},", o.cgs);
-    let _ = writeln!(s, "  \"steps\": {},", o.steps);
-    let _ = writeln!(s, "  \"sync_overlap\": {:.6},", o.sync_overlap);
-    let _ = writeln!(s, "  \"async_overlap\": {:.6},", o.async_overlap);
-    let _ = writeln!(s, "  \"async_agg_overlap\": {:.6},", o.async_agg_overlap);
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in o.cells.iter().enumerate() {
-        let xo = c
-            .crossover
-            .map_or_else(|| "null".to_string(), |x| x.to_string());
-        let _ = write!(
-            s,
-            "    {{\"endpoints\": {}, \"agg_bytes\": {}, \"agg_deadline_ps\": {}, \
-             \"crossover\": {}, \"bit_identical\": {}, \
-             \"overlap_efficiency\": {:.6}, \"reconciled\": {}, \
-             \"agg_staged\": {}, \"agg_flushes\": {}, \"channels\": {}, \
-             \"min_latency_ps\": {}, \"proof_safe\": {}}}",
-            c.endpoints,
-            c.agg_bytes,
-            c.agg_deadline_ps,
-            xo,
-            c.bit_identical,
-            c.overlap_efficiency,
-            c.reconciled,
-            c.agg_staged,
-            c.agg_flushes,
-            c.channels,
-            c.min_latency_ps,
-            c.proof_safe
-        );
-        s.push_str(if i + 1 < o.cells.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    let _ = writeln!(
-        s,
-        "  \"all_identical\": {},",
-        o.cells.iter().all(|c| c.bit_identical)
+    let cells = o.cells.iter().map(|c| {
+        obj(
+            Row,
+            [
+                ("endpoints", c.endpoints.into()),
+                ("agg_bytes", c.agg_bytes.into()),
+                ("agg_deadline_ps", c.agg_deadline_ps.into()),
+                ("crossover", c.crossover.into()),
+                ("bit_identical", c.bit_identical.into()),
+                ("overlap_efficiency", fixed(c.overlap_efficiency, 6)),
+                ("reconciled", c.reconciled.into()),
+                ("agg_staged", c.agg_staged.into()),
+                ("agg_flushes", c.agg_flushes.into()),
+                ("channels", c.channels.into()),
+                ("min_latency_ps", c.min_latency_ps.into()),
+                ("proof_safe", c.proof_safe.into()),
+            ],
+        )
+    });
+    let doc = obj(
+        Block,
+        [
+            ("generated_by", "repro comm".into()),
+            ("problem", o.problem.into()),
+            ("cgs", o.cgs.into()),
+            ("steps", o.steps.into()),
+            ("sync_overlap", fixed(o.sync_overlap, 6)),
+            ("async_overlap", fixed(o.async_overlap, 6)),
+            ("async_agg_overlap", fixed(o.async_agg_overlap, 6)),
+            ("cells", arr(Block, cells)),
+            (
+                "all_identical",
+                o.cells.iter().all(|c| c.bit_identical).into(),
+            ),
+            ("all_safe", o.cells.iter().all(|c| c.proof_safe).into()),
+            ("ok", o.violations().is_empty().into()),
+        ],
     );
-    let _ = writeln!(
-        s,
-        "  \"all_safe\": {},",
-        o.cells.iter().all(|c| c.proof_safe)
-    );
-    let _ = writeln!(s, "  \"ok\": {}", o.ok());
-    s.push_str("}\n");
-    s
-}
-
-/// Where the sweep's JSON lands.
-pub fn results_file(dir: &Path) -> PathBuf {
-    dir.join("COMM.json")
+    doc.render() + "\n"
 }
 
 /// Run the sweep and write `COMM.json` under `dir`.
 pub fn write_comm_json(dir: &Path) -> io::Result<CommOutcome> {
     std::fs::create_dir_all(dir)?;
     let outcome = run_comm();
-    std::fs::write(results_file(dir), comm_json(&outcome))?;
+    std::fs::write(dir.join("COMM.json"), comm_json(&outcome))?;
     Ok(outcome)
 }
 
@@ -424,34 +467,78 @@ mod tests {
         assert!(safe);
     }
 
-    #[test]
-    fn comm_json_is_balanced() {
-        let o = CommOutcome {
+    /// A 2x2x2 grid that holds every invariant.
+    fn passing() -> CommOutcome {
+        let mut cells = Vec::new();
+        for endpoints in [1, 2] {
+            for agg_bytes in [0, 512] {
+                for crossover in [None, Some(256)] {
+                    // Aggregation coalesces only while payloads stay eager.
+                    let coalesces = agg_bytes > 0 && crossover.is_none();
+                    cells.push(CommCell {
+                        endpoints,
+                        agg_bytes,
+                        agg_deadline_ps: if agg_bytes > 0 { AGG_DEADLINE_PS } else { 0 },
+                        crossover,
+                        bit_identical: true,
+                        overlap_efficiency: 0.81,
+                        reconciled: true,
+                        agg_staged: if coalesces { 10 } else { 0 },
+                        agg_flushes: if coalesces { 4 } else { 0 },
+                        channels: if coalesces { 8 } else { 16 },
+                        min_latency_ps: 1_008_000,
+                        proof_safe: true,
+                    });
+                }
+            }
+        }
+        CommOutcome {
             problem: "p",
             cgs: 4,
             steps: 5,
-            cells: vec![CommCell {
-                endpoints: 2,
-                agg_bytes: 512,
-                agg_deadline_ps: 5_000_000,
-                crossover: None,
-                bit_identical: true,
-                overlap_efficiency: 0.81,
-                reconciled: true,
-                agg_staged: 10,
-                agg_flushes: 4,
-                channels: 8,
-                min_latency_ps: 1_008_000,
-                proof_safe: true,
-            }],
+            cells,
             sync_overlap: 0.72,
             async_overlap: 0.80,
             async_agg_overlap: 0.81,
-        };
+        }
+    }
+
+    #[test]
+    fn violations_name_the_corrupted_cell() {
+        let o = passing();
+        assert_eq!(o.violations(), Vec::<String>::new());
         let json = comm_json(&o);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"crossover\": null"));
         assert!(json.contains("\"ok\": true"));
-        assert!(o.ok());
+
+        let named = |corrupt: &dyn Fn(&mut CommOutcome), needle: &str| {
+            let o = crate::cli::assert_names(passing(), corrupt, CommOutcome::violations, needle);
+            assert!(comm_json(&o).contains("\"ok\": false"));
+        };
+        // cells[2] is ep=1 agg=512 xo=None, the first coalescing cell.
+        named(
+            &|o| o.cells[2].bit_identical = false,
+            "cell ep=1 agg=512 xo=None: warehouse diverged",
+        );
+        named(&|o| o.cells[3].reconciled = false, "did not reconcile");
+        named(
+            &|o| o.cells[6].proof_safe = false,
+            "cell ep=2 agg=512 xo=None: lookahead proof unsafe",
+        );
+        named(&|o| o.cells[0].channels = 0, "zero channels");
+        named(&|o| o.cells[1].overlap_efficiency = 1.5, "outside [0, 1]");
+        named(
+            &|o| o.cells[2].agg_staged = 0,
+            "coalesced channels but nothing was staged",
+        );
+        named(&|o| o.cells[2].agg_flushes = 11, "more flushes (11)");
+        named(
+            &|o| o.cells.iter_mut().for_each(|c| c.agg_flushes = 0),
+            "aggregation path never ran",
+        );
+        named(&|o| o.cells[1].crossover = None, "duplicate grid cell");
+        named(&|o| o.cells.truncate(1), "sweep too narrow");
+        named(&|o| o.async_overlap = 0.70, "does not beat sync");
+        named(&|o| o.async_agg_overlap = 0.79, "below the 0.8 bar");
     }
 }

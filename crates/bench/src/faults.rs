@@ -25,10 +25,15 @@ use std::sync::Arc;
 use burgers::BurgersApp;
 use sw_math::ExpKind;
 use sw_resilience::{Checkpoint, FaultConfig, FaultCounts};
+use sw_telemetry::json::{
+    arr, fixed, lit, obj, Json,
+    Layout::{Block, Row},
+};
 use uintah_core::grid::iv;
 use uintah_core::{ExecMode, Level, RunConfig, RunReport, Simulation, Variant};
 
 use crate::problems::SMALL;
+use crate::runner::bits;
 
 /// The functional proof problem: small enough to run every variant twice
 /// (clean + faulted) with real data in well under a second.
@@ -55,22 +60,6 @@ fn functional_run(
     let mut sim = Simulation::new(level, app, cfg);
     let report = sim.run();
     (sim, report)
-}
-
-/// Final field of every patch as exact bit patterns.
-fn bits(sim: &Simulation) -> Vec<Vec<u64>> {
-    let level = sim.level();
-    (0..level.n_patches())
-        .map(|p| {
-            let var = sim.solution(p);
-            level
-                .patch(p)
-                .region
-                .iter()
-                .map(|c| var.get(c).to_bits())
-                .collect()
-        })
-        .collect()
 }
 
 /// One byte-identity cell: a Table IV variant under the standard preset.
@@ -144,22 +133,81 @@ pub struct FaultsOutcome {
     pub overhead: Vec<OverheadCell>,
 }
 
+fn counts_json(c: &FaultCounts) -> Json {
+    obj(Row, c.entries().into_iter().map(|(k, v)| (k, v.into())))
+}
+
 impl FaultsOutcome {
-    /// Number of failed acceptance checks (0 = all proofs hold).
-    pub fn failures(&self) -> usize {
-        let mut n = 0;
-        for c in &self.identity {
-            if !c.bit_identical || c.counts.unrecovered != 0 {
-                n += 1;
+    /// Every failed proof, one line each: a Table IV variant missing,
+    /// diverged or with unrecovered faults under the recoverable preset; a
+    /// restart that was not mid-flight, not bit-exact, or restored other
+    /// than exactly one checkpoint; a harsh run that crashed or leaked; an
+    /// overhead cell with a non-positive time or a negative overhead; or a
+    /// campaign that injected nothing. Empty = all proofs hold.
+    pub fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        for variant in Variant::TABLE_IV {
+            if !self.identity.iter().any(|c| c.variant == variant.name()) {
+                v.push(format!(
+                    "byte_identity: Table IV variant {} missing",
+                    variant.name()
+                ));
             }
         }
-        if !self.restart.restart_identical || self.restart.counts.checkpoints_restored != 1 {
-            n += 1;
+        for c in &self.identity {
+            if !c.bit_identical {
+                v.push(format!(
+                    "byte_identity {}: faulted run diverged from the fault-free bits",
+                    c.variant
+                ));
+            }
+            if c.counts.unrecovered != 0 {
+                v.push(format!(
+                    "byte_identity {}: {} unrecovered fault(s) under the recoverable preset",
+                    c.variant, c.counts.unrecovered
+                ));
+            }
         }
-        if !self.harsh.completed || !self.harsh.quiescent {
-            n += 1;
+        let r = &self.restart;
+        if !r.restart_identical {
+            v.push("restart: restored run diverged from the uninterrupted run".to_string());
         }
-        n
+        if r.resumed_step == 0 || r.ckpt_bytes == 0 {
+            v.push(format!(
+                "restart: resumed from step {} with a {}-byte checkpoint, not mid-flight",
+                r.resumed_step, r.ckpt_bytes
+            ));
+        }
+        if r.counts.checkpoints_restored != 1 {
+            v.push(format!(
+                "restart: restored {} checkpoints, expected exactly 1",
+                r.counts.checkpoints_restored
+            ));
+        }
+        if !self.harsh.completed {
+            v.push("harsh: run did not complete all steps".to_string());
+        }
+        if !self.harsh.quiescent {
+            v.push("harsh: run finished with leaked MPI handles".to_string());
+        }
+        for c in &self.overhead {
+            if c.clean_tps <= 0.0 || c.faulted_tps <= 0.0 {
+                v.push(format!(
+                    "model_overhead {}: non-positive time per step",
+                    c.variant
+                ));
+            } else if c.overhead_frac() < -1e-9 {
+                v.push(format!(
+                    "model_overhead {}: faults made the run faster ({:+.3}%)",
+                    c.variant,
+                    c.overhead_frac() * 100.0
+                ));
+            }
+        }
+        if self.total_injected() == 0 {
+            v.push("campaign injected zero faults: the identity checks are vacuous".to_string());
+        }
+        v
     }
 
     /// Total faults injected across every proof run.
@@ -173,55 +221,64 @@ impl FaultsOutcome {
             .sum()
     }
 
-    /// Render as a JSON document (hand-rolled: the workspace serde is a
-    /// no-op shim).
+    /// Render `FAULTS.json`.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str("  \"byte_identity\": [\n");
-        for (i, c) in self.identity.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"variant\": \"{}\", \"bit_identical\": {}, \"counts\": {}}}{}\n",
-                c.variant,
-                c.bit_identical,
-                c.counts.to_json(),
-                if i + 1 < self.identity.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"restart\": {{\"resumed_step\": {}, \"ckpt_bytes\": {}, \"restart_identical\": {}, \"counts\": {}}},\n",
-            self.restart.resumed_step,
-            self.restart.ckpt_bytes,
-            self.restart.restart_identical,
-            self.restart.counts.to_json()
-        ));
-        s.push_str(&format!(
-            "  \"harsh\": {{\"completed\": {}, \"quiescent\": {}, \"counts\": {}}},\n",
-            self.harsh.completed,
-            self.harsh.quiescent,
-            self.harsh.counts.to_json()
-        ));
-        s.push_str("  \"model_overhead\": [\n");
-        for (i, c) in self.overhead.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"variant\": \"{}\", \"clean_tps\": {:e}, \"faulted_tps\": {:e}, \"overhead_frac\": {:.6}, \"counts\": {}}}{}\n",
-                c.variant,
-                c.clean_tps,
-                c.faulted_tps,
-                c.overhead_frac(),
-                c.counts.to_json(),
-                if i + 1 < self.overhead.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!("  \"failures\": {},\n", self.failures()));
-        s.push_str(&format!(
-            "  \"total_injected\": {}\n",
-            self.total_injected()
-        ));
-        s.push('}');
-        s
+        let identity = self.identity.iter().map(|c| {
+            obj(
+                Row,
+                [
+                    ("variant", c.variant.into()),
+                    ("bit_identical", c.bit_identical.into()),
+                    ("counts", counts_json(&c.counts)),
+                ],
+            )
+        });
+        let overhead = self.overhead.iter().map(|c| {
+            obj(
+                Row,
+                [
+                    ("variant", c.variant.into()),
+                    ("clean_tps", lit(format_args!("{:e}", c.clean_tps))),
+                    ("faulted_tps", lit(format_args!("{:e}", c.faulted_tps))),
+                    ("overhead_frac", fixed(c.overhead_frac(), 6)),
+                    ("counts", counts_json(&c.counts)),
+                ],
+            )
+        });
+        let doc = obj(
+            Block,
+            [
+                ("seed", self.seed.into()),
+                ("byte_identity", arr(Block, identity)),
+                (
+                    "restart",
+                    obj(
+                        Row,
+                        [
+                            ("resumed_step", self.restart.resumed_step.into()),
+                            ("ckpt_bytes", self.restart.ckpt_bytes.into()),
+                            ("restart_identical", self.restart.restart_identical.into()),
+                            ("counts", counts_json(&self.restart.counts)),
+                        ],
+                    ),
+                ),
+                (
+                    "harsh",
+                    obj(
+                        Row,
+                        [
+                            ("completed", self.harsh.completed.into()),
+                            ("quiescent", self.harsh.quiescent.into()),
+                            ("counts", counts_json(&self.harsh.counts)),
+                        ],
+                    ),
+                ),
+                ("model_overhead", arr(Block, overhead)),
+                ("failures", self.violations().len().into()),
+                ("total_injected", self.total_injected().into()),
+            ],
+        );
+        doc.render() + "\n"
     }
 }
 
@@ -341,7 +398,7 @@ pub fn run_faults(seed: u64, ckpt_dir: &Path) -> FaultsOutcome {
 pub fn write_faults_json(dir: &Path, seed: u64) -> io::Result<FaultsOutcome> {
     std::fs::create_dir_all(dir)?;
     let outcome = run_faults(seed, &dir.join("ckpt"));
-    std::fs::write(dir.join("FAULTS.json"), outcome.to_json() + "\n")?;
+    std::fs::write(dir.join("FAULTS.json"), outcome.to_json())?;
     Ok(outcome)
 }
 
@@ -353,7 +410,7 @@ mod tests {
     fn campaign_holds_all_proofs() {
         let dir = std::env::temp_dir().join(format!("sw-faults-test-{}", std::process::id()));
         let outcome = run_faults(42, &dir);
-        assert_eq!(outcome.failures(), 0, "{outcome:?}");
+        assert_eq!(outcome.violations(), Vec::<String>::new());
         assert!(outcome.total_injected() > 0, "campaign injected nothing");
         assert_eq!(outcome.identity.len(), 5);
         assert_eq!(outcome.restart.resumed_step, 4);
@@ -362,24 +419,71 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let dir = std::env::temp_dir().join(format!("sw-faults-json-{}", std::process::id()));
-        let outcome = run_faults(7, &dir);
-        let j = outcome.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        for key in [
-            "\"seed\"",
-            "\"byte_identity\"",
-            "\"restart\"",
-            "\"harsh\"",
-            "\"model_overhead\"",
-            "\"failures\"",
-            "\"total_injected\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
-        }
-        assert_eq!(j.matches("\"variant\"").count(), 5 + outcome.overhead.len());
+    fn violations_name_the_corrupted_proof() {
+        let dir = std::env::temp_dir().join(format!("sw-faults-neg-{}", std::process::id()));
+        let good = run_faults(7, &dir);
         std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(good.violations(), Vec::<String>::new());
+        let j = good.to_json();
+        assert!(j.contains("\"failures\": 0,"));
+        assert_eq!(
+            j.matches("\"variant\"").count(),
+            Variant::TABLE_IV.len() + good.overhead.len()
+        );
+
+        let named = |corrupt: &dyn Fn(&mut FaultsOutcome), needle: &str| {
+            let o =
+                crate::cli::assert_names(good.clone(), corrupt, FaultsOutcome::violations, needle);
+            assert!(!o.to_json().contains("\"failures\": 0,"));
+        };
+        named(
+            &|o| o.identity[1].bit_identical = false,
+            "byte_identity acc.sync: faulted run diverged",
+        );
+        named(
+            &|o| o.identity[3].counts.unrecovered = 2,
+            "byte_identity acc.async: 2 unrecovered",
+        );
+        named(
+            &|o| o.identity.truncate(4),
+            "Table IV variant acc_simd.async missing",
+        );
+        named(
+            &|o| o.restart.restart_identical = false,
+            "restart: restored run diverged",
+        );
+        named(&|o| o.restart.resumed_step = 0, "not mid-flight");
+        named(&|o| o.restart.ckpt_bytes = 0, "not mid-flight");
+        named(
+            &|o| o.restart.counts.checkpoints_restored = 0,
+            "restored 0 checkpoints",
+        );
+        named(
+            &|o| o.harsh.completed = false,
+            "harsh: run did not complete",
+        );
+        named(&|o| o.harsh.quiescent = false, "leaked MPI handles");
+        named(
+            &|o| o.overhead[0].faulted_tps = o.overhead[0].clean_tps * 0.5,
+            "model_overhead acc.sync: faults made the run faster",
+        );
+        named(
+            &|o| o.overhead[1].clean_tps = 0.0,
+            "non-positive time per step",
+        );
+        named(
+            &|o| {
+                let zero = FaultCounts::default();
+                o.identity.iter_mut().for_each(|c| c.counts = zero);
+                o.restart.counts = FaultCounts {
+                    checkpoints_restored: 1,
+                    ..zero
+                };
+                o.harsh.counts = zero;
+                o.overhead.iter_mut().for_each(|c| c.counts = zero);
+            },
+            "injected zero faults",
+        );
     }
 
     #[test]
@@ -387,8 +491,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sw-faults-seed-{}", std::process::id()));
         let a = run_faults(1, &dir);
         let b = run_faults(2, &dir);
-        assert_eq!(a.failures(), 0);
-        assert_eq!(b.failures(), 0);
+        assert_eq!(a.violations(), Vec::<String>::new());
+        assert_eq!(b.violations(), Vec::<String>::new());
         assert_ne!(
             a.identity
                 .iter()

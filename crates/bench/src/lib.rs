@@ -1,5 +1,5 @@
 //! Reproduction harness for every table and figure of the paper's
-//! evaluation (§VII), plus Criterion micro-benchmarks.
+//! evaluation (§VII), and the correctness campaigns behind `results/`.
 //!
 //! `cargo run --release -p bench --bin repro -- all` regenerates everything;
 //! see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
@@ -16,7 +16,6 @@ pub mod comm;
 pub mod experiments;
 pub mod faults;
 pub mod fidelity;
-pub mod perf;
 pub mod problems;
 pub mod runner;
 pub mod scale;

@@ -6,9 +6,7 @@ use std::sync::Arc;
 
 use burgers::BurgersApp;
 use sw_math::ExpKind;
-use uintah_core::{
-    ExecMode, LoadBalancer, MachineConfig, RunConfig, RunReport, Simulation, Variant,
-};
+use uintah_core::{ExecMode, MachineConfig, RunConfig, RunReport, Simulation, Variant};
 
 use crate::problems::ProblemSpec;
 
@@ -34,15 +32,6 @@ impl Runner {
     pub fn new() -> Self {
         Runner {
             machine: MachineConfig::sw26010(),
-            steps: 10,
-            cache: BTreeMap::new(),
-        }
-    }
-
-    /// Override the machine model (ablations).
-    pub fn with_machine(machine: MachineConfig) -> Self {
-        Runner {
-            machine,
             steps: 10,
             cache: BTreeMap::new(),
         }
@@ -132,25 +121,23 @@ impl Runner {
             self.cache.insert((p.name.to_string(), v.name(), n), report);
         }
     }
+}
 
-    /// Run one case with a non-default load balancer or exp library
-    /// (uncached; used by the ablation experiments).
-    pub fn run_custom(
-        &self,
-        p: &ProblemSpec,
-        variant: Variant,
-        n_cgs: usize,
-        lb: LoadBalancer,
-        steps: u32,
-    ) -> RunReport {
-        let level = p.level();
-        let app = Arc::new(BurgersApp::new(&level, variant.exp));
-        let mut cfg = RunConfig::paper(variant, ExecMode::Model, n_cgs);
-        cfg.steps = steps;
-        cfg.lb = lb;
-        cfg.machine = self.machine.clone();
-        Simulation::new(level, app, cfg).run()
-    }
+/// Final field of every patch as exact bit patterns: what every
+/// byte-identity proof in this crate compares.
+pub fn bits(sim: &Simulation) -> Vec<Vec<u64>> {
+    let level = sim.level();
+    (0..level.n_patches())
+        .map(|p| {
+            let var = sim.solution(p);
+            level
+                .patch(p)
+                .region
+                .iter()
+                .map(|c| var.get(c).to_bits())
+                .collect()
+        })
+        .collect()
 }
 
 /// Run one model-mode sweep cell from scratch (the uncached work item).

@@ -73,9 +73,17 @@ pub struct ServeSummary {
 }
 
 impl ServeSummary {
-    /// Healthy campaign, no failed jobs, no unparseable input.
-    pub fn ok(&self) -> bool {
-        self.outcome.healthy() && self.outcome.failed == 0 && self.bad_lines.is_empty()
+    /// The campaign's own violations, plus failed jobs and unparseable
+    /// input lines. Empty = the serve run holds.
+    pub fn violations(&self) -> Vec<String> {
+        let mut v = self.outcome.violations();
+        if self.outcome.failed != 0 {
+            v.push(format!("{} job(s) failed", self.outcome.failed));
+        }
+        if !self.bad_lines.is_empty() {
+            v.push(format!("{} bad job line(s)", self.bad_lines.len()));
+        }
+        v
     }
 }
 
@@ -166,10 +174,10 @@ mod tests {
             ..ServeArgs::default()
         };
         let first = run_serve(&args).unwrap();
-        assert!(first.ok(), "first run unhealthy");
+        assert_eq!(first.violations(), Vec::<String>::new());
         assert_eq!(first.outcome.cache_hits, 0);
         let second = run_serve(&args).unwrap();
-        assert!(second.ok(), "second run unhealthy");
+        assert_eq!(second.violations(), Vec::<String>::new());
         assert_eq!(second.outcome.executed, 0, "run 2 must be all cache hits");
         assert!((second.outcome.hit_rate - 1.0).abs() < 1e-12);
         // Record arrays byte-identical across runs.
@@ -206,7 +214,13 @@ mod tests {
         let summary = run_serve(&args).unwrap();
         assert_eq!(summary.outcome.records.len(), 1);
         assert_eq!(summary.bad_lines.len(), 2, "{:?}", summary.bad_lines);
-        assert!(!summary.ok(), "bad lines must fail the serve");
+        assert_eq!(summary.violations(), ["2 bad job line(s)"]);
+        let mut summary = summary;
+        summary.outcome.failed = 3;
+        assert_eq!(
+            summary.violations(),
+            ["3 job(s) failed", "2 bad job line(s)"]
+        );
         assert!(
             summary.bad_lines[0].contains(":4:"),
             "{:?}",

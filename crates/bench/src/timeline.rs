@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use burgers::BurgersApp;
 use sw_math::ExpKind;
-use uintah_core::{ExecMode, Level, RunConfig, SimTime, Simulation, Variant};
+use uintah_core::{ExecMode, Level, RunConfig, Simulation, Variant};
 
 /// Render a per-rank kernel timeline of `steps` steps of the given variant
 /// on a small problem, `width` characters wide.
@@ -67,20 +67,6 @@ pub fn cpe_utilization(variant: Variant, n_ranks: usize, steps: u32) -> f64 {
         }
     }
     busy / (total * n_ranks as f64)
-}
-
-/// The first instant any kernel starts (scheduler ramp-up latency).
-pub fn first_kernel_start(variant: Variant, n_ranks: usize) -> SimTime {
-    let level = Level::new(uintah_core::iv(16, 16, 512), uintah_core::iv(4, 2, 1));
-    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-    let mut cfg = RunConfig::paper(variant, ExecMode::Model, n_ranks);
-    cfg.steps = 1;
-    let mut sim = Simulation::new(level, app, cfg);
-    sim.run();
-    (0..n_ranks)
-        .flat_map(|r| sim.rank_stats(r).kernel_spans.iter().map(|&(_, s, _)| s))
-        .min()
-        .expect("at least one kernel ran")
 }
 
 #[cfg(test)]

@@ -47,10 +47,9 @@
 //! of evaluation order — cases can be re-generated individually by id.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -59,11 +58,18 @@ use sw_amr::{AmrApplication, AmrConfig, AmrSimulation, RegridPolicy};
 use sw_math::ExpKind;
 use sw_resilience::{fold, splitmix64, Checkpoint, FaultConfig};
 use sw_telemetry::analyze;
+use sw_telemetry::json::{
+    arr, obj,
+    Layout::{Block, Row},
+};
 use uintah_core::grid::iv;
 use uintah_core::{
     ExecMode, ExecPolicy, Level, LoadBalancer, MachineConfig, RunConfig, SchedulerMode, Simulation,
     Variant,
 };
+
+use crate::runner::bits;
+use crate::trace::reconciles;
 
 /// Domain discriminant for the torture generator's keyed draws (the
 /// resilience plan uses 0x51-0x71; this namespace is disjoint).
@@ -486,22 +492,6 @@ pub struct BatteryVerdict {
 /// the battery many times on similar cases within one process).
 static SCRATCH: AtomicU64 = AtomicU64::new(0);
 
-/// Final field of every patch as exact bit patterns.
-fn bits(sim: &Simulation) -> Vec<Vec<u64>> {
-    let level = sim.level();
-    (0..level.n_patches())
-        .map(|p| {
-            let var = sim.solution(p);
-            level
-                .patch(p)
-                .region
-                .iter()
-                .map(|c| var.get(c).to_bits())
-                .collect()
-        })
-        .collect()
-}
-
 /// Run a closure, translating a panic into an `Err` with its message.
 fn guarded<T>(what: &str, f: impl FnOnce() -> T) -> Result<T, String> {
     panic::catch_unwind(AssertUnwindSafe(f)).map_err(|e| {
@@ -621,17 +611,10 @@ fn battery_valid(
     // --- Telemetry reconciliation (trace.rs discipline). ---
     let snap = reference.recorder().snapshot();
     let phases = analyze(&snap);
-    let step_end_match = phases.step_end_ps.len() == report.step_end.len()
-        && phases
-            .step_end_ps
-            .iter()
-            .zip(&report.step_end)
-            .all(|(&ps, t)| ps == t.0);
-    let splits_sum = phases.breakdowns.iter().all(|b| b.sum_ps() == b.window_ps);
-    if !step_end_match || !splits_sum {
+    if !reconciles(&phases, &report) {
         return Err(fail(
             "telemetry_reconciles",
-            format!("step_end_match={step_end_match} splits_sum={splits_sum}"),
+            "phase pass does not reconcile with the RunReport".to_string(),
         ));
     }
     passed.push("telemetry_reconciles");
@@ -704,14 +687,7 @@ fn battery_valid(
         // run's (same spans, same phase pass).
         let psnap = pdes.recorder().snapshot();
         let pphases = analyze(&psnap);
-        let ok = pphases.step_end_ps.len() == prep.step_end.len()
-            && pphases
-                .step_end_ps
-                .iter()
-                .zip(&prep.step_end)
-                .all(|(&ps, t)| ps == t.0)
-            && pphases.breakdowns.iter().all(|b| b.sum_ps() == b.window_ps);
-        if !ok {
+        if !reconciles(&pphases, &prep) {
             return Err(fail(
                 "pdes_bit_identical",
                 "PDES telemetry failed to reconcile against its own report".to_string(),
@@ -1014,60 +990,130 @@ pub struct TortureOutcome {
     pub failures: Vec<TortureFailure>,
 }
 
-impl TortureOutcome {
-    /// Did every case pass its battery?
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
+/// Oracles that run on every valid config; each must pass exactly `valid`
+/// times or a stratum silently skipped one. `pdes_bit_identical` is
+/// always-on by design: the PDES engine must replay every valid config's
+/// serial timeline exactly, harsh fault presets included.
+const ALWAYS_ON: [&str; 6] = [
+    "constructs",
+    "completes",
+    "quiescent",
+    "telemetry_reconciles",
+    "model_agrees",
+    "pdes_bit_identical",
+];
 
-    /// Render as a JSON document (hand-rolled: the workspace serde is a
-    /// no-op shim).
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 8);
-            for ch in s.chars() {
-                match ch {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
+/// Oracles that only apply to some configs; a corpus of at least
+/// [`COVERAGE_CASES`] must reach each of them.
+const CONDITIONAL: [&str; 4] = [
+    "parallel_bit_identical",
+    "simd_sibling_bit_identical",
+    "ckpt_noop",
+    "ckpt_restart",
+];
+
+/// Smallest corpus the coverage clauses apply to (the ci.sh stage runs 200).
+const COVERAGE_CASES: u64 = 100;
+
+impl TortureOutcome {
+    /// Every oracle failure, then every way a clean corpus was vacuous: the
+    /// strata not partitioning it or drifting off the every-7th-case
+    /// corruption cadence, an always-on oracle undercounting, the rejection
+    /// oracle disagreeing with the rejected stratum, or (from
+    /// [`COVERAGE_CASES`] up) an empty stratum or a conditional oracle that
+    /// never ran. Empty = the campaign holds.
+    pub fn violations(&self) -> Vec<String> {
+        let mut v: Vec<String> = self
+            .failures
+            .iter()
+            .map(|f| {
+                format!(
+                    "case {} [{}]: oracle {}: {}",
+                    f.case, f.config, f.oracle, f.detail
+                )
+            })
+            .collect();
+        if self.valid + self.rejected != self.cases {
+            v.push(format!(
+                "strata do not partition the corpus: {} valid + {} rejected != {} cases",
+                self.valid, self.rejected, self.cases
+            ));
+        }
+        if self.rejected.abs_diff(self.cases / 7) > 2 {
+            v.push(format!(
+                "rejected stratum {} is off the every-7th-case cadence for {} cases",
+                self.rejected, self.cases
+            ));
+        }
+        if !self.failures.is_empty() {
+            // A failing case short-circuits its later oracles; the counts
+            // below are only exact on a clean corpus.
+            return v;
+        }
+        let passes = |oracle: &str| self.oracle_passes.get(oracle).copied().unwrap_or(0);
+        for oracle in ALWAYS_ON {
+            if passes(oracle) != self.valid {
+                v.push(format!(
+                    "oracle {oracle} passed {} times, expected exactly {} (once per valid config)",
+                    passes(oracle),
+                    self.valid
+                ));
+            }
+        }
+        if passes("rejects_without_panicking") != self.rejected {
+            v.push(format!(
+                "oracle rejects_without_panicking passed {} times, rejected stratum is {}",
+                passes("rejects_without_panicking"),
+                self.rejected
+            ));
+        }
+        if self.cases >= COVERAGE_CASES {
+            if self.valid == 0 || self.rejected == 0 {
+                v.push(format!(
+                    "degenerate corpus: {} valid, {} rejected",
+                    self.valid, self.rejected
+                ));
+            }
+            for oracle in CONDITIONAL {
+                if passes(oracle) == 0 {
+                    v.push(format!(
+                        "oracle {oracle} never ran: the corpus missed a corner of the grammar"
+                    ));
                 }
             }
-            out
         }
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"cases\": {},", self.cases);
-        let _ = writeln!(s, "  \"valid\": {},", self.valid);
-        let _ = writeln!(s, "  \"rejected\": {},", self.rejected);
-        s.push_str("  \"oracle_passes\": {");
-        for (i, (k, v)) in self.oracle_passes.iter().enumerate() {
-            let _ = write!(s, "{}\"{k}\": {v}", if i == 0 { "" } else { ", " });
-        }
-        s.push_str("},\n");
-        s.push_str("  \"failures\": [\n");
-        for (i, f) in self.failures.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"case\": {}, \"config\": \"{}\", \"oracle\": \"{}\", \"detail\": \"{}\", \
-                 \"minimized\": \"{}\", \"regression_test\": \"{}\"}}{}",
-                f.case,
-                esc(&f.config),
-                f.oracle,
-                esc(&f.detail),
-                esc(&f.minimized),
-                esc(&f.regression_test),
-                if i + 1 < self.failures.len() { "," } else { "" }
-            );
-        }
-        s.push_str("  ],\n");
-        let _ = writeln!(s, "  \"ok\": {}", self.ok());
-        s.push('}');
-        s
+        v
+    }
+
+    /// Render `TORTURE.json`.
+    pub fn to_json(&self) -> String {
+        let passes = self.oracle_passes.iter().map(|(k, v)| (*k, (*v).into()));
+        let failures = self.failures.iter().map(|f| {
+            obj(
+                Row,
+                [
+                    ("case", f.case.into()),
+                    ("config", f.config.as_str().into()),
+                    ("oracle", f.oracle.into()),
+                    ("detail", f.detail.as_str().into()),
+                    ("minimized", f.minimized.as_str().into()),
+                    ("regression_test", f.regression_test.as_str().into()),
+                ],
+            )
+        });
+        let doc = obj(
+            Block,
+            [
+                ("seed", self.seed.into()),
+                ("cases", self.cases.into()),
+                ("valid", self.valid.into()),
+                ("rejected", self.rejected.into()),
+                ("oracle_passes", obj(Row, passes)),
+                ("failures", arr(Block, failures)),
+                ("ok", self.violations().is_empty().into()),
+            ],
+        );
+        doc.render() + "\n"
     }
 }
 
@@ -1118,15 +1164,8 @@ pub fn run_torture(seed: u64, cases: u64) -> TortureOutcome {
 pub fn write_torture_json(dir: &Path, seed: u64, cases: u64) -> io::Result<TortureOutcome> {
     std::fs::create_dir_all(dir)?;
     let outcome = run_torture(seed, cases);
-    std::fs::write(dir.join("TORTURE.json"), outcome.to_json() + "\n")?;
+    std::fs::write(dir.join("TORTURE.json"), outcome.to_json())?;
     Ok(outcome)
-}
-
-/// Scratch path helper shared with the CLI (kept for symmetry with the
-/// faults campaign's `results/ckpt` layout; torture checkpoints live in
-/// per-case temp dirs that are removed after each battery).
-pub fn results_file(dir: &Path) -> PathBuf {
-    dir.join("TORTURE.json")
 }
 
 #[cfg(test)]
@@ -1173,48 +1212,10 @@ mod tests {
     #[test]
     fn a_small_campaign_passes_every_oracle() {
         let outcome = run_torture(0, 21);
-        assert!(
-            outcome.ok(),
-            "oracle failures:\n{}",
-            outcome
-                .failures
-                .iter()
-                .map(|f| format!(
-                    "case {} [{}]: {}: {}\n{}",
-                    f.case, f.config, f.oracle, f.detail, f.regression_test
-                ))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-        assert_eq!(outcome.valid + outcome.rejected, 21);
-        assert!(
-            outcome.rejected >= 2,
-            "corruption cadence is every 7th case"
-        );
-        assert!(
-            outcome
-                .oracle_passes
-                .get("rejects_without_panicking")
-                .copied()
-                >= Some(2),
-            "{:?}",
-            outcome.oracle_passes
-        );
-        for oracle in [
-            "constructs",
-            "completes",
-            "quiescent",
-            "telemetry_reconciles",
-            "model_agrees",
-            "pdes_bit_identical",
-        ] {
-            assert_eq!(
-                outcome.oracle_passes.get(oracle).copied(),
-                Some(outcome.valid),
-                "oracle {oracle} must run on every valid case: {:?}",
-                outcome.oracle_passes
-            );
-        }
+        // Clean, partitioned, on cadence, every always-on oracle counted
+        // once per valid config, rejection oracle == rejected stratum.
+        assert_eq!(outcome.violations(), Vec::<String>::new());
+        assert!(outcome.rejected >= 1 && outcome.valid >= 1);
         // The AMR draw flags ~a quarter of the corpus; even this small
         // campaign must exercise the regrid oracle at least once.
         assert!(
@@ -1285,33 +1286,94 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_is_well_formed_enough() {
-        let mut outcome = run_torture(5, 7);
-        // Exercise the failure arm of the serializer with a synthetic entry.
-        outcome.failures.push(TortureFailure {
+    fn synthetic_failure() -> TortureFailure {
+        TortureFailure {
             case: 99,
             config: "patch=1x1x1".into(),
             oracle: "model_agrees",
             detail: "line1\n\"quoted\"\\backslash".into(),
             minimized: "patch=1x1x1".into(),
             regression_test: "#[test]\nfn t() {}\n".into(),
-        });
-        let j = outcome.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        for key in [
-            "\"seed\"",
-            "\"cases\"",
-            "\"valid\"",
-            "\"rejected\"",
-            "\"oracle_passes\"",
-            "\"failures\"",
-            "\"ok\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
         }
-        assert!(j.contains("\\n"), "newlines must be escaped");
-        assert!(j.contains("\\\"quoted\\\""), "quotes must be escaped");
-        assert!(j.contains("\"ok\": false"));
+    }
+
+    #[test]
+    fn violations_name_the_failing_case_and_the_vacuous_corpus() {
+        // The committed seed-0 corpus (results/TORTURE.json), in memory.
+        let passing = || TortureOutcome {
+            seed: 0,
+            cases: 200,
+            valid: 171,
+            rejected: 29,
+            oracle_passes: ALWAYS_ON
+                .iter()
+                .map(|o| (*o, 171))
+                .chain(CONDITIONAL.iter().map(|o| (*o, 40)))
+                .chain([("rejects_without_panicking", 29)])
+                .collect(),
+            failures: Vec::new(),
+        };
+        assert_eq!(passing().violations(), Vec::<String>::new());
+        assert!(passing()
+            .to_json()
+            .contains("\"failures\": [\n  ],\n  \"ok\": true"));
+
+        let named = |corrupt: &dyn Fn(&mut TortureOutcome), needle: &str| {
+            let o =
+                crate::cli::assert_names(passing(), corrupt, TortureOutcome::violations, needle);
+            assert!(o.to_json().contains("\"ok\": false"));
+        };
+        named(
+            &|o| o.failures.push(synthetic_failure()),
+            "case 99 [patch=1x1x1]: oracle model_agrees",
+        );
+        named(&|o| o.valid = 170, "do not partition");
+        named(
+            &|o| {
+                o.rejected = 0;
+                o.valid = 200;
+            },
+            "degenerate corpus: 200 valid, 0 rejected",
+        );
+        named(
+            &|o| {
+                o.rejected = 40;
+                o.valid = 160;
+            },
+            "cadence",
+        );
+        named(
+            &|o| *o.oracle_passes.get_mut("quiescent").unwrap() = 170,
+            "oracle quiescent passed 170 times",
+        );
+        named(
+            &|o| {
+                *o.oracle_passes
+                    .get_mut("rejects_without_panicking")
+                    .unwrap() = 28
+            },
+            "rejects_without_panicking passed 28",
+        );
+        named(
+            &|o| *o.oracle_passes.get_mut("ckpt_restart").unwrap() = 0,
+            "oracle ckpt_restart never ran",
+        );
+    }
+
+    #[test]
+    fn failure_entries_escape_their_free_text() {
+        let outcome = TortureOutcome {
+            failures: vec![synthetic_failure()],
+            ..TortureOutcome::default()
+        };
+        let j = outcome.to_json();
+        assert!(
+            j.contains("\"detail\": \"line1\\n\\\"quoted\\\"\\\\backslash\""),
+            "{j}"
+        );
+        assert!(
+            j.contains("\"regression_test\": \"#[test]\\nfn t() {}\\n\""),
+            "{j}"
+        );
     }
 }

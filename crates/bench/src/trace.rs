@@ -13,17 +13,22 @@
 //!   variant side by side.
 //!
 //! The pass double-checks itself: the phase windows are rebuilt from the
-//! `Barrier` events and must equal `RunReport::step_end` exactly
-//! (`reconciled` in the JSON; the CI trace stage fails if it is ever
-//! false), and each (step, rank) four-way split must sum to its window.
+//! `Barrier` events and must equal `RunReport::step_end` exactly, and each
+//! (step, rank) four-way split must sum to its window (`reconciled` in the
+//! JSON). [`violations`] gates that, plus the paper's core claim made
+//! visible: each async variant hides strictly more communication than its
+//! sync sibling with the same kernel.
 
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 use burgers::BurgersApp;
 use sw_math::ExpKind;
+use sw_telemetry::json::{
+    arr, fixed, obj, Json,
+    Layout::{Block, Row},
+};
 use sw_telemetry::{analyze, perfetto, PhaseReport};
 use uintah_core::{ExecMode, RunConfig, RunReport, Simulation, Variant};
 
@@ -44,8 +49,8 @@ pub struct TraceCase {
     pub reconciled: bool,
     /// The run report the trace reconciles against.
     pub report: RunReport,
-    /// Metrics-registry JSON ("{}" when telemetry was off).
-    pub metrics_json: String,
+    /// The metrics registry of the run.
+    pub metrics: Json,
 }
 
 /// Look a Table IV variant up by its paper name (plus `host_simd.sync`).
@@ -58,6 +63,20 @@ pub fn variant_by_name(name: &str) -> Option<Variant> {
         Variant::ACC_SIMD_ASYNC,
     ];
     all.into_iter().find(|v| v.name() == name)
+}
+
+/// The exactness contract between a trace and its run: the step windows
+/// the phase pass rebuilt from `Barrier` events equal `RunReport::step_end`
+/// to the picosecond, and every (step, rank) four-way split sums to its
+/// window.
+pub fn reconciles(phases: &PhaseReport, report: &RunReport) -> bool {
+    phases.step_end_ps.len() == report.step_end.len()
+        && phases
+            .step_end_ps
+            .iter()
+            .zip(&report.step_end)
+            .all(|(&ps, t)| ps == t.0)
+        && phases.breakdowns.iter().all(|b| b.sum_ps() == b.window_ps)
 }
 
 /// Trace one (problem, variant, cgs, steps) configuration, returning the
@@ -79,17 +98,12 @@ pub fn trace_case_with_export(
     let events: usize = snap.iter().map(|b| b.len()).sum();
     let json = perfetto::export(&snap);
     let phases = analyze(&snap);
-    let step_end_match = phases.step_end_ps.len() == report.step_end.len()
-        && phases
-            .step_end_ps
-            .iter()
-            .zip(&report.step_end)
-            .all(|(&ps, t)| ps == t.0);
-    let splits_sum = phases.breakdowns.iter().all(|b| b.sum_ps() == b.window_ps);
-    let metrics_json = sim
+    let reconciled = reconciles(&phases, &report);
+    let metrics = sim
         .recorder()
         .metrics()
-        .map_or_else(|| "{}".to_string(), |m| m.to_json(""));
+        .expect("the run above recorded telemetry")
+        .json();
     (
         TraceCase {
             variant: variant.name(),
@@ -101,9 +115,9 @@ pub fn trace_case_with_export(
             ),
             events,
             phases,
-            reconciled: step_end_match && splits_sum,
+            reconciled,
             report,
-            metrics_json,
+            metrics,
         },
         json,
     )
@@ -114,86 +128,124 @@ pub fn trace_case(p: &ProblemSpec, variant: Variant, cgs: usize, steps: u32) -> 
     trace_case_with_export(p, variant, cgs, steps).0
 }
 
+/// Every way a set of traced cases falls short, one line each: an empty
+/// trace, a phase pass that does not reconcile with its `RunReport`, an
+/// overlap efficiency outside [0, 1], or an async variant not hiding
+/// strictly more communication than its sync sibling *with the same kernel*
+/// (SIMD kernels are shorter, so cross-kernel comparisons are meaningless).
+pub fn violations(cases: &[TraceCase]) -> Vec<String> {
+    let mut v = Vec::new();
+    if cases.is_empty() {
+        v.push("no traced variants".to_string());
+    }
+    for c in cases {
+        if c.events == 0 {
+            v.push(format!("{}: empty trace", c.variant));
+        }
+        if !c.reconciled {
+            v.push(format!(
+                "{}: phase pass did not reconcile with its RunReport",
+                c.variant
+            ));
+        }
+        if !(0.0..=1.0).contains(&c.phases.overlap_efficiency) {
+            v.push(format!(
+                "{}: overlap_efficiency {} not in [0, 1]",
+                c.variant, c.phases.overlap_efficiency
+            ));
+        }
+    }
+    let eff = |v: Variant| {
+        cases
+            .iter()
+            .find(|c| c.variant == v.name())
+            .map(|c| c.phases.overlap_efficiency)
+    };
+    for (sync, async_) in [
+        (Variant::ACC_SYNC, Variant::ACC_ASYNC),
+        (Variant::ACC_SIMD_SYNC, Variant::ACC_SIMD_ASYNC),
+    ] {
+        if let (Some(s), Some(a)) = (eff(sync), eff(async_)) {
+            if a <= s {
+                v.push(format!(
+                    "{} efficiency {a:.6} not strictly above {} {s:.6}",
+                    async_.name(),
+                    sync.name()
+                ));
+            }
+        }
+    }
+    v
+}
+
 /// Render `TIMELINE.json` for a set of traced cases.
 pub fn timeline_json(p: &ProblemSpec, cgs: usize, steps: u32, cases: &[TraceCase]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"problem\": \"{}\",", p.name);
-    let _ = writeln!(s, "  \"cgs\": {cgs},");
-    let _ = writeln!(s, "  \"steps\": {steps},");
-    s.push_str("  \"variants\": [\n");
-    for (i, c) in cases.iter().enumerate() {
+    let variants = cases.iter().map(|c| {
         let (compute, hidden, exposed, idle) = c.phases.totals();
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"variant\": \"{}\",", c.variant);
-        let _ = writeln!(s, "      \"trace_file\": \"{}\",", c.trace_file);
-        let _ = writeln!(s, "      \"events\": {},", c.events);
-        let _ = writeln!(s, "      \"reconciled\": {},", c.reconciled);
-        let _ = writeln!(
-            s,
-            "      \"overlap_efficiency\": {:.6},",
-            c.phases.overlap_efficiency
-        );
-        let _ = writeln!(s, "      \"compute_ps\": {compute},");
-        let _ = writeln!(s, "      \"comm_hidden_ps\": {hidden},");
-        let _ = writeln!(s, "      \"comm_exposed_ps\": {exposed},");
-        let _ = writeln!(s, "      \"idle_ps\": {idle},");
-        let _ = writeln!(
-            s,
-            "      \"total_time_ps\": {},",
-            c.report.step_end.last().map_or(0, |t| t.0)
-        );
-        let step_ends: Vec<String> = c
-            .phases
-            .step_end_ps
-            .iter()
-            .map(|ps| ps.to_string())
-            .collect();
-        let _ = writeln!(s, "      \"step_end_ps\": [{}],", step_ends.join(", "));
         // Per-step phase rows (step-major, rank-major inside).
-        s.push_str("      \"breakdowns\": [\n");
-        for (j, b) in c.phases.breakdowns.iter().enumerate() {
-            let _ = write!(
-                s,
-                "        {{\"step\": {}, \"rank\": {}, \"window_ps\": {}, \
-                 \"compute_ps\": {}, \"hidden_ps\": {}, \"exposed_ps\": {}, \
-                 \"idle_ps\": {}}}",
-                b.step, b.rank, b.window_ps, b.compute_ps, b.hidden_ps, b.exposed_ps, b.idle_ps
-            );
-            s.push_str(if j + 1 < c.phases.breakdowns.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("      ],\n");
-        // Critical path, forward order.
-        s.push_str("      \"critical_path\": [\n");
-        for (j, e) in c.phases.critical_path.iter().enumerate() {
-            let _ = write!(
-                s,
-                "        {{\"rank\": {}, \"kind\": \"{}\", \"start_ps\": {}, \
-                 \"end_ps\": {}, \"detail\": \"{}\"}}",
-                e.rank, e.kind, e.start_ps, e.end_ps, e.detail
-            );
-            s.push_str(if j + 1 < c.phases.critical_path.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("      ],\n");
-        // Metrics registry, re-indented into this nesting level.
-        let metrics = c.metrics_json.replace('\n', "\n      ");
-        let _ = writeln!(s, "      \"metrics\": {metrics}");
-        s.push_str(if i + 1 < cases.len() {
-            "    },\n"
-        } else {
-            "    }\n"
+        let breakdowns = c.phases.breakdowns.iter().map(|b| {
+            obj(
+                Row,
+                [
+                    ("step", b.step.into()),
+                    ("rank", b.rank.into()),
+                    ("window_ps", b.window_ps.into()),
+                    ("compute_ps", b.compute_ps.into()),
+                    ("hidden_ps", b.hidden_ps.into()),
+                    ("exposed_ps", b.exposed_ps.into()),
+                    ("idle_ps", b.idle_ps.into()),
+                ],
+            )
         });
-    }
-    s.push_str("  ]\n}\n");
-    s
+        // Critical path, forward order.
+        let critical_path = c.phases.critical_path.iter().map(|e| {
+            obj(
+                Row,
+                [
+                    ("rank", e.rank.into()),
+                    ("kind", e.kind.into()),
+                    ("start_ps", e.start_ps.into()),
+                    ("end_ps", e.end_ps.into()),
+                    ("detail", e.detail.as_str().into()),
+                ],
+            )
+        });
+        obj(
+            Block,
+            [
+                ("variant", c.variant.into()),
+                ("trace_file", c.trace_file.as_str().into()),
+                ("events", c.events.into()),
+                ("reconciled", c.reconciled.into()),
+                ("overlap_efficiency", fixed(c.phases.overlap_efficiency, 6)),
+                ("compute_ps", compute.into()),
+                ("comm_hidden_ps", hidden.into()),
+                ("comm_exposed_ps", exposed.into()),
+                ("idle_ps", idle.into()),
+                (
+                    "total_time_ps",
+                    c.report.step_end.last().map_or(0, |t| t.0).into(),
+                ),
+                (
+                    "step_end_ps",
+                    arr(Row, c.phases.step_end_ps.iter().map(|&ps| ps.into())),
+                ),
+                ("breakdowns", arr(Block, breakdowns)),
+                ("critical_path", arr(Block, critical_path)),
+                ("metrics", c.metrics.clone()),
+            ],
+        )
+    });
+    let doc = obj(
+        Block,
+        [
+            ("problem", p.name.into()),
+            ("cgs", cgs.into()),
+            ("steps", steps.into()),
+            ("variants", arr(Block, variants)),
+        ],
+    );
+    doc.render() + "\n"
 }
 
 /// Run the trace export end-to-end: one Perfetto file per variant plus the
@@ -255,15 +307,34 @@ mod tests {
     }
 
     #[test]
-    fn timeline_json_is_balanced() {
-        let c = trace_case(SMALL, Variant::ACC_ASYNC, 2, 2);
-        let json = timeline_json(SMALL, 2, 2, &[c]);
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces"
-        );
-        assert!(json.contains("\"overlap_efficiency\""));
+    fn violations_name_the_variant_that_stopped_hiding_communication() {
+        let cases = || {
+            vec![
+                trace_case(SMALL, Variant::ACC_SYNC, 2, 2),
+                trace_case(SMALL, Variant::ACC_ASYNC, 2, 2),
+            ]
+        };
+        assert_eq!(violations(&cases()), Vec::<String>::new());
+        let json = timeline_json(SMALL, 2, 2, &cases());
         assert!(json.contains("\"reconciled\": true"));
+        assert!(json.contains("\n      \"metrics\": {\n        \"offloads\": "));
+
+        let named = |corrupt: &dyn Fn(&mut Vec<TraceCase>), needle: &str| {
+            crate::cli::assert_names(cases(), corrupt, |c| violations(c), needle);
+        };
+        named(
+            &|c| c[0].reconciled = false,
+            "acc.sync: phase pass did not reconcile",
+        );
+        named(&|c| c[1].events = 0, "acc.async: empty trace");
+        named(
+            &|c| c[0].phases.overlap_efficiency = 1.25,
+            "acc.sync: overlap_efficiency 1.25",
+        );
+        named(
+            &|c| c[1].phases.overlap_efficiency = c[0].phases.overlap_efficiency,
+            "acc.async efficiency",
+        );
+        named(&|c| c.clear(), "no traced variants");
     }
 }

@@ -40,23 +40,3 @@ pub use job::{demo_jobs, JobSpec};
 pub use metrics::ServiceMetrics;
 pub use service::{AppFactory, CampaignConfig, CampaignOutcome, JobRecord, Service};
 pub use store::{ResultStore, StoreError};
-
-/// Escape a string into a JSON string-literal body (the workspace serde is
-/// a no-op shim, so JSON is hand-rolled — same idiom as `bench::torture`).
-pub(crate) fn json_esc(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 8);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}

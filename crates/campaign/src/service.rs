@@ -28,7 +28,7 @@
 //! index, content key, canonical line, result record). Latency, retries,
 //! and hit rates live in the separate service summary. Two runs of the
 //! same job set therefore produce byte-identical record arrays — the
-//! property `scripts/validate_campaign.py` checks.
+//! property the ci.sh campaign stage `cmp`s across its three runs.
 
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -38,12 +38,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sw_resilience::{fold, FaultConfig, FaultCounts, FaultPlan, FaultStats, OffloadKey, SlotFault};
+use sw_telemetry::json::{arr, fixed, obj, Layout};
 use sw_telemetry::perfetto;
 use uintah_core::{
     canonical_job, fnv128, validate_config, Application, ExecMode, Level, RunConfig, Simulation,
 };
 
-use crate::json_esc;
 use crate::metrics::ServiceMetrics;
 use crate::store::{ResultStore, StoreError};
 
@@ -180,59 +180,108 @@ pub struct CampaignOutcome {
 }
 
 impl CampaignOutcome {
-    /// `true` when every job completed exactly once and every oracle
-    /// re-execution matched.
+    /// `true` when [`CampaignOutcome::violations`] is empty.
     pub fn healthy(&self) -> bool {
-        self.lost == 0 && self.duplicated == 0 && self.oracle_checks == self.oracle_passes
+        self.violations().is_empty()
+    }
+
+    /// Every broken campaign invariant, one line each: exactly-once
+    /// completion, oracle agreement, the dedup ledger, distinct content
+    /// keys, and every injected worker death detected.
+    pub fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        if self.lost != 0 {
+            v.push(format!("exactly-once: {} job(s) lost", self.lost));
+        }
+        if self.duplicated != 0 {
+            v.push(format!(
+                "exactly-once: {} job(s) duplicated",
+                self.duplicated
+            ));
+        }
+        if self.oracle_passes != self.oracle_checks {
+            v.push(format!(
+                "oracle: {} of {} re-executions matched the stored bytes",
+                self.oracle_passes, self.oracle_checks
+            ));
+        }
+        if self.submitted != self.deduped + self.records.len() as u64 {
+            v.push(format!(
+                "dedup ledger: submitted {} != deduped {} + {} records",
+                self.submitted,
+                self.deduped,
+                self.records.len()
+            ));
+        }
+        let mut keys: Vec<u128> = self.records.iter().map(|r| r.key).collect();
+        keys.sort_unstable();
+        if let Some(w) = keys.windows(2).find(|w| w[0] == w[1]) {
+            v.push(format!("records: content key {:032x} appears twice", w[0]));
+        }
+        let f = &self.fault_counts;
+        if f.detected_worker != f.injected_worker_death {
+            v.push(format!(
+                "worker faults: {} death(s) injected, {} detected",
+                f.injected_worker_death, f.detected_worker
+            ));
+        }
+        v
     }
 
     /// Render `results/CAMPAIGN.json`: a `records` array of deterministic
     /// per-job objects followed by a `service` summary object.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        s.push_str("{\n  \"records\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            let (ok, body) = match &r.result {
-                Ok(rec) => (true, rec),
-                Err(e) => (false, e),
+        let records = self.records.iter().map(|r| {
+            let (field, body) = match &r.result {
+                Ok(rec) => ("record", rec),
+                Err(e) => ("error", e),
             };
-            let _ = write!(
-                s,
-                "    {{\"idx\": {}, \"key\": \"{:032x}\", \"canon\": \"{}\", \"ok\": {}, \"{}\": \"{}\"}}",
-                r.idx,
-                r.key,
-                json_esc(&r.canon),
-                ok,
-                if ok { "record" } else { "error" },
-                json_esc(body),
-            );
-            s.push_str(if i + 1 == self.records.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        s.push_str("  ],\n  \"service\": {\n");
-        let _ = writeln!(s, "    \"workers\": {},", self.workers);
-        let _ = writeln!(s, "    \"submitted\": {},", self.submitted);
-        let _ = writeln!(s, "    \"deduped\": {},", self.deduped);
-        let _ = writeln!(s, "    \"cache_hits\": {},", self.cache_hits);
-        let _ = writeln!(s, "    \"executed\": {},", self.executed);
-        let _ = writeln!(s, "    \"hit_rate\": {:.6},", self.hit_rate);
-        let _ = writeln!(s, "    \"retries\": {},", self.retries);
-        let _ = writeln!(s, "    \"failed\": {},", self.failed);
-        let _ = writeln!(s, "    \"inline_runs\": {},", self.inline_runs);
-        let _ = writeln!(s, "    \"oracle_checks\": {},", self.oracle_checks);
-        let _ = writeln!(s, "    \"oracle_passes\": {},", self.oracle_passes);
-        let _ = writeln!(s, "    \"lost\": {},", self.lost);
-        let _ = writeln!(s, "    \"duplicated\": {},", self.duplicated);
-        let _ = writeln!(s, "    \"p50_latency_us\": {},", self.p50_latency_us);
-        let _ = writeln!(s, "    \"p99_latency_us\": {},", self.p99_latency_us);
-        let _ = writeln!(s, "    \"wall_ms\": {},", self.wall_ms);
-        let _ = writeln!(s, "    \"faults\": {}", self.fault_counts.to_json());
-        s.push_str("  }\n}\n");
-        s
+            obj(
+                Layout::Row,
+                [
+                    ("idx", r.idx.into()),
+                    ("key", format!("{:032x}", r.key).into()),
+                    ("canon", r.canon.as_str().into()),
+                    ("ok", r.result.is_ok().into()),
+                    (field, body.as_str().into()),
+                ],
+            )
+        });
+        let faults = self
+            .fault_counts
+            .entries()
+            .into_iter()
+            .map(|(k, v)| (k, v.into()));
+        let service = obj(
+            Layout::Block,
+            [
+                ("workers", self.workers.into()),
+                ("submitted", self.submitted.into()),
+                ("deduped", self.deduped.into()),
+                ("cache_hits", self.cache_hits.into()),
+                ("executed", self.executed.into()),
+                ("hit_rate", fixed(self.hit_rate, 6)),
+                ("retries", self.retries.into()),
+                ("failed", self.failed.into()),
+                ("inline_runs", self.inline_runs.into()),
+                ("oracle_checks", self.oracle_checks.into()),
+                ("oracle_passes", self.oracle_passes.into()),
+                ("lost", self.lost.into()),
+                ("duplicated", self.duplicated.into()),
+                ("p50_latency_us", self.p50_latency_us.into()),
+                ("p99_latency_us", self.p99_latency_us.into()),
+                ("wall_ms", self.wall_ms.into()),
+                ("faults", obj(Layout::Row, faults)),
+            ],
+        );
+        let doc = obj(
+            Layout::Block,
+            [
+                ("records", arr(Layout::Block, records)),
+                ("service", service),
+            ],
+        );
+        doc.render() + "\n"
     }
 }
 

@@ -167,6 +167,46 @@ fn campaign_json_contains_records_and_service_sections() {
 }
 
 #[test]
+fn violations_name_the_broken_invariant() {
+    let good = run_campaign(
+        CampaignConfig {
+            workers: 2,
+            seed: 1,
+            ..CampaignConfig::default()
+        },
+        1,
+        6,
+    );
+    assert_eq!(good.violations(), Vec::<String>::new());
+    // A failed record's free text is escaped into one valid string.
+    let mut failed = good.clone();
+    failed.records[0].result = Err("config \"x\\y\" rejected\n".into());
+    assert!(failed
+        .to_json()
+        .contains("\"ok\": false, \"error\": \"config \\\"x\\\\y\\\" rejected\\n\"}"));
+
+    let named = |corrupt: &dyn Fn(&mut CampaignOutcome), needle: &str| {
+        let mut o = good.clone();
+        corrupt(&mut o);
+        let v = o.violations();
+        assert!(
+            v.iter().any(|line| line.contains(needle)),
+            "no violation names `{needle}`: {v:?}"
+        );
+        assert!(!o.healthy());
+    };
+    named(&|o| o.lost = 1, "exactly-once: 1 job(s) lost");
+    named(&|o| o.duplicated = 2, "exactly-once: 2 job(s) duplicated");
+    named(&|o| o.oracle_checks = o.oracle_passes + 1, "oracle: ");
+    named(&|o| o.deduped += 1, "dedup ledger");
+    named(&|o| o.records[1].key = o.records[0].key, "appears twice");
+    named(
+        &|o| o.fault_counts.injected_worker_death = 3,
+        "3 death(s) injected, 0 detected",
+    );
+}
+
+#[test]
 fn zero_workers_degrades_to_inline_execution() {
     let outcome = run_campaign(
         CampaignConfig {

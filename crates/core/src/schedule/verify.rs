@@ -647,7 +647,7 @@ mod tests {
         // The default lookahead (the net latency) is provably safe: every
         // channel's minimum is latency + a strictly positive wire time.
         let (proof, findings) = prove_lookahead_for_plans(&plans, &machine, machine.net_latency.0);
-        assert!(proof.safe, "{}", proof.to_json());
+        assert!(proof.safe, "{proof:?}");
         assert!(findings.is_empty());
         assert!(proof.min_latency_ps > machine.net_latency.0);
         assert!(proof.channels.iter().all(|c| c.slack_ps > 0));
@@ -696,7 +696,7 @@ mod tests {
         let (base, _) = prove_lookahead_for_plans(&plans, &machine, 0);
         let (with, findings) =
             prove_lookahead_for_plans_with(&plans, &machine, &comm, machine.net_latency.0);
-        assert!(with.safe, "{}", with.to_json());
+        assert!(with.safe, "{with:?}");
         assert!(findings.is_empty());
         assert_eq!(with.min_latency_ps, base.min_latency_ps);
         let (bad, bad_findings) =

@@ -480,10 +480,6 @@ impl Simulation {
         } else {
             1
         };
-        // Multi-threaded PDES also shards the barrier merge itself: the
-        // serial bucketing pass fixes the order, the per-destination
-        // appends fan out (bit-identical either way).
-        machine.set_parallel_merge(cfg.pdes && threads > 1);
         macro_rules! ctx {
             ($r:expr) => {
                 &mut StepCtx {

@@ -11,25 +11,34 @@
 //!    events, and the backing `BinaryHeap` retains its capacity across pops
 //!    so bounded-occupancy traffic never reallocates.
 //!
-//! Uses a counting `#[global_allocator]`, so this file holds exactly one
-//! test binary's worth of tests and nothing else runs concurrently with
-//! the measurements (same pattern as `sw-telemetry/tests/alloc_count.rs`).
+//! Uses a counting `#[global_allocator]` with a per-thread counter (same
+//! pattern as `sw-telemetry/tests/alloc_count.rs`): the harness runs these
+//! single-threaded tests on parallel threads, and a neighbour's allocations
+//! must not land in a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use sw_sim::{EventQueue, SimTime};
 use uintah_core::{iv, DataWarehouse, Region};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump — the
+/// Bump this thread's counter (a no-op while the thread's TLS is torn down).
+fn count() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: pure pass-through to `System` plus a thread-local counter bump
+// (const-initialised `Cell`, so the bump itself never allocates) — the
 // layout/ownership contracts of `GlobalAlloc` are delegated unchanged.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -39,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded verbatim; the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -50,9 +59,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocation count of `f` on this thread.
 fn allocs_of<F: FnMut()>(mut f: F) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.get();
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.get() - before
 }
 
 /// One simulated timestep's warehouse traffic: allocate a stage variable

@@ -33,8 +33,8 @@ macro_rules! counters {
         }
 
         impl FaultCounts {
-            /// Counter names and values, in declaration order — the single
-            /// source of truth for JSON rendering.
+            /// Counter names and values, in declaration order — what the
+            /// artifact renderers iterate.
             pub fn entries(&self) -> Vec<(&'static str, u64)> {
                 vec![$((stringify!($name), self.$name),)+]
             }
@@ -126,19 +126,6 @@ impl FaultCounts {
             + self.injected_msg_dup
             + self.injected_msg_delay
     }
-
-    /// Render as a JSON object (sorted by declaration order, stable).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        for (i, (k, v)) in self.entries().into_iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{k}\": {v}"));
-        }
-        s.push('}');
-        s
-    }
 }
 
 #[cfg(test)]
@@ -159,15 +146,5 @@ mod tests {
         // Snapshot is decoupled from further bumps.
         FaultStats::bump(&s.injected_msg_drop);
         assert_eq!(c.injected_msg_drop, 2);
-    }
-
-    #[test]
-    fn json_contains_every_counter() {
-        let c = FaultStats::new().snapshot();
-        let j = c.to_json();
-        for (k, _) in c.entries() {
-            assert!(j.contains(&format!("\"{k}\"")), "missing {k} in {j}");
-        }
-        assert!(j.starts_with('{') && j.ends_with('}'));
     }
 }

@@ -124,82 +124,6 @@ impl ModeledAllreduce {
     }
 }
 
-/// A modeled barrier: all ranks enter, everyone leaves `ceil(log2 n)`
-/// dissemination rounds after the last entry.
-#[derive(Debug)]
-pub struct ModeledBarrier {
-    entered: Vec<bool>,
-    remaining: usize,
-    last_entry: SimTime,
-    hop: SimDur,
-    rounds: u32,
-}
-
-impl ModeledBarrier {
-    /// A barrier over `n` ranks under machine `cfg`.
-    pub fn new(cfg: &MachineConfig, n: usize) -> Self {
-        assert!(n >= 1);
-        let rounds = usize::BITS - (n - 1).leading_zeros();
-        ModeledBarrier {
-            entered: vec![false; n],
-            remaining: n,
-            last_entry: SimTime::ZERO,
-            hop: cfg.net_latency + cfg.mpi_call_overhead,
-            rounds,
-        }
-    }
-
-    /// Rank `r` enters at `now`.
-    ///
-    /// # Panics
-    /// Panics on double entry.
-    pub fn enter(&mut self, r: Rank, now: SimTime) {
-        assert!(!self.entered[r], "rank {r} entered the barrier twice");
-        self.entered[r] = true;
-        self.remaining -= 1;
-        self.last_entry = self.last_entry.max(now);
-    }
-
-    /// When every rank may leave; `None` while anyone is missing.
-    pub fn release_at(&self) -> Option<SimTime> {
-        (self.remaining == 0).then(|| self.last_entry + self.hop * self.rounds as u64)
-    }
-}
-
-/// A modeled broadcast from a root: receivers have the value
-/// `ceil(log2 n)` binomial-tree hops after the root contributes it.
-#[derive(Debug)]
-pub struct ModeledBcast {
-    value: Option<(SimTime, f64)>,
-    hop: SimDur,
-    rounds: u32,
-}
-
-impl ModeledBcast {
-    /// A broadcast over `n` ranks under machine `cfg`.
-    pub fn new(cfg: &MachineConfig, n: usize) -> Self {
-        assert!(n >= 1);
-        let rounds = usize::BITS - (n - 1).leading_zeros();
-        ModeledBcast {
-            value: None,
-            hop: cfg.net_latency + cfg.mpi_call_overhead,
-            rounds,
-        }
-    }
-
-    /// The root provides `value` at `now`.
-    pub fn root_send(&mut self, value: f64, now: SimTime) {
-        assert!(self.value.is_none(), "broadcast root sent twice");
-        self.value = Some((now, value));
-    }
-
-    /// When, and with what value, every rank has the broadcast.
-    pub fn ready_at(&self) -> Option<(SimTime, f64)> {
-        self.value
-            .map(|(t, v)| (t + self.hop * self.rounds as u64, v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,33 +173,5 @@ mod tests {
         let mut a = ModeledAllreduce::new(&cfg(), 2, ReduceOp::Min);
         a.contribute(0, 1.0, SimTime::ZERO);
         a.contribute(0, 1.0, SimTime::ZERO);
-    }
-
-    #[test]
-    fn barrier_releases_after_last_entry() {
-        let mut b = ModeledBarrier::new(&cfg(), 4);
-        b.enter(2, SimTime(500));
-        b.enter(0, SimTime(100));
-        assert!(b.release_at().is_none());
-        b.enter(1, SimTime(900));
-        b.enter(3, SimTime(200));
-        let hop = cfg().net_latency + cfg().mpi_call_overhead;
-        assert_eq!(b.release_at(), Some(SimTime(900) + hop * 2));
-    }
-
-    #[test]
-    fn single_rank_barrier_is_free() {
-        let mut b = ModeledBarrier::new(&cfg(), 1);
-        b.enter(0, SimTime(7));
-        assert_eq!(b.release_at(), Some(SimTime(7)));
-    }
-
-    #[test]
-    fn bcast_delivers_after_tree_hops() {
-        let mut bc = ModeledBcast::new(&cfg(), 8);
-        assert!(bc.ready_at().is_none());
-        bc.root_send(2.5, SimTime(50));
-        let hop = cfg().net_latency + cfg().mpi_call_overhead;
-        assert_eq!(bc.ready_at(), Some((SimTime(50) + hop * 3, 2.5)));
     }
 }

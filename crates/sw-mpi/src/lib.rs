@@ -10,7 +10,7 @@
 pub mod collective;
 pub mod comm;
 
-pub use collective::{ModeledAllreduce, ModeledBarrier, ModeledBcast, ReduceOp};
+pub use collective::{ModeledAllreduce, ReduceOp};
 pub use comm::{
     CommConfig, EndpointId, MpiWorld, Rank, RecvHandle, SendHandle, SharedMpi, Tag, APP_TAG_LIMIT,
     CTRL_BYTES, MAX_MSG_ID,

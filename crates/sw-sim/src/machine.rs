@@ -231,11 +231,6 @@ pub struct Machine {
     /// window-interaction edges the DPOR explorer builds its dependency
     /// graphs from. Drained with [`Machine::take_merge_log`].
     merge_log: Option<Vec<(CgId, CgId)>>,
-    /// When set, phase B of [`Machine::merge_outboxes`] (the per-destination
-    /// appends) runs on scoped threads. Off by default; the controller
-    /// enables it for multi-threaded PDES runs. Bit-identical to the serial
-    /// merge by construction — see `merge_outboxes`.
-    parallel_merge: bool,
 }
 
 impl Machine {
@@ -251,7 +246,6 @@ impl Machine {
             faults: None,
             noise: None,
             merge_log: None,
-            parallel_merge: false,
         }
     }
 
@@ -365,19 +359,8 @@ impl Machine {
     /// (the static lookahead proof in `sw-analyze` rules it out pre-run);
     /// on `Err` **no** delivery has been applied and every outbox is left
     /// intact, so checkers can inspect the offending state.
-    ///
-    /// Internally the merge is *bucket-then-append*: a serial phase A scans
-    /// outboxes in src-major/push order (validating the floor, feeding the
-    /// merge log, and bucketing each delivery by destination), then phase B
-    /// appends each destination's bucket to that shard's queue. Because
-    /// phase A fixes the per-destination order and phase B touches each
-    /// destination queue exactly once, the appends are independent across
-    /// destinations — [`Machine::set_parallel_merge`] runs them on scoped
-    /// threads with bit-identical results.
     pub fn merge_outboxes(&mut self, floor: Option<SimTime>) -> Result<(), LookaheadViolation> {
-        // Phase A (serial): validate all-or-nothing, log, and bucket in
-        // src-major/push order so every destination's append order is the
-        // documented deterministic one.
+        // Validate all-or-nothing before anything moves.
         if let Some(end) = floor {
             for (src, shard) in self.shards.iter().enumerate() {
                 for &(at, dst, token) in &shard.outbox {
@@ -393,59 +376,21 @@ impl Machine {
                 }
             }
         }
-        let mut buckets: Vec<Vec<(SimTime, u64)>> = vec![Vec::new(); self.shards.len()];
-        let mut any = false;
         for src in 0..self.shards.len() {
-            if self.shards[src].outbox.is_empty() {
-                continue;
-            }
-            any = true;
-            let outbox = std::mem::take(&mut self.shards[src].outbox);
-            for (at, dst, token) in outbox {
+            // Taken out so `shards[dst]` can be borrowed, then handed back
+            // with its capacity for the next window.
+            let mut outbox = std::mem::take(&mut self.shards[src].outbox);
+            for (at, dst, token) in outbox.drain(..) {
                 if let Some(log) = &mut self.merge_log {
                     log.push((src, dst));
                 }
-                buckets[dst].push((at, token));
+                self.shards[dst]
+                    .queue
+                    .schedule_at(at, MachineEvent::NetDeliver { dst, token });
             }
-        }
-        if !any {
-            return Ok(());
-        }
-        // Phase B: per-destination appends — disjoint mutable state, so the
-        // parallel path is a plain fan-out with no ordering decisions left.
-        if self.parallel_merge {
-            rayon::scope(|s| {
-                for (dst, (shard, bucket)) in self.shards.iter_mut().zip(buckets).enumerate() {
-                    if bucket.is_empty() {
-                        continue;
-                    }
-                    s.spawn(move || {
-                        for (at, token) in bucket {
-                            shard
-                                .queue
-                                .schedule_at(at, MachineEvent::NetDeliver { dst, token });
-                        }
-                    });
-                }
-            });
-        } else {
-            for (dst, (shard, bucket)) in self.shards.iter_mut().zip(buckets).enumerate() {
-                for (at, token) in bucket {
-                    shard
-                        .queue
-                        .schedule_at(at, MachineEvent::NetDeliver { dst, token });
-                }
-            }
+            self.shards[src].outbox = outbox;
         }
         Ok(())
-    }
-
-    /// Run phase B of [`Machine::merge_outboxes`] (the per-destination
-    /// appends) on scoped threads. Off by default; bit-identical either
-    /// way because the serial phase A already fixed every destination's
-    /// append order.
-    pub fn set_parallel_merge(&mut self, on: bool) {
-        self.parallel_merge = on;
     }
 
     /// Start (or stop) logging the `(src, dst)` pair of every merged
@@ -1092,38 +1037,6 @@ mod tests {
         // net_send is exactly lane 0.
         let d3 = m.ctx(0).net_send(0, 1, bytes, SimTime(0), 4);
         assert_eq!(d3.since(d0), SimDur::from_secs_f64(1.0));
-    }
-
-    #[test]
-    fn parallel_merge_is_bit_identical_to_the_serial_merge() {
-        // Same traffic through both merge modes: every destination queue
-        // must pop the identical (time, event) sequence, and the merge log
-        // must record the identical src-major edge order.
-        let traffic: &[(CgId, CgId, u64, u64)] = &[
-            (0, 1, 64, 1),
-            (0, 2, 8_000_000_000, 2),
-            (1, 2, 64, 3),
-            (2, 0, 128, 4),
-            (0, 1, 64, 5),
-            (3, 1, 256, 6),
-            (1, 0, 64, 7),
-        ];
-        let run = |parallel: bool| {
-            let mut m = machine(4);
-            m.set_parallel_merge(parallel);
-            m.set_merge_log(true);
-            for &(src, dst, bytes, token) in traffic {
-                m.ctx(src).net_send(src, dst, bytes, SimTime(0), token);
-            }
-            m.merge_outboxes(None).unwrap();
-            let log = m.take_merge_log();
-            let mut popped = Vec::new();
-            while let Some(ev) = m.pop() {
-                popped.push(ev);
-            }
-            (log, popped)
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   the counting-allocator test in `tests/alloc_count.rs`);
 //! * [`metrics`] — an always-on registry of atomic counters and log2
 //!   histograms ([`Metrics`]);
+//! * [`json`] — the one JSON writer (and string escaper) every artifact
+//!   renderer in the workspace goes through;
 //! * [`perfetto`] — a Chrome trace-event / Perfetto JSON exporter (one
 //!   track per rank MPE + CPE lane + wire, flow arrows send→recv);
 //! * [`phases`] — the derived-metrics pass: exact per-step 4-way phase
@@ -23,13 +25,14 @@
 //!   (program order, offload fork/join, message and reduction edges) and
 //!   a FastTrack-style conflicting-access checker.
 //!
-//! This crate is a dependency **leaf** (even `sw-sim` depends on it, for
-//! the deprecated `Trace` shim), so times are raw `u64` picoseconds —
-//! callers pass `SimTime.0`.
+//! This crate is a dependency **leaf** (even `sw-sim` depends on it: the
+//! machine records its hardware events through a [`Recorder`]), so times
+//! are raw `u64` picoseconds — callers pass `SimTime.0`.
 
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod perfetto;
 pub mod phases;

@@ -7,6 +7,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::json::{arr, obj, Json, Layout};
+
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -98,42 +100,27 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Render the registry as a hand-rolled JSON object (the workspace has
-    /// no serde_json; see `bench::perf::bench_json` for the idiom).
-    pub fn to_json(&self, indent: &str) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "{indent}  \"offloads\": {},\n",
-            self.offloads.get()
-        ));
-        s.push_str(&format!(
-            "{indent}  \"progress_calls\": {},\n",
-            self.progress_calls.get()
-        ));
-        s.push_str(&format!(
-            "{indent}  \"messages_posted\": {},\n",
-            self.messages_posted.get()
-        ));
-        s.push_str(&format!(
-            "{indent}  \"serial_fallbacks\": {},\n",
-            self.serial_fallbacks.get()
-        ));
-        s.push_str(&format!(
-            "{indent}  \"reduce_contributions\": {},\n",
-            self.reduce_contributions.get()
-        ));
-        s.push_str(&format!("{indent}  \"msg_bytes_log2\": ["));
-        let nz = self.msg_bytes.nonzero();
-        for (i, (lo, c)) in nz.iter().enumerate() {
-            s.push_str(&format!(
-                "{{\"ge\": {lo}, \"count\": {c}}}{}",
-                if i + 1 == nz.len() { "" } else { ", " }
-            ));
-        }
-        s.push_str("]\n");
-        s.push_str(&format!("{indent}}}"));
-        s
+    /// The registry as a block-layout JSON object.
+    pub fn json(&self) -> Json {
+        let hist = self
+            .msg_bytes
+            .nonzero()
+            .into_iter()
+            .map(|(lo, c)| obj(Layout::Row, [("ge", lo.into()), ("count", c.into())]));
+        obj(
+            Layout::Block,
+            [
+                ("offloads", self.offloads.get().into()),
+                ("progress_calls", self.progress_calls.get().into()),
+                ("messages_posted", self.messages_posted.get().into()),
+                ("serial_fallbacks", self.serial_fallbacks.get().into()),
+                (
+                    "reduce_contributions",
+                    self.reduce_contributions.get().into(),
+                ),
+                ("msg_bytes_log2", arr(Layout::Row, hist)),
+            ],
+        )
     }
 }
 
@@ -169,12 +156,13 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_is_wellformed_ish() {
+    fn metrics_json_carries_counters_and_histogram() {
         let m = Metrics::default();
         m.offloads.add(3);
         m.msg_bytes.record(4096);
-        let j = m.to_json("  ");
+        let j = m.json().render();
         assert!(j.contains("\"offloads\": 3"));
-        assert!(j.contains("\"ge\": 4096, \"count\": 1"));
+        assert!(j.contains("\"msg_bytes_log2\": [{\"ge\": 4096, \"count\": 1}]"));
+        assert!(crate::json::is_valid(&j));
     }
 }

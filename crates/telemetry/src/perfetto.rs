@@ -16,22 +16,11 @@
 //! are emitted as fractional µs (`ps / 1e6`) with sub-ns precision kept.
 
 use crate::event::{Event, EventRecord, Lane};
+use crate::json::esc;
 
 /// ps → trace-event µs, keeping fractional precision.
 fn us(ps: u64) -> f64 {
     ps as f64 / 1e6
-}
-
-/// Minimal JSON string escaping for names we generate (ASCII, but be safe).
-fn esc(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 fn meta(pid: usize, tid: Option<u64>, which: &str, name: &str) -> String {
@@ -428,6 +417,7 @@ mod tests {
         assert!(j.contains("\"ph\": \"s\", \"id\": 7"));
         assert!(j.contains("\"ph\": \"f\", \"id\": 7"));
         assert!(j.trim_end().ends_with("]}"));
+        assert!(crate::json::is_valid(&j));
     }
 
     #[test]
@@ -439,10 +429,5 @@ mod tests {
         )]];
         let j = export(&ranks);
         assert!(j.contains("kernel.unmatched p1 t5"));
-    }
-
-    #[test]
-    fn escaping_handles_quotes() {
-        assert_eq!(esc("a\"b\\c"), "a\\\"b\\\\c");
     }
 }

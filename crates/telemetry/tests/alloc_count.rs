@@ -2,24 +2,32 @@
 //! through a disabled [`Recorder`] performs **zero** heap allocations —
 //! the hot path is a single branch on `Option<Arc<Inner>>`.
 //!
-//! Uses a counting `#[global_allocator]`, so this file holds exactly one
-//! test binary's worth of tests and nothing else runs concurrently with
-//! the measurements (same pattern as `sw-athread/tests/alloc_count.rs`).
+//! Uses a counting `#[global_allocator]` with a per-thread counter: the
+//! test harness runs the tests (and its own bookkeeping) on other threads,
+//! and their allocations must not land in a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use sw_telemetry::{Event, Lane, Recorder};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump — the
+/// Bump this thread's counter (a no-op while the thread's TLS is torn down).
+fn count() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: pure pass-through to `System` plus a thread-local counter bump
+// (const-initialised `Cell`, so the bump itself never allocates) — the
 // layout/ownership contracts of `GlobalAlloc` are delegated unchanged.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -29,7 +37,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded verbatim; the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -40,9 +48,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocation count of `f` on this thread.
 fn allocs_of<F: FnMut()>(mut f: F) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.get();
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.get() - before
 }
 
 #[test]

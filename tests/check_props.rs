@@ -63,7 +63,7 @@ proptest! {
         // is safe: the model can never deliver faster than latency + wire.
         let default_la = cfg.machine.net_latency.0;
         let (proof, findings) = prove_lookahead_for_plans(&plans, &cfg.machine, default_la);
-        prop_assert!(proof.safe, "default lookahead flagged:\n{}", proof.to_json());
+        prop_assert!(proof.safe, "default lookahead flagged:\n{proof:?}");
         prop_assert!(findings.is_empty());
         let min = proof.min_latency_ps;
         prop_assert!(min >= default_la);
