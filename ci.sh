@@ -29,6 +29,13 @@ cargo test -q
 step "cargo test --workspace"
 cargo test -q --workspace
 
+step "swbench self-test (benchmark/, --quick sizes)"
+# The benchmark is a package of its own (path dependencies on the crates,
+# its own Cargo.lock): a crate API change that breaks a probe, or a manifest
+# edit that stales benchmark/Cargo.lock, fails here rather than at the next
+# benchmark run.
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
+
 if [[ "${1:-}" != "quick" ]]; then
   # Every repro stage gates itself: the campaign's `violations()` name the
   # failing cell on one `ERROR: repro <stage>: ...` stderr line and the

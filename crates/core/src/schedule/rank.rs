@@ -30,7 +30,7 @@ use sw_athread::{
     TileDesc, NEVER,
 };
 use sw_math::ExpKind;
-use sw_mpi::{ModeledAllreduce, RecvHandle, SendHandle, SharedMpi};
+use sw_mpi::{ModeledAllreduce, RecvHandle, SharedMpi, Tested};
 use sw_resilience::{FaultPlan, FaultStats, OffloadKey};
 use sw_sim::{FlopCategory, MachineConfig, MachineCtx, SimDur, SimTime};
 use sw_telemetry::{Event, Lane, Recorder};
@@ -184,6 +184,24 @@ pub struct RankStats {
     pub mpe: MpeBreakdown,
 }
 
+impl RankStats {
+    /// Charge `d` of MPE time on `machine`'s rank to a breakdown category,
+    /// starting at `cursor`; returns the advanced cursor. (A method of the
+    /// statistics rather than of the scheduler so the compiled plan can
+    /// stay borrowed across it.)
+    fn charge(
+        &mut self,
+        machine: &mut MachineCtx<'_>,
+        cursor: SimTime,
+        d: SimDur,
+        cat: fn(&mut MpeBreakdown) -> &mut SimDur,
+    ) -> SimTime {
+        *cat(&mut self.mpe) += d;
+        let rank = machine.rank();
+        machine.cg_mut(rank).mpe.consume(cursor, d)
+    }
+}
+
 /// The MPE task scheduler for one rank.
 pub struct RankSched {
     rank: usize,
@@ -211,8 +229,16 @@ pub struct RankSched {
     /// Forced timestep (AMR global dt); `None` = the application's stable dt.
     dt_override: Option<f64>,
     patch_state: BTreeMap<PatchId, PatchRun>,
-    pending_recvs: Vec<(RecvHandle, usize, usize)>,
-    pending_sends: Vec<SendHandle>,
+    /// This step's receives in post order (stage-major over `plan.recvs`),
+    /// which is ascending handle order: a completion's position here names
+    /// its stage and plan entry.
+    step_recvs: Vec<RecvHandle>,
+    /// Receives of `step_recvs` not yet harvested.
+    open_recvs: usize,
+    /// Sends the library has not yet reported complete.
+    open_sends: usize,
+    /// Completions drained by the current library entry (reused buffer).
+    harvest: Vec<(RecvHandle, Option<Vec<f64>>)>,
     /// Patches whose MPE part is done, queued for the CPE cluster. In
     /// asynchronous mode the MPE prepares these *while a kernel runs* — the
     /// overlap of task management with computation that §V-C is built for.
@@ -293,8 +319,10 @@ impl RankSched {
             dt: 0.0,
             dt_override: None,
             patch_state: BTreeMap::new(),
-            pending_recvs: Vec::new(),
-            pending_sends: Vec::new(),
+            step_recvs: Vec::new(),
+            open_recvs: 0,
+            open_sends: 0,
+            harvest: Vec::new(),
             prepped: std::collections::VecDeque::new(),
             running: BTreeMap::new(),
             reduce_acc: None,
@@ -429,7 +457,7 @@ impl RankSched {
         assert!(self.stages >= 1, "an application needs at least one stage");
         if self.exec == ExecMode::Functional {
             let g = ctx.app.ghost();
-            for &p in &self.plan.patches.clone() {
+            for &p in &self.plan.patches {
                 let region = ctx.level.patch(p).region.grow(g);
                 let mut var = CcVar::new(region);
                 // The exact solution at t = 0 is the initial condition
@@ -509,12 +537,15 @@ impl RankSched {
 
         // §V-C step 3a: post non-blocking receives first — for every stage;
         // later stages' messages arrive as their producers complete.
-        let recvs = self.plan.recvs.clone();
+        debug_assert_eq!(self.open_recvs, 0, "step began with receives open");
+        self.step_recvs.clear();
         for stage in 0..stages {
-            for (i, rv) in recvs.iter().enumerate() {
-                cursor = self.consume_cat(&mut ctx.machine, cursor, cfg.mpi_call_overhead, |b| {
-                    &mut b.mpi
-                });
+            for rv in &self.plan.recvs {
+                cursor = self
+                    .stats
+                    .charge(&mut ctx.machine, cursor, cfg.mpi_call_overhead, |b| {
+                        &mut b.mpi
+                    });
                 let tag = ghost_tag(
                     self.step,
                     stage,
@@ -523,72 +554,99 @@ impl RankSched {
                     rv.src_patch,
                     rv.face.opposite(),
                 );
-                let h = ctx.mpi.irecv(self.rank, rv.src_rank, tag);
-                self.pending_recvs.push((h, i, stage));
+                self.step_recvs
+                    .push(ctx.mpi.irecv(self.rank, rv.src_rank, tag));
             }
         }
+        self.open_recvs = self.step_recvs.len();
         // Post sends of the old-DW ghost data (stage 0's input; the
-        // producing task completed last step): pack on the MPE, then isend.
-        for s in self.plan.sends.clone() {
-            let bytes = s.window.cells() * 8;
-            cursor = self.consume_cat(&mut ctx.machine, cursor, cfg.mpe_copy_time(bytes), |b| {
-                &mut b.copies
-            });
-            cursor = self.consume_cat(&mut ctx.machine, cursor, cfg.mpi_call_overhead, |b| {
-                &mut b.mpi
-            });
-            let payload = (self.exec == ExecMode::Functional)
-                .then(|| self.dws.old.get(LABEL_U, s.src_patch).pack(&s.window));
-            let tag = ghost_tag(
-                self.step,
-                0,
-                stages,
-                self.n_patches_total,
-                s.src_patch,
-                s.face,
-            );
-            let h = ctx.mpi.isend(
-                &mut ctx.machine,
-                self.rank,
-                s.dst_rank,
-                tag,
-                bytes,
-                payload,
-                cursor,
-            );
-            self.pending_sends.push(h);
+        // producing task completed last step).
+        for i in 0..self.plan.sends.len() {
+            cursor = self.post_send(ctx, cursor, i, 0);
         }
+        cursor
+    }
+
+    /// Pack `plan.sends[i]`'s slab of stage `stage`'s input on the MPE and
+    /// isend it (§V-C step 3(b)i). Returns the advanced MPE cursor.
+    fn post_send(
+        &mut self,
+        ctx: &mut StepCtx<'_>,
+        mut cursor: SimTime,
+        i: usize,
+        stage: usize,
+    ) -> SimTime {
+        let s = &self.plan.sends[i];
+        let bytes = s.window.cells() * 8;
+        let copy = ctx.machine.cfg().mpe_copy_time(bytes);
+        let call = ctx.machine.cfg().mpi_call_overhead;
+        cursor = self
+            .stats
+            .charge(&mut ctx.machine, cursor, copy, |b| &mut b.copies);
+        cursor = self
+            .stats
+            .charge(&mut ctx.machine, cursor, call, |b| &mut b.mpi);
+        let payload = (self.exec == ExecMode::Functional).then(|| {
+            let input = match stage {
+                0 => self.dws.old.get(LABEL_U, s.src_patch),
+                _ => self.dws.new.get(stage_label(stage - 1), s.src_patch),
+            };
+            input.pack(&s.window)
+        });
+        let tag = ghost_tag(
+            self.step,
+            stage,
+            self.stages,
+            self.n_patches_total,
+            s.src_patch,
+            s.face,
+        );
+        ctx.mpi.isend(
+            &mut ctx.machine,
+            self.rank,
+            s.dst_rank,
+            tag,
+            bytes,
+            payload,
+            cursor,
+        );
+        self.open_sends += 1;
         cursor
     }
 
     /// The scheduler loop: act until nothing further is possible, then
     /// arrange the next wakeup.
     fn drive(&mut self, ctx: &mut StepCtx<'_>, mut cursor: SimTime) {
+        // What the library held for this rank after the latest entry of the
+        // current loop iteration (all-clear when the iteration made none).
+        // It is still exact wherever it is read below: the only calls that
+        // change it are this rank's own `isend`s, every one of which leaves
+        // `open_sends > 0` and `progressed` set, so neither `step_can_end`
+        // nor the final, nothing-happened iteration can see a stale copy.
+        let mut lib;
         loop {
             let mut progressed = false;
 
-            // §V-C step 3c: test posted sends/receives (progression happens
-            // only inside the library). Under a fault plan the reliable
-            // layer's resend timers also live inside `progress`, so the MPE
-            // keeps calling it while any of its sends is un-acked even after
-            // `send_done` (eager sends complete locally long before the ack).
-            let reliable_pending = self.faults.is_some() && ctx.mpi.unacked(self.rank) > 0;
-            // Aggregation: staged payloads flush from inside `progress`
-            // (deadline path), so a rank with a non-empty staging buffer
-            // keeps entering the library even after its send handles
-            // completed locally.
-            if !self.pending_recvs.is_empty()
-                || !self.pending_sends.is_empty()
-                || reliable_pending
-                || ctx.mpi.staged(self.rank) > 0
-            {
-                let cfg_overhead = ctx.machine.cfg().mpi_call_overhead;
-                cursor = self.consume_cat(&mut ctx.machine, cursor, cfg_overhead, |b| &mut b.mpi);
-                if ctx.mpi.progress(self.rank, &mut ctx.machine, cursor) > 0 {
-                    progressed = true;
-                }
+            // §V-C step 3c: test posted sends/receives — one library entry
+            // (progression happens only inside the library), which also
+            // hands back every completion since the last one. A rank whose
+            // requests all completed still enters while the library owes it
+            // work only its host time can advance: un-acked sends under a
+            // fault plan (the resend timers live inside `progress`, and
+            // eager sends complete locally long before the ack) and staged
+            // payloads (the deadline flush does too).
+            lib = Tested::default();
+            if self.open_recvs > 0 || self.open_sends > 0 || ctx.mpi.owes_entry(self.rank) {
+                let overhead = ctx.machine.cfg().mpi_call_overhead;
+                cursor = self
+                    .stats
+                    .charge(&mut ctx.machine, cursor, overhead, |b| &mut b.mpi);
+                lib = ctx
+                    .mpi
+                    .test(self.rank, &mut ctx.machine, cursor, &mut self.harvest);
+                progressed |= lib.actions > 0;
+                self.open_sends -= lib.sends_completed;
                 cursor = self.harvest_recvs(ctx, cursor, &mut progressed);
-                self.pending_sends.retain(|&h| !ctx.mpi.send_done(h));
             }
 
             // §V-C step 3b: completion flags. (Snapshot the in-flight
@@ -672,7 +730,7 @@ impl RankSched {
             }
 
             // End of timestep?
-            if self.step_can_end(ctx, cursor) {
+            if self.step_can_end(ctx, cursor, &lib) {
                 cursor = self.end_step(ctx, cursor);
                 if self.done || self.holding.is_some() {
                     return;
@@ -684,7 +742,7 @@ impl RankSched {
                 break;
             }
         }
-        self.arrange_wakeup(ctx, cursor);
+        self.arrange_wakeup(ctx, cursor, &lib);
     }
 
     // ---- individual actions ---------------------------------------------
@@ -703,54 +761,54 @@ impl RankSched {
         }
     }
 
-    /// Process completed receives: unpack ghost payloads into the old DW and
-    /// update dependent tasks.
+    /// Process the receives the library entry just completed, in post
+    /// order: unpack ghost payloads into the old DW and update dependent
+    /// tasks.
     fn harvest_recvs(
         &mut self,
         ctx: &mut StepCtx<'_>,
         mut cursor: SimTime,
         progressed: &mut bool,
     ) -> SimTime {
-        let mut still = Vec::with_capacity(self.pending_recvs.len());
-        for (h, i, stage) in std::mem::take(&mut self.pending_recvs) {
-            if ctx.mpi.recv_done(h) {
-                let rv = self.plan.recvs[i].clone();
-                let bytes = rv.window.cells() * 8;
-                let copy = ctx.machine.cfg().mpe_copy_time(bytes);
-                cursor = self.consume_cat(&mut ctx.machine, cursor, copy, |b| &mut b.copies);
-                if self.exec == ExecMode::Functional {
-                    let payload = ctx
-                        .mpi
-                        .take_payload(h)
-                        .expect("functional ghost message lost its payload");
-                    if stage == 0 {
-                        self.dws
-                            .old
-                            .get_mut(LABEL_U, rv.dst_patch)
-                            .unpack(&rv.window, &payload);
-                    } else {
-                        // Ghosts of the previous stage's output; allocate the
-                        // (ghosted) stage variable if the local kernel has not
-                        // produced it yet.
-                        let region = ctx.level.patch(rv.dst_patch).region.grow(ctx.app.ghost());
-                        self.dws
-                            .new
-                            .allocate(stage_label(stage - 1), rv.dst_patch, region)
-                            .unpack(&rv.window, &payload);
-                    }
+        self.harvest.sort_unstable_by_key(|&(h, _)| h);
+        for (h, payload) in self.harvest.drain(..) {
+            let k = self
+                .step_recvs
+                .binary_search(&h)
+                .expect("completion of a receive this step never posted");
+            let n = self.plan.recvs.len();
+            let (stage, rv) = (k / n, &self.plan.recvs[k % n]);
+            let bytes = rv.window.cells() * 8;
+            let copy = ctx.machine.cfg().mpe_copy_time(bytes);
+            cursor = self
+                .stats
+                .charge(&mut ctx.machine, cursor, copy, |b| &mut b.copies);
+            if self.exec == ExecMode::Functional {
+                let payload = payload.expect("functional ghost message lost its payload");
+                if stage == 0 {
+                    self.dws
+                        .old
+                        .get_mut(LABEL_U, rv.dst_patch)
+                        .unpack(&rv.window, &payload);
+                } else {
+                    // Ghosts of the previous stage's output; allocate the
+                    // (ghosted) stage variable if the local kernel has not
+                    // produced it yet.
+                    let region = ctx.level.patch(rv.dst_patch).region.grow(ctx.app.ghost());
+                    self.dws
+                        .new
+                        .allocate(stage_label(stage - 1), rv.dst_patch, region)
+                        .unpack(&rv.window, &payload);
                 }
-                ctx.mpi.retire_recv(h);
-                self.patch_state
-                    .get_mut(&rv.dst_patch)
-                    .expect("recv for non-local patch")
-                    .recvs_by_stage[stage] -= 1;
-                self.stats.ghosts_received += 1;
-                *progressed = true;
-            } else {
-                still.push((h, i, stage));
             }
+            self.patch_state
+                .get_mut(&rv.dst_patch)
+                .expect("recv for non-local patch")
+                .recvs_by_stage[stage] -= 1;
+            self.open_recvs -= 1;
+            self.stats.ghosts_received += 1;
+            *progressed = true;
         }
-        self.pending_recvs = still;
         cursor
     }
 
@@ -787,22 +845,23 @@ impl RankSched {
             Event::TaskStart { patch: p, stage },
         );
         let cells = ctx.level.patch(p).region.cells();
-        cursor = self.consume_cat(
+        cursor = self.stats.charge(
             &mut ctx.machine,
             cursor,
             cfg.mpe_task_overhead + cfg.mpe_task_per_cell * cells,
             |b| &mut b.task_mgmt,
         );
-        let prep = self.plan.prep[&p].clone();
+        let prep = &self.plan.prep[&p];
         if stage == 0 {
             // Stage 0 reads the old DW: same-rank ghost copies happen here
             // (the data has been ready since the step began).
             for lc in &prep.local_copies {
                 let bytes = lc.window.cells() * 8;
                 cursor =
-                    self.consume_cat(&mut ctx.machine, cursor, cfg.mpe_copy_time(bytes), |b| {
-                        &mut b.copies
-                    });
+                    self.stats
+                        .charge(&mut ctx.machine, cursor, cfg.mpe_copy_time(bytes), |b| {
+                            &mut b.copies
+                        });
                 if self.exec == ExecMode::Functional {
                     let src = self
                         .dws
@@ -822,7 +881,9 @@ impl RankSched {
         for bc in &prep.bc_regions {
             let flops = ctx.app.bc_flops_per_cell() * bc.cells();
             let dur = MachineConfig::compute_time(flops, cfg.mpe_eff_gflops);
-            cursor = self.consume_cat(&mut ctx.machine, cursor, dur, |b| &mut b.boundary);
+            cursor = self
+                .stats
+                .charge(&mut ctx.machine, cursor, dur, |b| &mut b.boundary);
             ctx.machine
                 .cg_mut(self.rank)
                 .counters
@@ -864,9 +925,11 @@ impl RankSched {
             }
             SchedulerMode::SyncCpe | SchedulerMode::AsyncCpe => {
                 let spin = self.variant.mode == SchedulerMode::SyncCpe;
-                cursor = self.consume_cat(&mut ctx.machine, cursor, cfg.offload_spawn, |b| {
-                    &mut b.kernel
-                });
+                cursor = self
+                    .stats
+                    .charge(&mut ctx.machine, cursor, cfg.offload_spawn, |b| {
+                        &mut b.kernel
+                    });
                 self.ensure_kernel_cached(ctx, dims, stage);
                 if self.exec == ExecMode::Functional {
                     let ck = &self.kernel_cache[&(dims, self.variant.simd, stage)];
@@ -1007,7 +1070,9 @@ impl RankSched {
             Lane::Mpe,
             Event::OffloadStart { patch: p, token: 0 },
         );
-        cursor = self.consume_cat(&mut ctx.machine, cursor, dur, |b| &mut b.kernel);
+        cursor = self
+            .stats
+            .charge(&mut ctx.machine, cursor, dur, |b| &mut b.kernel);
         self.rec.record(
             self.rank,
             cursor.0,
@@ -1285,63 +1350,20 @@ impl RankSched {
         if !last {
             // "Post non-blocking MPI sends for the completed task": remote
             // neighbors need this stage's output for their next stage.
-            for s in self.plan.sends.clone() {
-                if s.src_patch != p {
-                    continue;
-                }
-                let bytes = s.window.cells() * 8;
-                cursor =
-                    self.consume_cat(&mut ctx.machine, cursor, cfg.mpe_copy_time(bytes), |b| {
-                        &mut b.copies
-                    });
-                cursor = self.consume_cat(&mut ctx.machine, cursor, cfg.mpi_call_overhead, |b| {
-                    &mut b.mpi
-                });
-                let payload = (self.exec == ExecMode::Functional).then(|| {
-                    self.dws
-                        .new
-                        .get(stage_label(stage), s.src_patch)
-                        .pack(&s.window)
-                });
-                let tag = ghost_tag(
-                    self.step,
-                    stage + 1,
-                    self.stages,
-                    self.n_patches_total,
-                    s.src_patch,
-                    s.face,
-                );
-                let h = ctx.mpi.isend(
-                    &mut ctx.machine,
-                    self.rank,
-                    s.dst_rank,
-                    tag,
-                    bytes,
-                    payload,
-                    cursor,
-                );
-                self.pending_sends.push(h);
+            for i in self.plan.prep[&p].sends.clone() {
+                cursor = self.post_send(ctx, cursor, i, stage + 1);
             }
             // Same-rank neighbors: copy the output face into their stage
             // input ghosts and release their dependency.
             let g = ctx.app.ghost();
-            let copies: Vec<(PatchId, crate::grid::Region)> = self
-                .plan
-                .prep
-                .iter()
-                .flat_map(|(&dst, prep)| {
-                    prep.local_copies
-                        .iter()
-                        .filter(|lc| lc.src_patch == p)
-                        .map(move |lc| (dst, lc.window))
-                })
-                .collect();
-            for (dst, window) in copies {
+            for &(dst, k) in &self.plan.prep[&p].feeds {
+                let window = self.plan.prep[&dst].local_copies[k].window;
                 let bytes = window.cells() * 8;
                 cursor =
-                    self.consume_cat(&mut ctx.machine, cursor, cfg.mpe_copy_time(bytes), |b| {
-                        &mut b.copies
-                    });
+                    self.stats
+                        .charge(&mut ctx.machine, cursor, cfg.mpe_copy_time(bytes), |b| {
+                            &mut b.copies
+                        });
                 if self.exec == ExecMode::Functional {
                     let src = self
                         .dws
@@ -1390,7 +1412,9 @@ impl RankSched {
     /// depends on scheduling) and wakes every rank at the result time.
     fn contribute_reduction(&mut self, ctx: &mut StepCtx<'_>, mut cursor: SimTime) -> SimTime {
         let cfg_overhead = ctx.machine.cfg().mpi_call_overhead;
-        cursor = self.consume_cat(&mut ctx.machine, cursor, cfg_overhead, |b| &mut b.mpi);
+        cursor = self
+            .stats
+            .charge(&mut ctx.machine, cursor, cfg_overhead, |b| &mut b.mpi);
         ctx.reduce
             .contribute(self.step, self.reduce_acc.unwrap_or(0.0), cursor);
         // The telemetry the shared `ModeledAllreduce` used to emit now
@@ -1413,14 +1437,14 @@ impl RankSched {
         cursor
     }
 
-    fn step_can_end(&self, ctx: &StepCtx<'_>, cursor: SimTime) -> bool {
-        if !self.contributed || !self.pending_sends.is_empty() || !self.pending_recvs.is_empty() {
+    fn step_can_end(&self, ctx: &StepCtx<'_>, cursor: SimTime, lib: &Tested) -> bool {
+        if !self.contributed || self.open_sends > 0 || self.open_recvs > 0 {
             return false;
         }
         // Staged (aggregated but unflushed) payloads would strand their
         // receivers if the step ended here; the deadline flush is this
         // rank's responsibility.
-        if ctx.mpi.staged(self.rank) > 0 {
+        if lib.staged > 0 {
             return false;
         }
         if !self.running.is_empty() || !self.retry.is_empty() {
@@ -1429,7 +1453,7 @@ impl RankSched {
         // Under the reliable layer a send is only *done* once acked: ending
         // the step with an un-acked (possibly dropped) payload would strand
         // the receiver — the resend timer lives on this rank.
-        if self.faults.is_some() && ctx.mpi.unacked(self.rank) > 0 {
+        if self.faults.is_some() && lib.unacked > 0 {
             return false;
         }
         match ctx.reduce.result_at(self.step) {
@@ -1445,7 +1469,7 @@ impl RankSched {
             // The new DW becomes the old DW: the final stage's interiors
             // replace the solution; ghost layers are refilled next step.
             let last = stage_label(self.stages - 1);
-            for &p in &self.plan.patches.clone() {
+            for &p in &self.plan.patches {
                 let out = self
                     .dws
                     .new
@@ -1500,7 +1524,7 @@ impl RankSched {
     }
 
     /// Arrange to be woken at the earliest instant anything can change.
-    fn arrange_wakeup(&mut self, ctx: &mut StepCtx<'_>, cursor: SimTime) {
+    fn arrange_wakeup(&mut self, ctx: &mut StepCtx<'_>, cursor: SimTime, lib: &Tested) {
         let mut at: Option<SimTime> = None;
         let mut consider = |t: SimTime| {
             at = Some(match at {
@@ -1508,7 +1532,7 @@ impl RankSched {
                 Some(cur) => cur.min(t),
             });
         };
-        if let Some(h) = self.athread.inflight().iter().find(|h| h.done_at != NEVER) {
+        if let Some(h) = self.athread.next_completion() {
             let poll = match self.variant.mode {
                 SchedulerMode::AsyncCpe => ctx.machine.cfg().flag_poll_interval,
                 _ => sw_sim::SimDur::ZERO,
@@ -1529,15 +1553,13 @@ impl RankSched {
         for &(at, _) in &self.retry {
             consider(at.max(cursor));
         }
-        if self.faults.is_some() {
-            if let Some(d) = ctx.mpi.next_deadline(self.rank) {
-                consider(d.max(cursor));
-            }
+        if let Some(d) = lib.next_deadline {
+            consider(d.max(cursor));
         }
         // Aggregation deadline: a staged buffer flushes from `progress`, so
         // the MPE must re-enter the library no later than the earliest
         // flush deadline even if nothing else would wake it.
-        if let Some(d) = ctx.mpi.next_flush_at(self.rank) {
+        if let Some(d) = lib.next_flush_at {
             consider(d.max(cursor));
         }
         // Message arrivals and CTS handshakes wake us via NetDeliver events;
@@ -1558,17 +1580,5 @@ impl RankSched {
                 },
             );
         }
-    }
-
-    /// Charge MPE time to a breakdown category.
-    fn consume_cat(
-        &mut self,
-        machine: &mut MachineCtx<'_>,
-        cursor: SimTime,
-        d: SimDur,
-        cat: fn(&mut MpeBreakdown) -> &mut SimDur,
-    ) -> SimTime {
-        *cat(&mut self.stats.mpe) += d;
-        machine.cg_mut(self.rank).mpe.consume(cursor, d)
     }
 }

@@ -609,12 +609,6 @@ impl Simulation {
                 );
             };
             let wend = wstart + lookahead;
-            // Shards with no event inside the window have nothing to do;
-            // spawning threads is only worth it when at least two shards
-            // are active (a 1-thread host always takes the inline path).
-            let active = (0..n_ranks)
-                .filter(|&r| machine.shard_peek(r).is_some_and(|t| t < wend))
-                .count();
             // A forced drain order (the DPOR explorer replaying one
             // interleaving) always takes the serial path: the point is a
             // deterministic schedule, not thread races.
@@ -622,22 +616,21 @@ impl Simulation {
                 .pdes_order
                 .as_ref()
                 .and_then(|orders| orders.get(widx).cloned());
-            if forced.is_some() || threads <= 1 || active < 2 {
-                let order = forced.unwrap_or_else(|| (0..n_ranks).collect());
-                debug_assert_eq!(
-                    {
-                        let mut o = order.clone();
-                        o.sort_unstable();
-                        o
-                    },
-                    (0..n_ranks).collect::<Vec<_>>(),
-                    "forced drain order must be a permutation of the ranks"
-                );
-                for r in order {
-                    let mut mctx = machine.ctx(r);
+            // Shards with no event inside the window have nothing to do;
+            // spawning threads is only worth it when at least two shards
+            // are active (a 1-thread host always takes the inline path,
+            // and never pays for the count).
+            let fan_out = forced.is_none()
+                && threads > 1
+                && (0..n_ranks)
+                    .filter(|&r| machine.shard_peek(r).is_some_and(|t| t < wend))
+                    .nth(1)
+                    .is_some();
+            if !fan_out {
+                let drain = |r: usize| {
                     Self::drain_rank(
                         &mut ranks[r],
-                        &mut mctx,
+                        &mut machine.ctx(r),
                         mpi,
                         reductions,
                         &mut reduce_out[r],
@@ -647,6 +640,21 @@ impl Simulation {
                         wend,
                         cfg.comm.progress_lane,
                     );
+                };
+                match forced {
+                    None => (0..n_ranks).for_each(drain),
+                    Some(order) => {
+                        debug_assert_eq!(
+                            {
+                                let mut o = order.clone();
+                                o.sort_unstable();
+                                o
+                            },
+                            (0..n_ranks).collect::<Vec<_>>(),
+                            "forced drain order must be a permutation of the ranks"
+                        );
+                        order.into_iter().for_each(drain);
+                    }
                 }
             } else {
                 let mut work: Vec<_> = machine

@@ -62,6 +62,13 @@ pub struct PatchPrep {
     /// How many remote ghost messages must arrive before the kernel is
     /// ready.
     pub n_remote: usize,
+    /// This patch's outgoing messages: its (contiguous) slice of
+    /// [`RankPlan::sends`].
+    pub sends: std::ops::Range<usize>,
+    /// The same-rank copies that read this patch, as `(dst_patch, index
+    /// into that patch's local_copies)` in ascending `dst_patch` order —
+    /// what a finished stage of this patch must feed.
+    pub feeds: Vec<(PatchId, usize)>,
 }
 
 /// The compiled per-rank communication/preparation plan.
@@ -146,6 +153,7 @@ pub fn build_rank_plan(level: &Level, assignment: &[usize], rank: usize, ghost: 
     for &p in &patches {
         let region = level.patch(p).region;
         let entry = prep.entry(p).or_default();
+        let first_send = sends.len();
         for face in FACES {
             match level.neighbor(p, face) {
                 None => {
@@ -177,6 +185,21 @@ pub fn build_rank_plan(level: &Level, assignment: &[usize], rank: usize, ghost: 
                 }
             }
         }
+        entry.sends = first_send..sends.len();
+    }
+    // Index the local copies by the patch they read.
+    let feeds: Vec<(PatchId, PatchId, usize)> = prep
+        .iter()
+        .flat_map(|(&dst, pp)| {
+            let by_src = pp.local_copies.iter().enumerate();
+            by_src.map(move |(k, lc)| (lc.src_patch, dst, k))
+        })
+        .collect();
+    for (src, dst, k) in feeds {
+        prep.get_mut(&src)
+            .expect("a local copy reads a local patch")
+            .feeds
+            .push((dst, k));
     }
     RankPlan {
         rank,
@@ -278,6 +301,30 @@ mod tests {
                 prep.local_copies.len() + prep.bc_regions.len() + prep.n_remote,
                 6
             );
+        }
+    }
+
+    #[test]
+    fn per_patch_indexes_agree_with_a_scan_of_the_plan() {
+        let l = level();
+        let a = LoadBalancer::Block.assign(&l, 4);
+        for rank in 0..4 {
+            let plan = build_rank_plan(&l, &a, rank, 1);
+            for (&p, prep) in &plan.prep {
+                let scanned: Vec<usize> = (0..plan.sends.len())
+                    .filter(|&i| plan.sends[i].src_patch == p)
+                    .collect();
+                assert_eq!(prep.sends.clone().collect::<Vec<_>>(), scanned);
+                let fed: Vec<(PatchId, usize)> = plan
+                    .prep
+                    .iter()
+                    .flat_map(|(&dst, pp)| {
+                        let by_src = pp.local_copies.iter().enumerate();
+                        by_src.filter_map(move |(k, lc)| (lc.src_patch == p).then_some((dst, k)))
+                    })
+                    .collect();
+                assert_eq!(prep.feeds, fed, "patch {p}");
+            }
         }
     }
 

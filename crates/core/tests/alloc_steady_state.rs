@@ -11,6 +11,15 @@
 //!    events, and the backing `BinaryHeap` retains its capacity across pops
 //!    so bounded-occupancy traffic never reallocates.
 //!
+//! The same contract covers the two host loops that run once per simulated
+//! event:
+//!
+//! 3. `sw-mpi`'s `progress` — its work follows arrivals, so a rank with
+//!    nothing arrived allocates nothing however many requests it holds.
+//! 4. The scheduler's `on_wake` — a wakeup that finds nothing new (no
+//!    arrival, no completion flag) runs the whole MPE loop without touching
+//!    the heap.
+//!
 //! Uses a counting `#[global_allocator]` with a per-thread counter (same
 //! pattern as `sw-telemetry/tests/alloc_count.rs`): the harness runs these
 //! single-threaded tests on parallel threads, and a neighbour's allocations
@@ -18,9 +27,18 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
-use sw_sim::{EventQueue, SimTime};
-use uintah_core::{iv, DataWarehouse, Region};
+use sw_athread::{cells, CpeTileKernel, Dims3, TileCostModel, TileCtx};
+use sw_mpi::{MpiWorld, SharedMpi};
+use sw_sim::{EventQueue, Machine, MachineConfig, MachineEvent, SimDur, SimTime};
+use uintah_core::schedule::rank::{ReduceCtx, StepCtx};
+use uintah_core::schedule::RankSched;
+use uintah_core::task::build_rank_plan;
+use uintah_core::{
+    iv, Application, CcVar, DataWarehouse, ExecMode, Level, LoadBalancer, Region, SchedulerOptions,
+    Variant,
+};
 
 struct CountingAlloc;
 
@@ -166,4 +184,181 @@ fn cold_warehouse_does_allocate_as_a_sanity_check() {
         std::hint::black_box(&dw);
     });
     assert!(n > 0, "16 cold allocations performed 0 heap allocs?");
+}
+
+#[test]
+fn progress_with_nothing_arrived_is_zero_alloc() {
+    // Rank 0 holds 64 sends in flight (eager payloads and rendezvous RTSs
+    // still on the wire) and 64 posted receives; nothing has arrived.
+    let mut m = Machine::new(MachineConfig::sw26010(), 2);
+    let mut w = MpiWorld::new(2);
+    for tag in 0..64u64 {
+        let bytes = if tag % 2 == 0 { 512 } else { 1_000_000 };
+        w.isend(&mut m.ctx(0), 0, 1, tag, bytes, None, SimTime::ZERO);
+        w.irecv(0, 1, tag);
+    }
+    assert_eq!(w.unacked(0), 64);
+    let mut done = Vec::new();
+    let n = allocs_of(|| {
+        for i in 0..1_000u64 {
+            let now = SimTime(i);
+            assert_eq!(w.progress(0, &mut m.ctx(0), now), 0);
+            assert_eq!(w.test(0, &mut m.ctx(0), now, &mut done).actions, 0);
+        }
+    });
+    assert!(done.is_empty());
+    assert_eq!(
+        n, 0,
+        "2000 library entries with nothing arrived allocated {n} times; \
+         progress must cost arrivals, not requests in flight"
+    );
+    // The traffic is real: once delivered, the peer has work to do.
+    while let Some((_, ev)) = m.pop() {
+        if let MachineEvent::NetDeliver { token, .. } = ev {
+            w.on_wire(token);
+        }
+    }
+    let now = m.now();
+    w.irecv(1, 0, 0);
+    assert_eq!(w.progress(1, &mut m.ctx(1), now), 1);
+}
+
+/// A minimal one-stage application for the scheduler case below; Model
+/// mode only consults its cost model.
+struct Decay;
+
+impl CpeTileKernel for Decay {
+    fn ghost(&self) -> usize {
+        1
+    }
+    fn compute(&self, ctx: &mut TileCtx<'_>) {
+        let d = ctx.tile.dims;
+        for z in 0..d.2 {
+            for y in 0..d.1 {
+                for x in 0..d.0 {
+                    ctx.out_at(x, y, z, 0.99 * ctx.in_at(x, y, z, 0, 0, 0));
+                }
+            }
+        }
+    }
+}
+
+impl TileCostModel for Decay {
+    fn ghost(&self) -> usize {
+        1
+    }
+    fn flops(&self, d: Dims3) -> u64 {
+        100 * cells(d)
+    }
+    fn exp_flops(&self, _d: Dims3) -> u64 {
+        0
+    }
+    fn exp_calls(&self, _d: Dims3) -> u64 {
+        0
+    }
+}
+
+impl Application for Decay {
+    fn name(&self) -> &str {
+        "decay"
+    }
+    fn ghost(&self) -> i64 {
+        1
+    }
+    fn cost(&self) -> &dyn TileCostModel {
+        self
+    }
+    fn kernel(&self, _simd: bool) -> &dyn CpeTileKernel {
+        self
+    }
+    fn bc_flops_per_cell(&self) -> u64 {
+        1
+    }
+    fn stable_dt(&self, _level: &Level) -> f64 {
+        1.0
+    }
+    fn init(&self, _l: &Level, region: &Region, var: &mut CcVar) {
+        for c in region.iter() {
+            var.set(c, 1.0);
+        }
+    }
+    fn fill_boundary(&self, _l: &Level, region: &Region, var: &mut CcVar, _t: f64) {
+        for c in region.iter() {
+            var.set(c, 1.0);
+        }
+    }
+}
+
+/// Allocation count of `wakes` back-to-back wakeups of rank 0, each just
+/// after its MPE came free.
+fn wake(sched: &mut RankSched, ctx: &mut StepCtx<'_>, wakes: u64) -> usize {
+    allocs_of(|| {
+        for _ in 0..wakes {
+            let now = ctx.machine.cg(0).mpe.free_at() + SimDur(1);
+            sched.on_wake(ctx, now);
+        }
+    })
+}
+
+#[test]
+fn warm_on_wake_with_nothing_arrived_is_zero_alloc() {
+    // Four patches along z on two ranks, asynchronous scheduler, Model
+    // mode. Only rank 0 is driven, so the ghost message its boundary patch
+    // waits for never arrives: every wakeup below finds its requests as it
+    // left them.
+    let level = Level::new(iv(16, 16, 16), iv(1, 1, 4));
+    let assignment = LoadBalancer::Block.assign(&level, 2);
+    let plan = build_rank_plan(&level, &assignment, 0, 1);
+    assert_eq!((plan.patches.len(), plan.recvs.len()), (2, 1));
+    let cfg = MachineConfig::sw26010();
+    let mut machine = Machine::new(cfg.clone(), 2);
+    let mpi = SharedMpi::new(MpiWorld::new(2));
+    let (merged, mut outbox) = (BTreeMap::new(), Vec::new());
+    let mut sched = RankSched::new(
+        0,
+        Variant::ACC_ASYNC,
+        ExecMode::Model,
+        SchedulerOptions::default(),
+        plan,
+        &level,
+        cfg.cpes_per_cg,
+        2,
+    );
+    let mut ctx = StepCtx {
+        machine: machine.ctx(0),
+        mpi: &mpi,
+        reduce: ReduceCtx {
+            merged: &merged,
+            outbox: &mut outbox,
+        },
+        level: &level,
+        app: &Decay,
+        n_ranks: 2,
+    };
+    // Step 0 begins: receives and sends posted, the interior patch's
+    // kernel offloaded.
+    sched.init_run(&mut ctx);
+    let &(_, _, kernel_done) = sched.stats.kernel_spans.last().expect("a kernel in flight");
+    // While the kernel runs: each wakeup enters the library (receives and
+    // sends are open), polls the completion flag, and goes back to sleep.
+    let n = wake(&mut sched, &mut ctx, 8);
+    assert_eq!(n, 0, "8 wakeups under a running kernel allocated {n} times");
+    assert_eq!(sched.stats.kernels, 1, "nothing completed meanwhile");
+    // Let the kernel finish and the loop run dry again (warm-up: the
+    // completion itself may allocate).
+    sched.on_wake(&mut ctx, kernel_done + cfg.flag_poll_interval);
+    wake(&mut sched, &mut ctx, 2);
+    // Waiting on the remote ghost only.
+    let n = wake(&mut sched, &mut ctx, 1_000);
+    assert_eq!(
+        n, 0,
+        "1000 warm wakeups with nothing arrived allocated {n} times; the \
+         scheduler must harvest completions, not re-walk its requests"
+    );
+    assert_eq!(sched.stats.ghosts_received, 0);
+    assert_eq!(sched.step(), 0);
+    assert!(
+        sched.stats.mpe.mpi > SimDur::ZERO,
+        "the wakeups did enter the library"
+    );
 }

@@ -184,6 +184,14 @@ impl AthreadGroup {
         v
     }
 
+    /// The in-flight kernel whose completion flag sets first, if any will:
+    /// the head of [`Self::inflight`] once dead offloads (`done_at ==`
+    /// [`NEVER`]) are set aside, found without building the list.
+    pub fn next_completion(&self) -> Option<KernelHandle> {
+        let live = self.slots.iter().flatten().filter(|h| h.done_at != NEVER);
+        live.min_by_key(|h| (h.done_at, h.token)).copied()
+    }
+
     /// A slot's completion flag (the word the MPE polls).
     pub fn flag(&self, slot: usize) -> &CompletionFlag {
         &self.flags[slot]
@@ -474,8 +482,11 @@ mod tests {
         assert!(g.any_busy());
         // Both run concurrently: the shorter one finishes first.
         assert!(h1.done_at < h0.done_at);
+        assert_eq!(g.next_completion(), Some(h1));
+        assert_eq!(g.next_completion(), g.inflight().first().copied());
         let done = g.try_complete(h1.done_at);
         assert_eq!(done, vec![h1.token]);
+        assert_eq!(g.next_completion(), Some(h0));
         assert_eq!(g.free_slot(), Some(h1.slot), "freed slot is reusable");
         let done = g.try_complete(h0.done_at);
         assert_eq!(done, vec![h0.token]);
@@ -525,6 +536,7 @@ mod tests {
             Some(&key),
         );
         assert_eq!(h.done_at, NEVER);
+        assert_eq!(g.next_completion(), None, "a dead kernel never completes");
         assert!(m.pop().is_none(), "no KernelDone for a dead kernel");
         assert!(g.try_complete(SimTime(u64::MAX - 1)).is_empty());
         assert!(!g.flag(h.slot).is_set());

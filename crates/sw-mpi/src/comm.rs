@@ -20,6 +20,32 @@
 //! Matching is MPI-ordered: posted receives match messages from a given
 //! `(source, tag)` in message-id (send-program) order.
 //!
+//! # Queues, not polling
+//!
+//! The *modeled* MPE tests its requests on every pass of its loop (§V-C
+//! step 3c); the *host* implementation does not re-walk them. All protocol
+//! state is per rank (`RankState`) and every unit of work is handed to
+//! the one rank that can perform it:
+//!
+//! * a wire delivery ([`MpiWorld::on_wire`]) pushes the message id onto the
+//!   **inbox** of the rank that must act on it — the destination for an
+//!   RTS, a payload or the members of a coalesced packet, the source for a
+//!   CTS. An arrival no posted receive claims yet simply stays there (MPI's
+//!   "unexpected" list), as does a lost payload waiting out its resend
+//!   timer;
+//! * [`MpiWorld::progress`] on a rank visits that inbox in ascending id
+//!   order and nothing else, so its cost follows arrivals, not the number
+//!   of requests in flight;
+//! * a completed receive is appended to the rank's **completion queue** and
+//!   a completed send bumps its completion count; [`MpiWorld::test`] — one
+//!   library entry — progresses, drains both and reports what the library
+//!   still holds for the rank, so a scheduler harvests in time proportional
+//!   to completions. [`MpiWorld::recv_done`]/[`MpiWorld::send_done`] remain
+//!   for callers that hold a handle and want to poll it;
+//! * message and receive records live in per-rank dense stores indexed by
+//!   sequence number (ids are `rank + n * seq`), so lookup and retirement
+//!   are O(1) and a finished record's slot is reclaimed at once.
+//!
 //! # Multi-endpoint mode, aggregation, and the progress lane
 //!
 //! [`CommConfig`] layers three orthogonal refinements on the base protocol
@@ -36,7 +62,10 @@
 //!   when the buffered bytes cross [`CommConfig::agg_bytes`] (at push) or
 //!   the oldest member ages past [`CommConfig::agg_deadline_ps`] (at the
 //!   next `progress` call). Members unpack at the receiver in push order;
-//!   matching is unchanged because per-source ids stay ascending.
+//!   matching is unchanged because per-source ids stay ascending. (Only
+//!   among staged messages: a rendezvous RTS does not wait for the buffer,
+//!   so it can overtake an eager message parked on the same `(src, dst,
+//!   tag)` channel. The runtime never reuses a tag within a step.)
 //! * **Crossover** — [`CommConfig::eager_crossover`] overrides the
 //!   machine's eager limit, moving the eager/rendezvous boundary per run.
 //!
@@ -45,7 +74,7 @@
 //! delivery time, relaxing the progression-requires-host rule as a modeled
 //! machine variant.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use sw_resilience::{fold, FaultPlan, FaultStats, MsgFault, MsgKey};
@@ -91,11 +120,6 @@ pub type EndpointId = u32;
 /// Domain-separation discriminant for the endpoint-routing hash (see
 /// [`CommConfig::route`]); mirrors the fault plane's `D_*` constants.
 const D_ENDPOINT: u64 = 0x4550_4f49_4e54; // "EPOINT"
-
-/// How often (in `progress` calls) completed-and-consumed receive handles
-/// are compacted away. Bounds the handle maps on long campaigns without
-/// paying a retain-scan on every poll.
-const COMPACT_CADENCE: u64 = 64;
 
 /// Communication-layer tuning knobs (multi-endpoint MPI, message
 /// aggregation, eager/rendezvous crossover, dedicated progress lane).
@@ -156,7 +180,8 @@ impl CommConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SendHandle(u64);
 
-/// Handle to a posted non-blocking receive.
+/// Handle to a posted non-blocking receive. Handles order by post order
+/// within a rank.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RecvHandle(u64);
 
@@ -178,8 +203,6 @@ enum MsgState {
     DataInFlight,
     /// Payload at the receiver, waiting for match + progress.
     DataArrived,
-    /// Received; payload handed to the application.
-    Consumed,
     /// Reliable mode: payload dropped by the fault plane; the sender's
     /// resend timer ([`Msg::deadline`]) is the only way forward.
     DataLost,
@@ -209,18 +232,25 @@ struct Msg {
     deadline: Option<SimTime>,
 }
 
+/// One slot of a rank's send store: a message, or a coalesced batch in
+/// flight (member ids in push order). Batch ids are minted from the same
+/// per-sender sequence as message ids, so they never collide.
+#[derive(Debug)]
+enum Sent {
+    Msg(Msg),
+    Batch(Vec<u64>),
+}
+
 #[derive(Debug)]
 struct RecvReq {
-    matched_msg: Option<u64>,
     complete: bool,
-    /// The application consumed the payload via `take_payload`; the handle
-    /// is dead weight and eligible for cadenced compaction.
-    taken: bool,
     payload: Option<Vec<f64>>,
 }
 
 /// One per-(destination, endpoint) aggregation staging buffer on a sender.
-#[derive(Debug)]
+/// An empty buffer stays in its rank's map: the key set is bounded by
+/// neighbours x endpoints.
+#[derive(Debug, Default)]
 struct StageBuf {
     /// Member message ids in push (send-program) order.
     members: Vec<u64>,
@@ -228,6 +258,124 @@ struct StageBuf {
     bytes: u64,
     /// When the buffer was opened (first push) — the deadline clock.
     opened_at: SimTime,
+}
+
+/// Dense store of the records one rank minted. Ids are `rank + n * seq`
+/// with `seq` counting up from zero, so the record of sequence number `seq`
+/// sits at `seq - base` of a deque: O(1) lookup, O(1) retirement (the slot
+/// empties, and emptied slots at the front pop), and a length that follows
+/// the span of live traffic rather than run history.
+#[derive(Debug)]
+struct Dense<T> {
+    base: u64,
+    slots: VecDeque<Option<T>>,
+}
+
+// Not derived: an empty store needs no `T: Default`.
+impl<T> Default for Dense<T> {
+    fn default() -> Self {
+        Dense {
+            base: 0,
+            slots: VecDeque::new(),
+        }
+    }
+}
+
+impl<T> Dense<T> {
+    /// The sequence number the next [`Dense::push`] returns — every smaller
+    /// one was minted, which makes this the O(1) record of all ids ever
+    /// handed out.
+    fn next_seq(&self) -> u64 {
+        self.base + self.slots.len() as u64
+    }
+
+    fn push(&mut self, v: T) -> u64 {
+        let seq = self.next_seq();
+        self.slots.push_back(Some(v));
+        seq
+    }
+
+    fn index(&self, seq: u64) -> Option<usize> {
+        usize::try_from(seq.checked_sub(self.base)?).ok()
+    }
+
+    fn get(&self, seq: u64) -> Option<&T> {
+        self.slots.get(self.index(seq)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
+        let i = self.index(seq)?;
+        self.slots.get_mut(i)?.as_mut()
+    }
+
+    /// Remove and return the record, reclaiming every emptied front slot.
+    fn free(&mut self, seq: u64) -> Option<T> {
+        let i = self.index(seq)?;
+        let v = self.slots.get_mut(i)?.take();
+        while matches!(self.slots.front(), Some(None)) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        v
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
+    }
+}
+
+/// Everything the library holds for one rank. Work is always queued on the
+/// rank that must perform it, so `progress` on a rank reads and writes its
+/// own state plus the records of the messages in its inbox.
+#[derive(Debug, Default)]
+struct RankState {
+    /// Messages (and coalesced batches) this rank sent.
+    sent: Dense<Sent>,
+    /// Receives this rank posted.
+    recvs: Dense<RecvReq>,
+    /// Messages in `sent` not yet retired: consumed by the receiver in a
+    /// clean run, acknowledged in reliable mode.
+    live_sends: usize,
+    /// Message ids this rank must look at on its next `progress`, in
+    /// arrival order: RTS and payload arrivals (this rank is the
+    /// destination), CTS arrivals and lost payloads awaiting their resend
+    /// deadline (this rank is the source). An entry stays until the rank
+    /// acts on it, so arrivals no posted receive matches yet — MPI's
+    /// unexpected list — wait here.
+    inbox: Vec<u64>,
+    /// Unmatched posted receives as `(src, tag, recv id)`; within one
+    /// `(src, tag)` ascending receive id is post order, i.e. MPI FIFO.
+    posted: BTreeSet<(Rank, Tag, u64)>,
+    /// Aggregation staging buffers by `(dst, endpoint)`; ascending key
+    /// order is the deadline-flush (NIC injection and trace) order.
+    stage: BTreeMap<(Rank, EndpointId), StageBuf>,
+    /// Messages parked across `stage`.
+    staged: usize,
+    /// Completed receives not yet drained by [`MpiWorld::test`], in
+    /// completion order.
+    recv_cq: VecDeque<u64>,
+    /// Sends completed since the last [`MpiWorld::test`].
+    sends_completed: usize,
+}
+
+/// What one [`MpiWorld::test`] entry did, and what the library still holds
+/// for the rank afterwards — the facts a scheduler gates its next entry,
+/// its end of step and its wakeup timer on.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tested {
+    /// Protocol actions taken (see [`MpiWorld::progress`]).
+    pub actions: usize,
+    /// Sends whose buffer was released since the previous entry (eager and
+    /// staged sends complete at post and are reported by the next entry).
+    pub sends_completed: usize,
+    /// [`MpiWorld::unacked`] after the call.
+    pub unacked: usize,
+    /// [`MpiWorld::staged`] after the call.
+    pub staged: usize,
+    /// [`MpiWorld::next_deadline`] after the call.
+    pub next_deadline: Option<SimTime>,
+    /// [`MpiWorld::next_flush_at`] after the call.
+    pub next_flush_at: Option<SimTime>,
 }
 
 /// The simulated communicator.
@@ -254,25 +402,12 @@ struct StageBuf {
 /// ```
 #[derive(Debug)]
 pub struct MpiWorld {
-    n: usize,
-    msgs: BTreeMap<u64, Msg>,
-    recvs: BTreeMap<u64, RecvReq>,
-    /// Per-rank index of in-flight message ids the rank may need to act on
-    /// (as sender or receiver); keeps `progress` proportional to live
-    /// traffic rather than run history.
-    active: Vec<std::collections::BTreeSet<u64>>,
-    /// Unmatched posted receives, FIFO per (dst, src, tag).
-    posted: BTreeMap<(Rank, Rank, Tag), std::collections::VecDeque<u64>>,
-    /// Per-source message-id sequence counters. Ids are drawn from
-    /// per-rank namespaces (`id = src + n * seq`) so that concurrently
+    /// Per-rank protocol state. Message and receive ids are drawn from
+    /// per-rank namespaces (`id = rank + n * seq`) so that concurrently
     /// advancing shards mint identical ids regardless of interleaving —
     /// the PDES bit-identity guarantee depends on it. Within one source
     /// the ids stay ascending in send-program order (MPI FIFO).
-    next_msg: Vec<u64>,
-    /// Per-destination receive-id sequence counters (`id = rank + n * seq`).
-    next_recv: Vec<u64>,
-    /// Wire-level statistics.
-    pub sends_posted: u64,
+    ranks: Vec<RankState>,
     /// Completed receives.
     pub recvs_completed: u64,
     /// Telemetry sink for protocol events (disabled by default).
@@ -283,17 +418,6 @@ pub struct MpiWorld {
     faults: Option<Arc<FaultPlan>>,
     /// Communication-layer knobs (endpoints, aggregation, crossover).
     comm: CommConfig,
-    /// Aggregation staging buffers, keyed `(src, dst, endpoint)`. Only the
-    /// source rank's calls touch its own buffers, so concurrent shards'
-    /// calls commute (see [`SharedMpi`]).
-    stage: BTreeMap<(Rank, Rank, EndpointId), StageBuf>,
-    /// Coalesced batches in flight: batch id → member ids in push order.
-    /// Batch ids are minted from the sender's message-id namespace, so
-    /// they never collide with plain message ids.
-    batches: BTreeMap<u64, Vec<u64>>,
-    /// Progress calls since the last cadenced compaction (satellite of the
-    /// unbounded-handle-map fix: compaction must not wait for quiescence).
-    calls_since_compact: u64,
 }
 
 /// Decode a wire token into (message id, phase).
@@ -323,21 +447,11 @@ impl MpiWorld {
     pub fn new(n: usize) -> Self {
         assert!(n >= 1);
         MpiWorld {
-            n,
-            msgs: BTreeMap::new(),
-            recvs: BTreeMap::new(),
-            active: vec![std::collections::BTreeSet::new(); n],
-            posted: BTreeMap::new(),
-            next_msg: vec![0; n],
-            next_recv: vec![0; n],
-            sends_posted: 0,
+            ranks: (0..n).map(|_| RankState::default()).collect(),
             recvs_completed: 0,
             rec: Recorder::off(),
             faults: None,
             comm: CommConfig::default(),
-            stage: BTreeMap::new(),
-            batches: BTreeMap::new(),
-            calls_since_compact: 0,
         }
     }
 
@@ -384,14 +498,43 @@ impl MpiWorld {
         self.comm = comm;
     }
 
-    /// The installed communication-layer knobs.
-    pub fn comm(&self) -> CommConfig {
-        self.comm
+    /// Split an id into the rank that minted it and its sequence number.
+    fn split(&self, id: u64) -> (Rank, u64) {
+        let n = self.ranks.len() as u64;
+        ((id % n) as Rank, id / n)
     }
 
-    /// Communicator size.
-    pub fn size(&self) -> usize {
-        self.n
+    fn msg(&self, id: u64) -> Option<&Msg> {
+        let (src, seq) = self.split(id);
+        match self.ranks[src].sent.get(seq)? {
+            Sent::Msg(m) => Some(m),
+            Sent::Batch(_) => None,
+        }
+    }
+
+    fn msg_mut(&mut self, id: u64) -> Option<&mut Msg> {
+        let (src, seq) = self.split(id);
+        match self.ranks[src].sent.get_mut(seq)? {
+            Sent::Msg(m) => Some(m),
+            Sent::Batch(_) => None,
+        }
+    }
+
+    /// A message the protocol itself holds a reference to (a staged member,
+    /// an inbox entry being acted on): its record cannot have retired.
+    fn live_msg(&mut self, id: u64) -> &mut Msg {
+        self.msg_mut(id).expect("live message lost its record")
+    }
+
+    /// Mint the next id of `src`'s send namespace for the record `slot`.
+    fn mint(&mut self, src: Rank, slot: Sent) -> u64 {
+        let id = src as u64 + self.ranks.len() as u64 * self.ranks[src].sent.next_seq();
+        assert!(
+            id <= MAX_MSG_ID,
+            "message id space exhausted: wire tokens would alias"
+        );
+        self.ranks[src].sent.push(slot);
+        id
     }
 
     /// Post a non-blocking send of `bytes` (optionally carrying a functional
@@ -408,19 +551,13 @@ impl MpiWorld {
         payload: Option<Vec<f64>>,
         when: SimTime,
     ) -> SendHandle {
-        assert!(src < self.n && dst < self.n, "rank out of range");
+        let n = self.ranks.len();
+        assert!(src < n && dst < n, "rank out of range");
         assert_ne!(src, dst, "self-sends go through the data warehouse");
         assert!(
             tag < APP_TAG_LIMIT,
             "tag {tag:#x} lies in the reserved control-plane namespace (>= {APP_TAG_LIMIT:#x})"
         );
-        let id = src as u64 + self.n as u64 * self.next_msg[src];
-        assert!(
-            id <= MAX_MSG_ID,
-            "message id space exhausted: wire tokens would alias"
-        );
-        self.next_msg[src] += 1;
-        self.sends_posted += 1;
         // Eager/rendezvous crossover: an explicit comm-layer threshold
         // overrides the machine's default eager limit.
         let eager_limit = self
@@ -429,6 +566,39 @@ impl MpiWorld {
             .unwrap_or(machine.cfg().eager_limit_bytes as u64);
         let eager = bytes <= eager_limit;
         let endpoint = self.comm.route(src, dst, tag);
+        let aggregate = eager && self.comm.aggregation();
+        // Aggregation: the payload parks in a staging buffer. Eager: it
+        // leaves immediately (possibly through the fault plane). Either
+        // way the library buffers it, so the send request is complete at
+        // post. Rendezvous: only the RTS leaves.
+        let state = if aggregate {
+            MsgState::Staged
+        } else if eager {
+            MsgState::DataInFlight
+        } else {
+            MsgState::RtsInFlight
+        };
+        let id = self.mint(
+            src,
+            Sent::Msg(Msg {
+                src,
+                dst,
+                tag,
+                bytes,
+                payload,
+                state,
+                eager,
+                endpoint,
+                matched_recv: None,
+                send_complete: eager,
+                attempt: 0,
+                deadline: None,
+            }),
+        );
+        self.ranks[src].live_sends += 1;
+        if eager {
+            self.ranks[src].sends_completed += 1;
+        }
         self.rec.record(
             src,
             when.0,
@@ -445,16 +615,12 @@ impl MpiWorld {
             m.messages_posted.inc();
             m.msg_bytes.record(bytes);
         }
-        let aggregate = eager && self.comm.aggregation();
-        let (state, send_complete) = if aggregate {
-            // Aggregation: the payload parks in a staging buffer; the
-            // library buffers it, so the send request is complete.
-            (MsgState::Staged, true)
+        if aggregate {
+            self.stage_push(machine, id, when);
         } else if eager {
-            // Eager: payload leaves immediately (possibly through the fault
-            // plane); the library buffers it, so the send request is
-            // complete as soon as it is injected.
-            (MsgState::DataInFlight, true)
+            if self.inject_data(machine, id, when, false) {
+                self.ranks[src].inbox.push(id);
+            }
         } else {
             machine.net_send_ep(src, dst, CTRL_BYTES, when, encode(id, PH_RTS), endpoint);
             self.rec.record(
@@ -463,31 +629,6 @@ impl MpiWorld {
                 Lane::Mpe,
                 Event::RtsSent { msg: id, peer: dst },
             );
-            (MsgState::RtsInFlight, false)
-        };
-        self.msgs.insert(
-            id,
-            Msg {
-                src,
-                dst,
-                tag,
-                bytes,
-                payload,
-                state,
-                eager,
-                endpoint,
-                matched_recv: None,
-                send_complete,
-                attempt: 0,
-                deadline: None,
-            },
-        );
-        self.active[src].insert(id);
-        self.active[dst].insert(id);
-        if aggregate {
-            self.stage_push(machine, id, when);
-        } else if eager {
-            self.inject_data(machine, id, when, false);
         }
         SendHandle(id)
     }
@@ -496,20 +637,18 @@ impl MpiWorld {
     /// flushing immediately if the byte threshold is crossed.
     fn stage_push(&mut self, machine: &mut MachineCtx<'_>, id: u64, when: SimTime) {
         let (src, dst, ep, bytes) = {
-            let m = &self.msgs[&id];
+            let m = self.live_msg(id);
             (m.src, m.dst, m.endpoint, m.bytes)
         };
-        let buf = self
-            .stage
-            .entry((src, dst, ep))
-            .or_insert_with(|| StageBuf {
-                members: Vec::new(),
-                bytes: 0,
-                opened_at: when,
-            });
+        let st = &mut self.ranks[src];
+        let buf = st.stage.entry((dst, ep)).or_default();
+        if buf.members.is_empty() {
+            buf.opened_at = when;
+        }
         buf.members.push(id);
         buf.bytes += bytes;
-        let full = buf.bytes >= self.comm.agg_bytes;
+        st.staged += 1;
+        let full = (buf.bytes >= self.comm.agg_bytes).then(|| std::mem::take(buf));
         self.rec.record(
             src,
             when.0,
@@ -521,36 +660,34 @@ impl MpiWorld {
                 bytes,
             },
         );
-        if full {
-            self.flush_stage(machine, (src, dst, ep), when, "bytes");
+        if let Some(buf) = full {
+            self.flush(machine, src, dst, ep, buf, when, "bytes");
         }
     }
 
-    /// Flush one staging buffer as a single coalesced wire packet. The
-    /// batch id is minted from the sender's message-id namespace (only the
-    /// sender's calls mint here, preserving the commuting-calls property).
-    fn flush_stage(
+    /// Send the contents of one staging buffer as a single coalesced wire
+    /// packet. The batch id is minted from the sender's message-id
+    /// namespace (only the sender's calls mint here, preserving the
+    /// commuting-calls property).
+    #[allow(clippy::too_many_arguments)]
+    fn flush(
         &mut self,
         machine: &mut MachineCtx<'_>,
-        key: (Rank, Rank, EndpointId),
+        src: Rank,
+        dst: Rank,
+        ep: EndpointId,
+        buf: StageBuf,
         when: SimTime,
         reason: &'static str,
     ) {
-        let Some(buf) = self.stage.remove(&key) else {
-            return;
-        };
-        let (src, dst, ep) = key;
-        let batch = src as u64 + self.n as u64 * self.next_msg[src];
-        assert!(
-            batch <= MAX_MSG_ID,
-            "message id space exhausted: wire tokens would alias"
-        );
-        self.next_msg[src] += 1;
         for &id in &buf.members {
-            let m = self.msgs.get_mut(&id).unwrap();
+            let m = self.live_msg(id);
             debug_assert_eq!(m.state, MsgState::Staged);
             m.state = MsgState::DataInFlight;
         }
+        let msgs = buf.members.len();
+        self.ranks[src].staged -= msgs;
+        let batch = self.mint(src, Sent::Batch(buf.members));
         // The coalesced packet occupies at least a control packet — the
         // same floor as a lone eager payload, so the static lookahead
         // proof's per-channel minimum still holds.
@@ -564,132 +701,102 @@ impl MpiWorld {
                 batch,
                 peer: dst,
                 endpoint: ep,
-                msgs: buf.members.len() as u64,
+                msgs: msgs as u64,
                 bytes: buf.bytes,
                 reason,
             },
         );
-        self.batches.insert(batch, buf.members);
     }
 
     /// Messages currently parked in `rank`'s staging buffers. The
     /// scheduler must not end a step while this is non-zero.
     pub fn staged(&self, rank: Rank) -> usize {
-        self.stage
-            .iter()
-            .filter(|((src, _, _), _)| *src == rank)
-            .map(|(_, b)| b.members.len())
-            .sum()
+        self.ranks[rank].staged
     }
 
     /// The earliest deadline flush among `rank`'s staging buffers — the
     /// scheduler arranges an MPE wakeup for it so the flush path runs even
     /// when no other event would wake the rank.
     pub fn next_flush_at(&self, rank: Rank) -> Option<SimTime> {
-        self.stage
-            .iter()
-            .filter(|((src, _, _), _)| *src == rank)
-            .map(|(_, b)| b.opened_at + SimDur(self.comm.agg_deadline_ps))
+        let st = &self.ranks[rank];
+        if st.staged == 0 {
+            return None;
+        }
+        st.stage
+            .values()
+            .filter(|b| !b.members.is_empty())
+            .map(|b| b.opened_at + SimDur(self.comm.agg_deadline_ps))
             .min()
     }
 
     /// Put a message's payload on the wire (eager post, rendezvous grant,
     /// or resend), consulting the fault plan for this transmission attempt.
     /// With `forced` the fault consult is bypassed — the last-resort
-    /// delivery after the retry budget is exhausted.
-    fn inject_data(&mut self, machine: &mut MachineCtx<'_>, id: u64, when: SimTime, forced: bool) {
+    /// delivery after the retry budget is exhausted. Returns whether the
+    /// fault plane dropped the payload: the caller then keeps the message
+    /// in the sender's inbox, where its resend deadline is watched.
+    fn inject_data(
+        &mut self,
+        machine: &mut MachineCtx<'_>,
+        id: u64,
+        when: SimTime,
+        forced: bool,
+    ) -> bool {
         let (src, dst, bytes, tag, eager, attempt, ep) = {
-            let m = &self.msgs[&id];
+            let m = self.live_msg(id);
             (m.src, m.dst, m.bytes, m.tag, m.eager, m.attempt, m.endpoint)
         };
         // Eager messages occupy at least a control packet on the wire.
         let wire_bytes = if eager { bytes.max(CTRL_BYTES) } else { bytes };
-        let fault = if forced {
-            None
-        } else {
-            self.faults.as_ref().and_then(|p| {
-                p.msg_fault(&MsgKey {
-                    src: src as u32,
-                    dst: dst as u32,
-                    tag,
-                    attempt,
-                })
-            })
+        let token = encode(id, PH_DATA);
+        let fault = self.faults.clone().filter(|_| !forced).and_then(|plan| {
+            let key = MsgKey {
+                src: src as u32,
+                dst: dst as u32,
+                tag,
+                attempt,
+            };
+            plan.msg_fault(&key).map(|fault| (plan, fault))
+        });
+        let m = self.live_msg(id);
+        m.state = MsgState::DataInFlight;
+        m.deadline = None;
+        let Some((plan, fault)) = fault else {
+            machine.net_send_ep(src, dst, wire_bytes, when, token, ep);
+            return false;
         };
-        let m = self.msgs.get_mut(&id).unwrap();
-        match fault {
-            Some(MsgFault::Drop) => {
+        let (stat, kind) = match fault {
+            MsgFault::Drop => {
                 // Nothing reaches the wire. Arm the sender's resend timer.
-                let plan = self.faults.as_ref().unwrap();
                 m.state = MsgState::DataLost;
                 m.deadline = Some(when + SimDur(plan.msg_timeout_ps()));
-                FaultStats::bump(&plan.stats.injected_msg_drop);
-                self.rec.record(
-                    src,
-                    when.0,
-                    Lane::Mpe,
-                    Event::FaultInjected {
-                        kind: "msg_drop",
-                        id,
-                    },
-                );
+                (&plan.stats.injected_msg_drop, "msg_drop")
             }
-            Some(MsgFault::Duplicate) => {
-                m.state = MsgState::DataInFlight;
-                m.deadline = None;
-                machine.net_send_ep(src, dst, wire_bytes, when, encode(id, PH_DATA), ep);
-                machine.net_send_ep(src, dst, wire_bytes, when, encode(id, PH_DATA), ep);
-                let plan = self.faults.as_ref().unwrap();
-                FaultStats::bump(&plan.stats.injected_msg_dup);
-                self.rec.record(
-                    src,
-                    when.0,
-                    Lane::Mpe,
-                    Event::FaultInjected {
-                        kind: "msg_dup",
-                        id,
-                    },
-                );
+            MsgFault::Duplicate => {
+                machine.net_send_ep(src, dst, wire_bytes, when, token, ep);
+                machine.net_send_ep(src, dst, wire_bytes, when, token, ep);
+                (&plan.stats.injected_msg_dup, "msg_dup")
             }
-            Some(MsgFault::Delay { extra_ps }) => {
-                m.state = MsgState::DataInFlight;
-                m.deadline = None;
-                machine.net_send_ep(
-                    src,
-                    dst,
-                    wire_bytes,
-                    when + SimDur(extra_ps),
-                    encode(id, PH_DATA),
-                    ep,
-                );
-                let plan = self.faults.as_ref().unwrap();
-                FaultStats::bump(&plan.stats.injected_msg_delay);
-                self.rec.record(
-                    src,
-                    when.0,
-                    Lane::Mpe,
-                    Event::FaultInjected {
-                        kind: "msg_delay",
-                        id,
-                    },
-                );
+            MsgFault::Delay { extra_ps } => {
+                let late = when + SimDur(extra_ps);
+                machine.net_send_ep(src, dst, wire_bytes, late, token, ep);
+                (&plan.stats.injected_msg_delay, "msg_delay")
             }
-            None => {
-                m.state = MsgState::DataInFlight;
-                m.deadline = None;
-                machine.net_send_ep(src, dst, wire_bytes, when, encode(id, PH_DATA), ep);
-            }
-        }
+        };
+        FaultStats::bump(stat);
+        self.rec
+            .record(src, when.0, Lane::Mpe, Event::FaultInjected { kind, id });
+        fault == MsgFault::Drop
     }
 
-    /// Retire a message entirely (reliable mode: its ack landed, or a
-    /// clean run consumed it). Late wire deliveries for it are suppressed
-    /// via the minted-id watermark ([`MpiWorld::was_minted`]) — no
-    /// retired-id set to grow without bound on long campaigns.
+    /// Retire a message entirely (reliable mode: its ack landed; clean
+    /// run: the receiver consumed it). Late wire deliveries for it are
+    /// suppressed via the minted-id watermark ([`MpiWorld::was_minted`]) —
+    /// no retired-id set to grow without bound on long campaigns.
     fn retire_msg(&mut self, id: u64) {
-        if let Some(m) = self.msgs.remove(&id) {
-            self.active[m.src].remove(&id);
-            self.active[m.dst].remove(&id);
+        let (src, seq) = self.split(id);
+        if self.ranks[src].sent.free(seq).is_some() {
+            self.ranks[src].live_sends -= 1;
         }
     }
 
@@ -698,105 +805,105 @@ impl MpiWorld {
     /// complete O(1) record of every id handed out — an unknown-but-minted
     /// id on the wire can only be a late duplicate of a retired message.
     fn was_minted(&self, id: u64) -> bool {
-        let src = (id % self.n as u64) as usize;
-        id / (self.n as u64) < self.next_msg[src]
+        let (src, seq) = self.split(id);
+        seq < self.ranks[src].sent.next_seq()
     }
 
     /// Post a non-blocking receive for a message from `src` with `tag`.
     pub fn irecv(&mut self, rank: Rank, src: Rank, tag: Tag) -> RecvHandle {
-        assert!(rank < self.n && src < self.n, "rank out of range");
+        let n = self.ranks.len();
+        assert!(rank < n && src < n, "rank out of range");
         assert!(
             tag < APP_TAG_LIMIT,
             "tag {tag:#x} lies in the reserved control-plane namespace (>= {APP_TAG_LIMIT:#x})"
         );
-        let id = rank as u64 + self.n as u64 * self.next_recv[rank];
-        self.next_recv[rank] += 1;
-        self.recvs.insert(
-            id,
-            RecvReq {
-                matched_msg: None,
-                complete: false,
-                taken: false,
-                payload: None,
-            },
-        );
-        self.posted
-            .entry((rank, src, tag))
-            .or_default()
-            .push_back(id);
+        let st = &mut self.ranks[rank];
+        let seq = st.recvs.push(RecvReq {
+            complete: false,
+            payload: None,
+        });
+        let id = rank as u64 + n as u64 * seq;
+        st.posted.insert((src, tag, id));
         RecvHandle(id)
     }
 
     /// Record a wire delivery (called by the controller when a
     /// `MachineEvent::NetDeliver` with this token pops). The delivery is not
-    /// yet *visible* to either rank — visibility requires `progress`.
+    /// yet *visible* to either rank — visibility requires `progress` — but
+    /// it is queued on the inbox of the rank that must act on it: the rank
+    /// the packet was addressed to, i.e. the one whose shard popped the
+    /// event.
     pub fn on_wire(&mut self, token: u64) {
         let (id, phase) = decode(token);
-        if phase == PH_DATA {
-            if let Some(members) = self.batches.remove(&id) {
-                // A coalesced packet landed: every member becomes visible
-                // in push order (ascending id per source, so FIFO matching
-                // order is exactly the senders' program order).
-                for m in members {
-                    let msg = self.msgs.get_mut(&m).expect("batch member vanished");
-                    debug_assert_eq!(msg.state, MsgState::DataInFlight);
-                    msg.state = MsgState::DataArrived;
-                }
-                return;
-            }
-        }
-        if self.faults.is_some() {
-            // Reliable mode: duplicates, late copies, and acks are part of
-            // the protocol rather than errors.
-            if !self.msgs.contains_key(&id) {
-                assert!(self.was_minted(id), "wire token for unknown message {id}");
-                // A late duplicate (or redundant resend) of a message whose
-                // ack already landed: suppressed exactly like a live dup.
-                if phase == PH_DATA {
-                    let plan = self.faults.as_ref().unwrap();
-                    FaultStats::bump(&plan.stats.duplicates_suppressed);
-                }
-                return;
-            }
-            let state = self.msgs[&id].state;
-            match (phase, state) {
-                (PH_RTS, MsgState::RtsInFlight) => {
-                    self.msgs.get_mut(&id).unwrap().state = MsgState::RtsArrived;
-                }
-                (PH_CTS, MsgState::CtsInFlight) => {
-                    self.msgs.get_mut(&id).unwrap().state = MsgState::CtsArrived;
-                }
-                (PH_DATA, MsgState::DataInFlight | MsgState::DataLost) => {
-                    // DataLost → DataArrived covers a stale copy landing
-                    // after the sender already declared the attempt lost:
-                    // delivery is delivery.
-                    self.msgs.get_mut(&id).unwrap().state = MsgState::DataArrived;
-                }
-                (PH_DATA, MsgState::DataArrived | MsgState::AckWait) => {
-                    // Duplicate delivery: the payload is already here (or
-                    // even consumed). Suppress; the receive side must see
-                    // each message exactly once.
-                    let plan = self.faults.as_ref().unwrap();
-                    FaultStats::bump(&plan.stats.duplicates_suppressed);
-                }
-                (PH_ACK, MsgState::AckWait) => {
-                    // Ack landed at the sender's NIC: the message is done.
-                    self.retire_msg(id);
-                }
-                (p, s) => panic!("message {id}: phase {p} delivery in state {s:?}"),
+        let (src, seq) = self.split(id);
+        if phase == PH_DATA && matches!(self.ranks[src].sent.get(seq), Some(Sent::Batch(_))) {
+            // A coalesced packet landed: every member becomes visible in
+            // push order (ascending id per source, so FIFO matching order
+            // is exactly the senders' program order).
+            let Some(Sent::Batch(members)) = self.ranks[src].sent.free(seq) else {
+                unreachable!("slot checked above");
+            };
+            for &m in &members {
+                let msg = self.live_msg(m);
+                debug_assert_eq!(msg.state, MsgState::DataInFlight);
+                msg.state = MsgState::DataArrived;
+                let dst = msg.dst;
+                self.ranks[dst].inbox.push(m);
             }
             return;
         }
-        let msg = self
-            .msgs
-            .get_mut(&id)
-            .expect("wire token for unknown message");
-        msg.state = match (phase, msg.state) {
-            (PH_RTS, MsgState::RtsInFlight) => MsgState::RtsArrived,
-            (PH_CTS, MsgState::CtsInFlight) => MsgState::CtsArrived,
-            (PH_DATA, MsgState::DataInFlight) => MsgState::DataArrived,
-            (p, s) => panic!("message {id}: phase {p} delivery in state {s:?}"),
+        let reliable = self.faults.is_some();
+        let Some(msg) = self.msg_mut(id) else {
+            // Reliable mode: a late duplicate (or redundant resend) of a
+            // message whose ack already landed is part of the protocol —
+            // suppressed exactly like a live duplicate.
+            assert!(
+                reliable && self.was_minted(id),
+                "wire token for unknown message {id}"
+            );
+            if phase == PH_DATA {
+                self.bump_suppressed();
+            }
+            return;
         };
+        let (src, dst) = (msg.src, msg.dst);
+        match (phase, msg.state) {
+            (PH_RTS, MsgState::RtsInFlight) => {
+                msg.state = MsgState::RtsArrived;
+                self.ranks[dst].inbox.push(id);
+            }
+            (PH_CTS, MsgState::CtsInFlight) => {
+                msg.state = MsgState::CtsArrived;
+                self.ranks[src].inbox.push(id);
+            }
+            (PH_DATA, MsgState::DataInFlight) => {
+                msg.state = MsgState::DataArrived;
+                self.ranks[dst].inbox.push(id);
+            }
+            (PH_DATA, MsgState::DataLost) if reliable => {
+                // A stale copy landing after the sender already declared
+                // the attempt lost: delivery is delivery. (The sender's
+                // inbox entry goes stale and is dropped on its next look.)
+                msg.state = MsgState::DataArrived;
+                self.ranks[dst].inbox.push(id);
+            }
+            (PH_DATA, MsgState::DataArrived | MsgState::AckWait) if reliable => {
+                // Duplicate delivery: the payload is already here (or even
+                // consumed). Suppress; the receive side must see each
+                // message exactly once.
+                self.bump_suppressed();
+            }
+            (PH_ACK, MsgState::AckWait) if reliable => {
+                // Ack landed at the sender's NIC: the message is done.
+                self.retire_msg(id);
+            }
+            (p, s) => panic!("message {id}: phase {p} delivery in state {s:?}"),
+        }
+    }
+
+    fn bump_suppressed(&self) {
+        let plan = self.faults.as_ref().expect("suppression without a plan");
+        FaultStats::bump(&plan.stats.duplicates_suppressed);
     }
 
     /// Drive the MPI library on `rank` at `now`: match arrived messages to
@@ -822,149 +929,36 @@ impl MpiWorld {
         let mut actions = 0;
         // Deadline-triggered aggregation flushes for this rank's staging
         // buffers: the byte threshold flushes at push, everything else
-        // ages out here.
-        if self.comm.aggregation() {
+        // ages out here, in ascending (dst, endpoint) order.
+        if self.ranks[rank].staged > 0 {
             let deadline = SimDur(self.comm.agg_deadline_ps);
-            let due: Vec<(Rank, Rank, EndpointId)> = self
-                .stage
-                .iter()
-                .filter(|((src, _, _), buf)| *src == rank && buf.opened_at + deadline <= now)
-                .map(|(&key, _)| key)
-                .collect();
-            for key in due {
-                self.flush_stage(machine, key, now, "deadline");
-                actions += 1;
-            }
-        }
-        // Deterministic iteration over this rank's live traffic only:
-        // ascending message id gives MPI-FIFO matching.
-        let ids: Vec<u64> = self.active[rank].iter().copied().collect();
-        for id in ids {
-            let (src, dst, tag, state, matched, eager, ep) = {
-                let m = &self.msgs[&id];
-                (
-                    m.src,
-                    m.dst,
-                    m.tag,
-                    m.state,
-                    m.matched_recv,
-                    m.eager,
-                    m.endpoint,
-                )
-            };
-            match state {
-                MsgState::RtsArrived if dst == rank => {
-                    // Match (or use an existing match) and grant the send.
-                    let recv = matched.or_else(|| self.match_recv(id, dst, src, tag));
-                    if let Some(r) = recv {
-                        self.msgs.get_mut(&id).unwrap().matched_recv = Some(r);
-                        machine.net_send_ep(dst, src, CTRL_BYTES, now, encode(id, PH_CTS), ep);
-                        self.msgs.get_mut(&id).unwrap().state = MsgState::CtsInFlight;
-                        self.rec
-                            .record(dst, now.0, lane, Event::CtsSent { msg: id, peer: src });
-                        actions += 1;
-                    }
-                }
-                MsgState::CtsArrived if src == rank => {
-                    // Rendezvous grant: payload through the fault plane.
-                    self.inject_data(machine, id, now, false);
-                    let m = self.msgs.get_mut(&id).unwrap();
-                    // Rendezvous send buffer is released once injected (a
-                    // dropped injection still buffers for resend).
-                    m.send_complete = true;
+            let mut stage = std::mem::take(&mut self.ranks[rank].stage);
+            for (&(dst, ep), buf) in &mut stage {
+                if !buf.members.is_empty() && buf.opened_at + deadline <= now {
+                    self.flush(machine, rank, dst, ep, std::mem::take(buf), now, "deadline");
                     actions += 1;
                 }
-                MsgState::DataLost if src == rank => {
-                    // Reliable mode: the sender's ack deadline expired —
-                    // detect and resend with exponential backoff, or force
-                    // delivery once the retry budget is spent.
-                    let deadline = self.msgs[&id].deadline.expect("lost msg without deadline");
-                    if now >= deadline {
-                        let plan = self.faults.as_ref().unwrap().clone();
-                        FaultStats::bump(&plan.stats.detected_msg);
-                        self.rec.record(
-                            src,
-                            now.0,
-                            lane,
-                            Event::FaultDetected {
-                                kind: "msg_timeout",
-                                id,
-                            },
-                        );
-                        let attempt = {
-                            let m = self.msgs.get_mut(&id).unwrap();
-                            m.attempt += 1;
-                            m.attempt
-                        };
-                        if attempt >= plan.max_attempts() {
-                            // Retry budget exhausted: the recoverable path
-                            // failed. Degrade gracefully — force the
-                            // payload through, bypassing the fault consult,
-                            // and account the fault as unrecovered.
-                            FaultStats::bump(&plan.stats.unrecovered);
-                            self.inject_data(machine, id, now, true);
-                        } else {
-                            FaultStats::bump(&plan.stats.resends_msg);
-                            let when = now + SimDur(plan.backoff_ps(attempt));
-                            self.inject_data(machine, id, when, false);
-                        }
-                        actions += 1;
-                    }
-                }
-                MsgState::DataArrived if dst == rank => {
-                    let recv = matched.or_else(|| self.match_recv(id, dst, src, tag));
-                    if let Some(r) = recv {
-                        let m = self.msgs.get_mut(&id).unwrap();
-                        m.matched_recv = Some(r);
-                        m.state = MsgState::Consumed;
-                        let payload = m.payload.take();
-                        let attempt = m.attempt;
-                        debug_assert!(eager || m.send_complete);
-                        let req = self.recvs.get_mut(&r).unwrap();
-                        req.complete = true;
-                        req.payload = payload;
-                        self.recvs_completed += 1;
-                        self.rec.record(
-                            dst,
-                            now.0,
-                            lane,
-                            Event::MsgDelivered {
-                                msg: id,
-                                peer: src,
-                                tag,
-                                bytes: self.msgs[&id].bytes,
-                            },
-                        );
-                        actions += 1;
-                        if let Some(plan) = self.faults.as_ref() {
-                            // Reliable mode: acknowledge; the message stays
-                            // live (suppressing duplicates) until the ack
-                            // lands at the sender.
-                            if attempt > 0 {
-                                FaultStats::bump(&plan.stats.recovered_msg);
-                                self.rec.record(
-                                    dst,
-                                    now.0,
-                                    lane,
-                                    Event::FaultRecovered {
-                                        kind: "msg_resend",
-                                        id,
-                                    },
-                                );
-                            }
-                            self.msgs.get_mut(&id).unwrap().state = MsgState::AckWait;
-                            machine.net_send_ep(dst, src, CTRL_BYTES, now, encode(id, PH_ACK), ep);
-                        } else {
-                            // Fully finished: retire from the live indexes
-                            // (the eager/rendezvous send side is complete
-                            // by now).
-                            self.retire_msg(id);
-                        }
-                    }
-                }
-                _ => {}
+            }
+            self.ranks[rank].stage = stage;
+        }
+        // The inbox holds every message this rank can act on. Ascending
+        // message id gives MPI-FIFO matching per source, and fixes the NIC
+        // injection and trace order of everything this call emits.
+        let mut inbox = std::mem::take(&mut self.ranks[rank].inbox);
+        inbox.sort_unstable();
+        let mut kept = 0;
+        for i in 0..inbox.len() {
+            let id = inbox[i];
+            let (acted, keep) = self.act_on(rank, id, machine, now, lane);
+            actions += usize::from(acted);
+            if keep {
+                inbox[kept] = id;
+                kept += 1;
             }
         }
+        inbox.truncate(kept);
+        debug_assert!(self.ranks[rank].inbox.is_empty());
+        self.ranks[rank].inbox = inbox;
         self.rec.record(
             rank,
             now.0,
@@ -976,68 +970,255 @@ impl MpiWorld {
         if let Some(m) = self.rec.metrics() {
             m.progress_calls.inc();
         }
-        // Cadenced compaction (bugfix: this used to run only at quiescence,
-        // so long campaigns grew the receive-handle map without bound).
-        // Compaction only drops handles whose payload was already consumed
-        // — observably a no-op for every caller — so the shared cadence
-        // counter does not break the commuting-calls property.
-        self.calls_since_compact += 1;
-        if self.calls_since_compact >= COMPACT_CADENCE {
-            self.calls_since_compact = 0;
-            self.compact();
-        }
         actions
     }
 
-    /// Pop the oldest unmatched posted receive on `rank` for `(src, tag)`.
-    fn match_recv(&mut self, msg: u64, rank: Rank, src: Rank, tag: Tag) -> Option<u64> {
-        let id = self.posted.get_mut(&(rank, src, tag))?.pop_front()?;
-        self.recvs.get_mut(&id).unwrap().matched_msg = Some(msg);
-        Some(id)
+    /// Let `rank` act on one inbox entry. Returns `(acted, keep)`: whether
+    /// a protocol action was taken, and whether the entry stays queued (an
+    /// arrival still unmatched, a lost payload still waiting for — or
+    /// re-armed with — a resend deadline).
+    fn act_on(
+        &mut self,
+        rank: Rank,
+        id: u64,
+        machine: &mut MachineCtx<'_>,
+        now: SimTime,
+        lane: Lane,
+    ) -> (bool, bool) {
+        let Some(m) = self.msg(id) else {
+            return (false, false);
+        };
+        let (src, dst, tag, ep) = (m.src, m.dst, m.tag, m.endpoint);
+        let (state, matched, deadline) = (m.state, m.matched_recv, m.deadline);
+        match state {
+            MsgState::RtsArrived if dst == rank => {
+                // Match (or use an existing match) and grant the send.
+                let Some(r) = matched.or_else(|| self.match_recv(dst, src, tag)) else {
+                    return (false, true);
+                };
+                let m = self.live_msg(id);
+                m.matched_recv = Some(r);
+                m.state = MsgState::CtsInFlight;
+                machine.net_send_ep(dst, src, CTRL_BYTES, now, encode(id, PH_CTS), ep);
+                self.rec
+                    .record(dst, now.0, lane, Event::CtsSent { msg: id, peer: src });
+                (true, false)
+            }
+            MsgState::CtsArrived if src == rank => {
+                // Rendezvous grant: payload through the fault plane. The
+                // send buffer is released once injected (a dropped
+                // injection still buffers for resend).
+                let lost = self.inject_data(machine, id, now, false);
+                self.live_msg(id).send_complete = true;
+                self.ranks[src].sends_completed += 1;
+                (true, lost)
+            }
+            MsgState::DataLost if src == rank => {
+                // Reliable mode: once the sender's ack deadline expires,
+                // detect and resend with exponential backoff, or force
+                // delivery once the retry budget is spent.
+                if now < deadline.expect("lost msg without deadline") {
+                    return (false, true);
+                }
+                let plan = Arc::clone(self.faults.as_ref().expect("lost msg without a plan"));
+                FaultStats::bump(&plan.stats.detected_msg);
+                self.rec.record(
+                    src,
+                    now.0,
+                    lane,
+                    Event::FaultDetected {
+                        kind: "msg_timeout",
+                        id,
+                    },
+                );
+                let m = self.live_msg(id);
+                m.attempt += 1;
+                let attempt = m.attempt;
+                let lost = if attempt >= plan.max_attempts() {
+                    // Retry budget exhausted: the recoverable path failed.
+                    // Degrade gracefully — force the payload through,
+                    // bypassing the fault consult, and account the fault
+                    // as unrecovered.
+                    FaultStats::bump(&plan.stats.unrecovered);
+                    self.inject_data(machine, id, now, true)
+                } else {
+                    FaultStats::bump(&plan.stats.resends_msg);
+                    let when = now + SimDur(plan.backoff_ps(attempt));
+                    self.inject_data(machine, id, when, false)
+                };
+                (true, lost)
+            }
+            MsgState::DataArrived if dst == rank => {
+                let Some(r) = matched.or_else(|| self.match_recv(dst, src, tag)) else {
+                    return (false, true);
+                };
+                let m = self.live_msg(id);
+                debug_assert!(m.eager || m.send_complete);
+                m.matched_recv = Some(r);
+                let (payload, bytes, attempt) = (m.payload.take(), m.bytes, m.attempt);
+                let n = self.ranks.len() as u64;
+                let st = &mut self.ranks[dst];
+                let req = st.recvs.get_mut(r / n).expect("matched receive vanished");
+                req.complete = true;
+                req.payload = payload;
+                st.recv_cq.push_back(r);
+                self.recvs_completed += 1;
+                self.rec.record(
+                    dst,
+                    now.0,
+                    lane,
+                    Event::MsgDelivered {
+                        msg: id,
+                        peer: src,
+                        tag,
+                        bytes,
+                    },
+                );
+                if let Some(plan) = self.faults.as_ref() {
+                    // Reliable mode: acknowledge; the message stays live
+                    // (suppressing duplicates) until the ack lands at the
+                    // sender.
+                    if attempt > 0 {
+                        FaultStats::bump(&plan.stats.recovered_msg);
+                        self.rec.record(
+                            dst,
+                            now.0,
+                            lane,
+                            Event::FaultRecovered {
+                                kind: "msg_resend",
+                                id,
+                            },
+                        );
+                    }
+                    self.live_msg(id).state = MsgState::AckWait;
+                    machine.net_send_ep(dst, src, CTRL_BYTES, now, encode(id, PH_ACK), ep);
+                } else {
+                    // Fully finished (the eager/rendezvous send side is
+                    // complete by now): reclaim the record.
+                    self.retire_msg(id);
+                }
+                (true, false)
+            }
+            // A stale entry: the message moved on without this rank (a
+            // lost payload whose late copy arrived after all).
+            _ => (false, false),
+        }
+    }
+
+    /// Claim the oldest unmatched posted receive on `rank` for `(src, tag)`.
+    fn match_recv(&mut self, rank: Rank, src: Rank, tag: Tag) -> Option<u64> {
+        let posted = &mut self.ranks[rank].posted;
+        let &key = posted.range((src, tag, 0)..=(src, tag, u64::MAX)).next()?;
+        posted.remove(&key);
+        Some(key.2)
+    }
+
+    /// One entry into the library on `rank` at `now` (the MPE's "test
+    /// posted sends and receives", §V-C step 3c): [`MpiWorld::progress`],
+    /// then every receive completed since the previous entry is appended to
+    /// `recvs` with its payload — in completion order; sort by handle for
+    /// post order — and released as by [`MpiWorld::retire_recv`]. The
+    /// caller accounts the MPE call cost.
+    pub fn test(
+        &mut self,
+        rank: Rank,
+        machine: &mut MachineCtx<'_>,
+        now: SimTime,
+        recvs: &mut Vec<(RecvHandle, Option<Vec<f64>>)>,
+    ) -> Tested {
+        let actions = self.progress(rank, machine, now);
+        let n = self.ranks.len() as u64;
+        let st = &mut self.ranks[rank];
+        while let Some(id) = st.recv_cq.pop_front() {
+            // A handle its owner already consumed by polling left a stale
+            // entry behind.
+            if let Some(req) = st.recvs.free(id / n) {
+                recvs.push((RecvHandle(id), req.payload));
+            }
+        }
+        Tested {
+            actions,
+            sends_completed: std::mem::take(&mut st.sends_completed),
+            unacked: st.live_sends,
+            staged: st.staged,
+            next_deadline: self.next_deadline(rank),
+            next_flush_at: self.next_flush_at(rank),
+        }
+    }
+
+    /// Whether `rank` must keep entering the library although every request
+    /// it holds has completed: the reliable layer's resend timers and the
+    /// aggregation deadline flush both live inside `progress`, so a rank
+    /// with un-acked sends under a fault plan, or with staged payloads,
+    /// still owes the library its host time.
+    pub fn owes_entry(&self, rank: Rank) -> bool {
+        let st = &self.ranks[rank];
+        st.staged > 0 || (self.faults.is_some() && st.live_sends > 0)
     }
 
     /// Has this send's buffer been handed to the network? (Observable only
     /// after a `progress` call on the sending rank, as in real MPI `Test`.)
     pub fn send_done(&self, h: SendHandle) -> bool {
-        self.msgs.get(&h.0).is_none_or(|m| m.send_complete)
+        self.msg(h.0).is_none_or(|m| m.send_complete)
     }
 
-    /// Has this receive completed? A handle that was already retired or
-    /// compacted away reports `true` — only completed-and-consumed
-    /// receives ever leave the map.
+    fn recv(&self, h: RecvHandle) -> Option<&RecvReq> {
+        let (rank, seq) = self.split(h.0);
+        self.ranks[rank].recvs.get(seq)
+    }
+
+    /// Has this receive completed? A handle that was already consumed
+    /// reports `true` — only completed receives ever leave the store.
     pub fn recv_done(&self, h: RecvHandle) -> bool {
-        self.recvs.get(&h.0).is_none_or(|r| r.complete)
+        self.recv(h).is_none_or(|r| r.complete)
     }
 
-    /// Take the functional payload of a completed receive.
+    /// Release a completed receive's record, and with it any completion-
+    /// queue entries at the front that polling made stale (so a caller who
+    /// only ever polls handles, in completion order, leaves nothing behind).
+    fn free_recv(&mut self, h: RecvHandle) -> Option<RecvReq> {
+        let (rank, seq) = self.split(h.0);
+        let n = self.ranks.len() as u64;
+        let st = &mut self.ranks[rank];
+        let req = st.recvs.free(seq);
+        while st
+            .recv_cq
+            .front()
+            .is_some_and(|&id| st.recvs.get(id / n).is_none())
+        {
+            st.recv_cq.pop_front();
+        }
+        req
+    }
+
+    /// Take the functional payload of a completed receive, releasing the
+    /// handle (a second take returns `None`).
     ///
     /// # Panics
-    /// Panics if the receive has not completed.
+    /// Panics if the receive has not completed, or was never posted.
     pub fn take_payload(&mut self, h: RecvHandle) -> Option<Vec<f64>> {
-        let r = self.recvs.get_mut(&h.0).expect("unknown recv");
-        assert!(r.complete, "take_payload before completion");
-        r.taken = true;
-        r.payload.take()
-    }
-
-    /// Whether every send in `sends` has completed (MPI `Testall` shape).
-    pub fn all_sends_done(&self, sends: &[SendHandle]) -> bool {
-        sends.iter().all(|&h| self.send_done(h))
+        match self.recv(h) {
+            Some(r) => assert!(r.complete, "take_payload before completion"),
+            None => {
+                let (rank, seq) = self.split(h.0);
+                assert!(seq < self.ranks[rank].recvs.next_seq(), "unknown recv");
+            }
+        }
+        self.free_recv(h)?.payload
     }
 
     /// Whether an unmatched message from `src` with `tag` is waiting at
     /// `rank` (MPI `Iprobe` shape): its payload has arrived (eager) or its
     /// RTS has (rendezvous), but no posted receive has claimed it.
     ///
-    /// Agreement contract with `take_payload`/`retire_recv` (bugfix): a
-    /// probe hit is a message an `irecv` + `progress` on this rank will
-    /// deliver, take, and retire — states a suppressed duplicate can reach
-    /// (`Consumed`, `AckWait`) are never reported, and the scan covers the
-    /// live index only, so a retired message can never probe positive off
-    /// stale bookkeeping.
+    /// Agreement contract with `take_payload`/`retire_recv`: a probe hit is
+    /// a message an `irecv` + `progress` on this rank will deliver, take,
+    /// and retire — the scan covers the rank's inbox only, which a claimed
+    /// or suppressed-duplicate arrival is never (re-)queued on, so a
+    /// retired message can never probe positive off stale bookkeeping.
     pub fn iprobe(&self, rank: Rank, src: Rank, tag: Tag) -> bool {
-        self.active[rank].iter().any(|id| {
-            self.msgs.get(id).is_some_and(|m| {
+        self.ranks[rank].inbox.iter().any(|&id| {
+            self.msg(id).is_some_and(|m| {
                 m.dst == rank
                     && m.src == src
                     && m.tag == tag
@@ -1047,67 +1228,47 @@ impl MpiWorld {
         })
     }
 
-    /// Messages still live (in flight or awaiting consumption) that involve
-    /// `rank` as sender or receiver.
-    pub fn outstanding(&self, rank: Rank) -> usize {
-        self.active[rank].len()
-    }
-
-    /// Reliable mode: sends from `rank` whose delivery has not yet been
-    /// acknowledged (including dropped payloads awaiting resend). A rank
-    /// must not end its step while this is non-zero, or a lost payload
-    /// could strand its receiver forever.
+    /// Sends from `rank` that are still live: not yet consumed by their
+    /// receiver or, in reliable mode, not yet acknowledged (including
+    /// dropped payloads awaiting resend). Under a fault plan a rank must
+    /// not end its step while this is non-zero, or a lost payload could
+    /// strand its receiver forever.
     pub fn unacked(&self, rank: Rank) -> usize {
-        self.active[rank]
-            .iter()
-            .filter(|id| {
-                self.msgs
-                    .get(id)
-                    .is_some_and(|m| m.src == rank && !matches!(m.state, MsgState::Consumed))
-            })
-            .count()
+        self.ranks[rank].live_sends
     }
 
     /// Reliable mode: the earliest resend deadline among `rank`'s lost
     /// payloads — the scheduler arranges an MPE wakeup timer for it so the
     /// detection path runs even when no other event would wake the rank.
     pub fn next_deadline(&self, rank: Rank) -> Option<SimTime> {
-        self.active[rank]
+        self.faults.as_ref()?;
+        self.ranks[rank]
+            .inbox
             .iter()
-            .filter_map(|id| {
-                let m = self.msgs.get(id)?;
-                if m.src == rank && m.state == MsgState::DataLost {
-                    m.deadline
-                } else {
-                    None
-                }
+            .filter_map(|&id| {
+                let m = self.msg(id)?;
+                (m.src == rank && m.state == MsgState::DataLost)
+                    .then_some(m.deadline)
+                    .flatten()
             })
             .min()
     }
 
     /// Free the bookkeeping of a completed receive (after the payload has
-    /// been consumed). Keeps long runs O(live traffic).
+    /// been consumed). A handle already released is a no-op.
     pub fn retire_recv(&mut self, h: RecvHandle) {
-        if let Some(r) = self.recvs.get(&h.0) {
+        if let Some(r) = self.recv(h) {
             assert!(r.complete, "retiring an incomplete receive");
-            self.recvs.remove(&h.0);
+            self.free_recv(h);
         }
     }
 
     /// True when no message is still in flight, staged, or awaiting
     /// consumption (quiescence check between timesteps). Fully finished
-    /// messages are retired eagerly, so this checks emptiness of the live
-    /// set (staged and batched members are live entries in it).
+    /// messages are retired at once, so this checks that no sender has a
+    /// live record (staged and batched members are live records).
     pub fn quiescent(&self) -> bool {
-        debug_assert!(!self.msgs.is_empty() || (self.stage.is_empty() && self.batches.is_empty()));
-        self.msgs.is_empty()
-    }
-
-    /// Sizes of the message- and receive-handle maps — the memory the
-    /// library holds per live (or not-yet-compacted) request. Campaign
-    /// tests pin these to stay bounded over long runs.
-    pub fn handle_map_sizes(&self) -> (usize, usize) {
-        (self.msgs.len(), self.recvs.len())
+        self.ranks.iter().all(|st| st.live_sends == 0)
     }
 
     /// Outstanding handles at the end of a run, by `(rank, tag)`: one entry
@@ -1117,20 +1278,29 @@ impl MpiWorld {
     /// controller surfaces in `RunReport` instead of letting it vanish
     /// silently.
     pub fn leaked(&self) -> Vec<(Rank, Tag)> {
-        let mut out: Vec<(Rank, Tag)> = self.msgs.values().map(|m| (m.src, m.tag)).collect();
-        for (&(rank, _src, tag), q) in &self.posted {
-            out.extend(q.iter().map(|_| (rank, tag)));
+        let mut out = Vec::new();
+        for (rank, st) in self.ranks.iter().enumerate() {
+            out.extend(st.sent.iter().filter_map(|s| match s {
+                Sent::Msg(m) => Some((m.src, m.tag)),
+                Sent::Batch(_) => None,
+            }));
+            out.extend(st.posted.iter().map(|&(_, tag, _)| (rank, tag)));
         }
         out.sort_unstable();
         out
     }
 
-    /// Drop completed receives whose payload was consumed (fully finished
-    /// messages are already retired eagerly by `progress`). Runs on a
-    /// bounded cadence from `progress` — merely-complete receives are kept
-    /// so `recv_done` pollers and pending `take_payload` calls stay valid.
+    /// Drop completion-queue entries whose receive was already consumed
+    /// through its handle. Message and receive records reclaim themselves
+    /// the moment they finish, and [`MpiWorld::test`] empties the queue, so
+    /// this is all a caller that polls handles out of completion order and
+    /// never calls `test` can leave behind.
     pub fn compact(&mut self) {
-        self.recvs.retain(|_, r| !(r.complete && r.taken));
+        let n = self.ranks.len() as u64;
+        for st in &mut self.ranks {
+            let RankState { recv_cq, recvs, .. } = st;
+            recv_cq.retain(|&id| recvs.get(id / n).is_some());
+        }
     }
 }
 
@@ -1147,14 +1317,31 @@ impl MpiWorld {
 /// * each message's state is only ever touched by one side per window (the
 ///   other side cannot observe the transition until the barrier merge
 ///   delivers the corresponding wire event);
+/// * work is queued on the rank that performs it, by that rank: `on_wire`
+///   runs on the shard that popped the `NetDeliver`, which is the rank the
+///   packet was addressed to and the rank whose inbox it pushes, and a
+///   lost payload is queued by its sender's own call. Inboxes, completion
+///   queues, posted-receive sets and staging buffers are therefore
+///   rank-local: only their owner's calls read or write them;
 /// * matching is FIFO per `(dst, src, tag)` and driven solely by the
 ///   destination rank;
-/// * the shared counters (`sends_posted`, `recvs_completed`, fault stats)
-///   are pure accumulators.
+/// * a receiver retiring a consumed message empties one slot of the
+///   *sender's* store and decrements its live count — neither moves the
+///   sender's next sequence number (front-popping keeps `base + len`), the
+///   sender reads the count only under a fault plan, where acks retire
+///   messages on the sender's own shard, and the emptied slot is
+///   unobservable (`send_done` already reported it complete);
+/// * the shared counters (`recvs_completed`, fault stats) are pure
+///   accumulators.
 ///
 /// Any interleaving of different ranks' calls therefore produces the same
 /// world state at the window barrier, which is what makes the PDES engine
 /// bit-identical to the serial one.
+///
+/// The wrappers are exactly the calls the scheduler (`isend`, `irecv`,
+/// `owes_entry`, `test`) and the controller (`on_wire`, `progress_on`,
+/// `quiescent`, `leaked`) make; configure the [`MpiWorld`] before wrapping
+/// it.
 pub struct SharedMpi {
     inner: std::sync::Mutex<MpiWorld>,
 }
@@ -1169,31 +1356,6 @@ impl SharedMpi {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, MpiWorld> {
         self.inner.lock().expect("MpiWorld mutex poisoned")
-    }
-
-    /// Thread a telemetry recorder through the protocol events.
-    pub fn set_recorder(&self, rec: Recorder) {
-        self.lock().set_recorder(rec);
-    }
-
-    /// Install a fault plan (see [`MpiWorld::set_fault_plan`]).
-    pub fn set_fault_plan(&self, plan: Arc<FaultPlan>) {
-        self.lock().set_fault_plan(plan);
-    }
-
-    /// Install communication-layer knobs (see [`MpiWorld::set_comm`]).
-    pub fn set_comm(&self, comm: CommConfig) {
-        self.lock().set_comm(comm);
-    }
-
-    /// The installed communication-layer knobs.
-    pub fn comm(&self) -> CommConfig {
-        self.lock().comm()
-    }
-
-    /// Communicator size.
-    pub fn size(&self) -> usize {
-        self.lock().size()
     }
 
     /// See [`MpiWorld::isend`].
@@ -1222,11 +1384,6 @@ impl SharedMpi {
         self.lock().on_wire(token);
     }
 
-    /// See [`MpiWorld::progress`].
-    pub fn progress(&self, rank: Rank, machine: &mut MachineCtx<'_>, now: SimTime) -> usize {
-        self.lock().progress(rank, machine, now)
-    }
-
     /// See [`MpiWorld::progress_on`].
     pub fn progress_on(
         &self,
@@ -1238,59 +1395,20 @@ impl SharedMpi {
         self.lock().progress_on(rank, machine, now, lane)
     }
 
-    /// See [`MpiWorld::staged`].
-    pub fn staged(&self, rank: Rank) -> usize {
-        self.lock().staged(rank)
+    /// See [`MpiWorld::owes_entry`].
+    pub fn owes_entry(&self, rank: Rank) -> bool {
+        self.lock().owes_entry(rank)
     }
 
-    /// See [`MpiWorld::next_flush_at`].
-    pub fn next_flush_at(&self, rank: Rank) -> Option<SimTime> {
-        self.lock().next_flush_at(rank)
-    }
-
-    /// See [`MpiWorld::send_done`].
-    pub fn send_done(&self, h: SendHandle) -> bool {
-        self.lock().send_done(h)
-    }
-
-    /// See [`MpiWorld::recv_done`].
-    pub fn recv_done(&self, h: RecvHandle) -> bool {
-        self.lock().recv_done(h)
-    }
-
-    /// See [`MpiWorld::take_payload`].
-    pub fn take_payload(&self, h: RecvHandle) -> Option<Vec<f64>> {
-        self.lock().take_payload(h)
-    }
-
-    /// See [`MpiWorld::all_sends_done`].
-    pub fn all_sends_done(&self, sends: &[SendHandle]) -> bool {
-        self.lock().all_sends_done(sends)
-    }
-
-    /// See [`MpiWorld::iprobe`].
-    pub fn iprobe(&self, rank: Rank, src: Rank, tag: Tag) -> bool {
-        self.lock().iprobe(rank, src, tag)
-    }
-
-    /// See [`MpiWorld::outstanding`].
-    pub fn outstanding(&self, rank: Rank) -> usize {
-        self.lock().outstanding(rank)
-    }
-
-    /// See [`MpiWorld::unacked`].
-    pub fn unacked(&self, rank: Rank) -> usize {
-        self.lock().unacked(rank)
-    }
-
-    /// See [`MpiWorld::next_deadline`].
-    pub fn next_deadline(&self, rank: Rank) -> Option<SimTime> {
-        self.lock().next_deadline(rank)
-    }
-
-    /// See [`MpiWorld::retire_recv`].
-    pub fn retire_recv(&self, h: RecvHandle) {
-        self.lock().retire_recv(h);
+    /// See [`MpiWorld::test`].
+    pub fn test(
+        &self,
+        rank: Rank,
+        machine: &mut MachineCtx<'_>,
+        now: SimTime,
+        recvs: &mut Vec<(RecvHandle, Option<Vec<f64>>)>,
+    ) -> Tested {
+        self.lock().test(rank, machine, now, recvs)
     }
 
     /// See [`MpiWorld::quiescent`].
@@ -1302,28 +1420,7 @@ impl SharedMpi {
     pub fn leaked(&self) -> Vec<(Rank, Tag)> {
         self.lock().leaked()
     }
-
-    /// See [`MpiWorld::compact`].
-    pub fn compact(&self) {
-        self.lock().compact();
-    }
-
-    /// See [`MpiWorld::handle_map_sizes`].
-    pub fn handle_map_sizes(&self) -> (usize, usize) {
-        self.lock().handle_map_sizes()
-    }
-
-    /// Wire-level statistic: sends posted so far.
-    pub fn sends_posted(&self) -> u64 {
-        self.lock().sends_posted
-    }
-
-    /// Wire-level statistic: receives completed so far.
-    pub fn recvs_completed(&self) -> u64 {
-        self.lock().recvs_completed
-    }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1464,8 +1561,19 @@ mod tests {
         assert!(w.quiescent());
     }
 
+    /// Slots the dense stores hold (live or not yet reclaimed) and
+    /// completion-queue entries, summed over ranks.
+    fn held(w: &MpiWorld) -> (usize, usize, usize) {
+        let sum = |f: fn(&RankState) -> usize| w.ranks.iter().map(f).sum();
+        (
+            sum(|st| st.sent.slots.len()),
+            sum(|st| st.recvs.slots.len()),
+            sum(|st| st.recv_cq.len()),
+        )
+    }
+
     #[test]
-    fn compact_drops_finished_traffic() {
+    fn finished_traffic_reclaims_itself() {
         let (mut m, mut w) = setup(2);
         w.isend(&mut m.ctx(0), 0, 1, 1, 8, None, SimTime::ZERO);
         let r = w.irecv(1, 0, 1);
@@ -1473,35 +1581,146 @@ mod tests {
         let t = m.now();
         w.progress(1, &mut m.ctx(1), t);
         assert!(w.recv_done(r));
-        // Completed but not yet consumed: compaction must keep the handle
-        // so a pending take_payload stays valid.
+        // Completed but not yet consumed: the handle (and its completion-
+        // queue entry) must survive so a pending take_payload stays valid.
         w.compact();
-        assert_eq!(w.recvs.len(), 1, "unconsumed receive survives compaction");
-        let _ = w.take_payload(r);
-        w.compact();
-        assert!(w.msgs.is_empty() && w.recvs.is_empty());
+        assert_eq!(held(&w), (0, 1, 1), "the consumed message is gone already");
+        assert_eq!(w.take_payload(r), None, "model-mode message: no payload");
+        assert_eq!(
+            held(&w),
+            (0, 0, 0),
+            "taking the payload released the handle"
+        );
         assert_eq!(w.recvs_completed, 1);
-        assert!(w.recv_done(r), "compacted handle still reports done");
+        assert!(w.recv_done(r), "a released handle still reports done");
+        assert_eq!(w.take_payload(r), None, "a second take finds nothing");
+        w.retire_recv(r);
     }
 
     #[test]
-    fn iprobe_and_outstanding_track_unmatched_arrivals() {
+    fn compact_drops_completions_consumed_out_of_order() {
+        let (mut m, mut w) = setup(2);
+        let handles: Vec<_> = (0..3u64)
+            .map(|tag| {
+                w.isend(&mut m.ctx(0), 0, 1, tag, 8, None, SimTime::ZERO);
+                w.irecv(1, 0, tag)
+            })
+            .collect();
+        drain(&mut m, &mut w);
+        let t = m.now();
+        assert_eq!(w.progress(1, &mut m.ctx(1), t), 3);
+        // Polled newest-first: the queue's front entry is still live, so
+        // the two stale ones behind it linger until compaction.
+        w.retire_recv(handles[2]);
+        w.retire_recv(handles[1]);
+        assert_eq!(
+            held(&w),
+            (0, 3, 3),
+            "the live front pins the span behind it"
+        );
+        w.compact();
+        assert_eq!(held(&w), (0, 3, 1));
+        // The surviving completion is still delivered by `test`.
+        let mut done = Vec::new();
+        let tested = w.test(1, &mut m.ctx(1), t, &mut done);
+        assert_eq!((tested.actions, tested.sends_completed), (0, 0));
+        assert_eq!(done, vec![(handles[0], None)]);
+        assert_eq!(held(&w), (0, 0, 0));
+    }
+
+    #[test]
+    fn iprobe_tracks_unmatched_arrivals() {
         let (mut m, mut w) = setup(2);
         let s = w.isend(&mut m.ctx(0), 0, 1, 5, 64, None, SimTime::ZERO);
-        assert_eq!(w.outstanding(0), 1);
-        assert_eq!(w.outstanding(1), 1);
+        assert_eq!(w.unacked(0), 1);
         assert!(!w.iprobe(1, 0, 5), "not arrived yet");
         drain(&mut m, &mut w);
         assert!(w.iprobe(1, 0, 5), "arrived, unmatched");
         assert!(!w.iprobe(1, 0, 6), "wrong tag");
         assert!(!w.iprobe(0, 1, 5), "wrong direction");
-        let r = w.irecv(1, 0, 5);
+        // Unmatched arrivals wait in the inbox across progress calls.
         let now = m.now();
+        assert_eq!(w.progress(1, &mut m.ctx(1), now), 0);
+        assert!(w.iprobe(1, 0, 5), "still unexpected");
+        let r = w.irecv(1, 0, 5);
         w.progress(1, &mut m.ctx(1), now);
         assert!(w.recv_done(r));
         assert!(!w.iprobe(1, 0, 5), "consumed");
-        assert_eq!(w.outstanding(0), 0);
-        assert!(w.all_sends_done(&[s]));
+        assert_eq!(w.unacked(0), 0);
+        assert!(w.send_done(s));
+    }
+
+    #[test]
+    fn arrivals_for_one_rank_never_make_another_act() {
+        // Rank 1 is the destination of an eager payload and of a
+        // rendezvous RTS; ranks 0 (their sender) and 2 (a bystander with
+        // its own posted receive) must see nothing to do.
+        let (mut m, mut w) = setup(3);
+        w.isend(&mut m.ctx(0), 0, 1, 1, 64, None, SimTime::ZERO);
+        w.isend(&mut m.ctx(0), 0, 1, 2, 1_000_000, None, SimTime::ZERO);
+        w.irecv(1, 0, 1);
+        w.irecv(1, 0, 2);
+        w.irecv(2, 0, 1);
+        drain(&mut m, &mut w);
+        let now = m.now();
+        for bystander in [0, 2] {
+            assert_eq!(w.progress(bystander, &mut m.ctx(bystander), now), 0);
+        }
+        assert_eq!(w.progress(1, &mut m.ctx(1), now), 2, "match + CTS");
+        // The CTS is rank 0's to act on, and only rank 0's.
+        drain(&mut m, &mut w);
+        let now = m.now();
+        for bystander in [1, 2] {
+            assert_eq!(w.progress(bystander, &mut m.ctx(bystander), now), 0);
+        }
+        assert_eq!(w.progress(0, &mut m.ctx(0), now), 1, "payload injected");
+    }
+
+    #[test]
+    fn test_drains_completions_and_reports_what_the_library_holds() {
+        let (mut m, mut w) = setup(2);
+        let mut done = Vec::new();
+        // Two eager sends complete at post and are reported by the
+        // sender's next entry; the rendezvous one only after its grant.
+        w.isend(&mut m.ctx(0), 0, 1, 1, 8, Some(vec![1.0]), SimTime::ZERO);
+        w.isend(&mut m.ctx(0), 0, 1, 2, 8, Some(vec![2.0]), SimTime::ZERO);
+        w.isend(&mut m.ctx(0), 0, 1, 3, 1_000_000, None, SimTime::ZERO);
+        let r2 = w.irecv(1, 0, 2);
+        let r1 = w.irecv(1, 0, 1);
+        let r3 = w.irecv(1, 0, 3);
+        let tested = w.test(0, &mut m.ctx(0), SimTime::ZERO, &mut done);
+        assert_eq!((tested.actions, tested.sends_completed), (0, 2));
+        assert_eq!(tested.unacked, 3);
+        assert!(
+            !w.owes_entry(0),
+            "clean run: nothing but requests to wait on"
+        );
+        drain(&mut m, &mut w);
+        let now = m.now();
+        let tested = w.test(1, &mut m.ctx(1), now, &mut done);
+        assert_eq!(tested.actions, 3, "two deliveries and a CTS");
+        // Completion order is message order; post order is handle order.
+        assert_eq!(
+            done,
+            vec![(r1, Some(vec![1.0])), (r2, Some(vec![2.0]))],
+            "drained in completion order, payloads attached"
+        );
+        done.sort_unstable_by_key(|&(h, _)| h);
+        assert_eq!(done[0].0, r2, "sorting by handle recovers post order");
+        assert!(w.recv_done(r1) && !w.recv_done(r3));
+        assert_eq!(w.take_payload(r1), None, "test released the handle");
+        done.clear();
+        // Grant, payload, completion.
+        drain(&mut m, &mut w);
+        let now = m.now();
+        let tested = w.test(0, &mut m.ctx(0), now, &mut done);
+        assert_eq!((tested.actions, tested.sends_completed), (1, 1));
+        drain(&mut m, &mut w);
+        let now = m.now();
+        w.test(1, &mut m.ctx(1), now, &mut done);
+        assert_eq!(done, vec![(r3, None)]);
+        assert!(w.quiescent());
+        assert_eq!(held(&w), (0, 0, 0));
     }
 
     #[test]
@@ -1925,12 +2144,14 @@ mod tests {
     }
 
     #[test]
-    fn handle_maps_stay_bounded_over_10k_messages() {
-        // Bugfix regression: compaction used to wait for quiescence and the
-        // reliable layer kept a retired-id set forever; both maps must now
-        // stay O(cadence) over a long campaign.
+    fn stores_stay_bounded_over_10k_messages() {
+        // Regression: compaction used to wait for quiescence and the
+        // reliable layer kept a retired-id set forever. Every store must
+        // stay O(live traffic) over a long campaign — including for a
+        // caller that only polls handles and never calls `test`,
+        // `retire_recv` or `compact`.
         let (mut m, mut w, _plan) = reliable(2, FaultConfig::none(30));
-        let (mut max_msgs, mut max_recvs) = (0usize, 0usize);
+        let mut max = (0, 0, 0);
         for i in 0..10_000u64 {
             w.isend(
                 &mut m.ctx(0),
@@ -1942,23 +2163,18 @@ mod tests {
                 SimTime::ZERO,
             );
             let r = w.irecv(1, 0, 1);
-            // Payload over, consumed, ack back — without ever calling
-            // retire_recv: cadenced compaction must bound the recv map.
+            // Payload over, consumed, ack back.
             drain(&mut m, &mut w);
             let now = m.now();
             w.progress(1, &mut m.ctx(1), now);
             drain(&mut m, &mut w);
             assert_eq!(w.take_payload(r), Some(vec![i as f64]));
-            let (nm, nr) = w.handle_map_sizes();
-            max_msgs = max_msgs.max(nm);
-            max_recvs = max_recvs.max(nr);
+            let (msgs, recvs, cq) = held(&w);
+            max = (max.0.max(msgs), max.1.max(recvs), max.2.max(cq));
         }
         assert!(w.quiescent());
-        assert!(max_msgs <= 4, "live messages bounded, got {max_msgs}");
-        assert!(
-            max_recvs <= COMPACT_CADENCE as usize + 2,
-            "recv handles bounded by the compaction cadence, got {max_recvs}"
-        );
+        assert_eq!(max, (0, 0, 0), "everything reclaimed after each round");
+        assert!(w.ranks.iter().all(|st| st.inbox.is_empty()));
     }
 
     #[test]

@@ -12,6 +12,6 @@ pub mod comm;
 
 pub use collective::{ModeledAllreduce, ReduceOp};
 pub use comm::{
-    CommConfig, EndpointId, MpiWorld, Rank, RecvHandle, SendHandle, SharedMpi, Tag, APP_TAG_LIMIT,
-    CTRL_BYTES, MAX_MSG_ID,
+    CommConfig, EndpointId, MpiWorld, Rank, RecvHandle, SendHandle, SharedMpi, Tag, Tested,
+    APP_TAG_LIMIT, CTRL_BYTES, MAX_MSG_ID,
 };
