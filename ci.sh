@@ -75,9 +75,8 @@ if [[ "${1:-}" != "quick" ]]; then
   step "strong-scaling sweep (repro scale --quick)"
   # Serial vs conservative-PDES engine on the paper problem at 1/4/16 CGs:
   # bit identity per cell, monotone speedup, async no later than sync;
-  # OVERWRITES results/BENCH_scale.json with the quick axis (wall-clock
-  # fields, not byte-stable; `repro scale --full` regenerates the
-  # committed one).
+  # writes results/BENCH_scale.quick.json (git-ignored; the committed
+  # results/BENCH_scale.json is a `repro scale --full` run).
   repro scale --quick
 
   step "concurrency checker (repro check)"

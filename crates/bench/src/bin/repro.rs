@@ -312,13 +312,14 @@ fn run_comm() {
 /// The paper's axis (1..128 CGs on 16x16x512) plus a beyond-paper
 /// 1024-patch extension at 256 CGs (512/1024 with `--full`; `--quick`
 /// stops at 16 CGs for the ci.sh stage). Every cell asserts PDES-vs-serial
-/// bit identity; writes `results/BENCH_scale.json`; exits non-zero if any
+/// bit identity; writes `results/BENCH_scale.json` (`--quick`:
+/// `results/BENCH_scale.quick.json`); exits non-zero if any
 /// cell diverged, a speedup curve collapsed, or async lost to sync on the
 /// paper problem while ranks still held patches to overlap.
 fn run_scale(quick: bool, full: bool) {
     let dir = std::path::Path::new("results");
-    let outcome =
-        bench::scale::write_scale_json(dir, quick, full).expect("write results/BENCH_scale.json");
+    let file = dir.join(bench::scale::scale_file(quick));
+    let outcome = bench::scale::write_scale_json(dir, quick, full).expect("write the sweep");
     let mode = if quick {
         "quick"
     } else if full {
@@ -356,7 +357,7 @@ fn run_scale(quick: bool, full: bool) {
     println!(
         "max swept CGs {}; wrote {}",
         outcome.max_cgs(),
-        dir.join("BENCH_scale.json").display()
+        file.display()
     );
     bench::cli::gate("scale", &outcome.violations());
 }

@@ -38,8 +38,9 @@ use uintah_core::{
     Variant,
 };
 
-use crate::problems::{ProblemSpec, PROBLEMS, SMALL};
+use crate::problems::{PROBLEMS, SMALL};
 use crate::runner::bits;
+use crate::scale::extension_level;
 
 /// One statically proved (problem, cgs) configuration.
 pub struct StaticCell {
@@ -313,8 +314,7 @@ pub fn run_unsafe_demo() -> UnsafeDemo {
 }
 
 /// Race-check one instrumented run.
-fn dyn_case(p: &ProblemSpec, variant: Variant, cgs: usize, steps: u32) -> DynCell {
-    let level = p.level();
+fn dyn_case(level: Level, variant: Variant, cgs: usize, steps: u32) -> DynCell {
     let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
     let mut cfg = RunConfig::paper(variant, ExecMode::Model, cgs);
     cfg.steps = steps;
@@ -340,8 +340,8 @@ fn dyn_case(p: &ProblemSpec, variant: Variant, cgs: usize, steps: u32) -> DynCel
 }
 
 /// The dynamic sweep: the three committed-trace configurations (the exact
-/// runs behind `results/TRACE_*.perfetto.json`) plus fresh variant/scale
-/// points.
+/// runs behind `results/TRACE_*.perfetto.json`), fresh variant/scale
+/// points, and the 1024-patch extension at one rank per four patches.
 pub fn run_dynamic() -> Vec<DynCell> {
     let mut cells = Vec::new();
     // The committed Perfetto traces: SMALL, 4 CGs, 5 steps.
@@ -350,11 +350,13 @@ pub fn run_dynamic() -> Vec<DynCell> {
         Variant::ACC_ASYNC,
         Variant::ACC_SIMD_ASYNC,
     ] {
-        cells.push(dyn_case(SMALL, v, 4, 5));
+        cells.push(dyn_case(SMALL.level(), v, 4, 5));
     }
     // Fresh sweep: the MPE-only path and a wider async run.
-    cells.push(dyn_case(SMALL, Variant::HOST_SYNC, 2, 3));
-    cells.push(dyn_case(SMALL, Variant::ACC_ASYNC, 8, 3));
+    cells.push(dyn_case(SMALL.level(), Variant::HOST_SYNC, 2, 3));
+    cells.push(dyn_case(SMALL.level(), Variant::ACC_ASYNC, 8, 3));
+    // Past the paper: 256 CGs, ~770 logical threads in one relation.
+    cells.push(dyn_case(extension_level().1, Variant::ACC_ASYNC, 256, 2));
     cells
 }
 
@@ -609,7 +611,7 @@ mod tests {
 
     #[test]
     fn fresh_traced_run_is_race_free() {
-        let c = dyn_case(SMALL, Variant::ACC_ASYNC, 2, 2);
+        let c = dyn_case(SMALL.level(), Variant::ACC_ASYNC, 2, 2);
         assert!(
             c.clean,
             "races {} structural {} unmatched {}",

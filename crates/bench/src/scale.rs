@@ -14,7 +14,8 @@
 //! PDES numbers are the honest degenerate (the window protocol without
 //! parallelism) and the JSON says so instead of reporting a fake speedup.
 //!
-//! `repro scale` writes `results/BENCH_scale.json` and exits non-zero on
+//! `repro scale` writes `results/BENCH_scale.json` (`--quick`:
+//! `results/BENCH_scale.quick.json`, not committed) and exits non-zero on
 //! any of [`ScaleOutcome::violations`]: engine divergence, a collapsed
 //! strong-scaling curve, or async losing to sync on the paper problem
 //! while ranks still hold patches to overlap.
@@ -193,7 +194,7 @@ const VARIANTS: [Variant; 2] = [Variant::ACC_SYNC, Variant::ACC_ASYNC];
 /// The beyond-the-paper extension problem: 1024 patches (16x16x4 layout of
 /// 16x16x64-cell patches) so the sweep can assign one patch per CG at 1024
 /// CGs. Model mode allocates no field data, so only the task graph scales.
-fn extension_level() -> (String, Level) {
+pub(crate) fn extension_level() -> (String, Level) {
     (
         "16x16x64/1024p".to_string(),
         Level::new(iv(16, 16, 64), iv(16, 16, 4)),
@@ -309,11 +310,21 @@ pub fn scale_json(outcome: &ScaleOutcome) -> String {
     doc.render() + "\n"
 }
 
-/// Run the sweep and write `BENCH_scale.json` under `dir`.
+/// The artifact's file name: the quick axis (the ci.sh stage) has a file
+/// of its own, git-ignored, so it never overwrites the committed sweep.
+pub fn scale_file(quick: bool) -> &'static str {
+    if quick {
+        "BENCH_scale.quick.json"
+    } else {
+        "BENCH_scale.json"
+    }
+}
+
+/// Run the sweep and write it to [`scale_file`] under `dir`.
 pub fn write_scale_json(dir: &Path, quick: bool, full: bool) -> io::Result<ScaleOutcome> {
     let outcome = run_scale(quick, full);
     std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("BENCH_scale.json"), scale_json(&outcome))?;
+    std::fs::write(dir.join(scale_file(quick)), scale_json(&outcome))?;
     Ok(outcome)
 }
 

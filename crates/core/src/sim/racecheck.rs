@@ -37,6 +37,7 @@
 //! is reported in [`RaceCheckReport::unmatched_edges`].
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use sw_telemetry::race::{trace_hb, AccessKind, AccessSpan, RaceReport};
 use sw_telemetry::{Event, EventRecord, Lane};
@@ -80,6 +81,68 @@ fn resource(
 ) -> u64 {
     ((step * n_patches as u64 + patch as u64) * n_labels as u64 + label as u64) * 2
         + matches!(class, RegionClass::Ghost) as u64
+}
+
+/// Which runtime action an [`AccessSpan`] stands for. Kept as data: a
+/// clean trace has a hundred thousand spans and describes none of them;
+/// `Display` renders the diagnostic of the few that race.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access {
+    /// The action and the patch(es) it touches.
+    pub op: AccessOp,
+    /// Pipeline stage.
+    pub stage: usize,
+    /// Rank the action ran on.
+    pub rank: usize,
+    /// Timestep the touched data belongs to.
+    pub step: u64,
+}
+
+/// The four warehouse-touching actions the mapper knows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessOp {
+    /// MPE ghost-layer preparation of `patch`.
+    Prep {
+        /// Patch being prepared.
+        patch: usize,
+    },
+    /// Kernel access to one region (`"in-ghost"`, `"in"`, `"out"`) of `patch`.
+    Kernel {
+        /// Patch the kernel computes.
+        patch: usize,
+        /// Region of the stage data the access covers.
+        part: &'static str,
+    },
+    /// Ghost send packing `patch`'s interior slab.
+    Send {
+        /// Source patch.
+        patch: usize,
+    },
+    /// Ghost delivery unpacking `src`'s slab into `dst`'s ghost layer.
+    Recv {
+        /// Destination patch.
+        dst: usize,
+        /// Source patch.
+        src: usize,
+    },
+}
+
+impl fmt::Display for Access {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Access {
+            op,
+            stage,
+            rank,
+            step,
+        } = self;
+        match op {
+            AccessOp::Prep { patch } => write!(f, "prep(p{patch},s{stage})"),
+            AccessOp::Kernel { patch, part } => write!(f, "kernel(p{patch},s{stage},{part})"),
+            AccessOp::Send { patch } => write!(f, "send(p{patch},s{stage})"),
+            AccessOp::Recv { dst, src } => write!(f, "recv(p{dst}<-p{src},s{stage})"),
+        }?;
+        write!(f, "@r{rank} step {step}")
+    }
 }
 
 /// The combined verdict of one dynamic pass over a trace snapshot.
@@ -140,7 +203,7 @@ pub fn access_spans(
     snapshot: &[Vec<EventRecord>],
     level: &Level,
     n_stages: usize,
-) -> (Vec<AccessSpan>, Vec<String>) {
+) -> (Vec<AccessSpan<Access>>, Vec<String>) {
     let n_patches = level.n_patches();
     let n_labels = n_stages + 1;
     let res = |step, patch, label, class| resource(step, patch, label, class, n_patches, n_labels);
@@ -172,7 +235,12 @@ pub fn access_spans(
                             end: i,
                             resource: res(step, *patch, in_label(*stage), RegionClass::Ghost),
                             kind: AccessKind::Write,
-                            what: format!("prep(p{patch},s{stage})@r{rank} step {step}"),
+                            what: Access {
+                                op: AccessOp::Prep { patch: *patch },
+                                stage: *stage,
+                                rank,
+                                step,
+                            },
                         });
                     } else {
                         errors.push(format!(
@@ -191,8 +259,15 @@ pub fn access_spans(
                         ));
                         continue;
                     };
-                    let what =
-                        |part| format!("kernel(p{patch},s{stage},{part})@r{rank} step {kstep}");
+                    let what = |part| Access {
+                        op: AccessOp::Kernel {
+                            patch: *patch,
+                            part,
+                        },
+                        stage,
+                        rank,
+                        step: kstep,
+                    };
                     // The kernel reads the stage input (ghost + interior)
                     // and writes the stage output interior.
                     spans.push(AccessSpan {
@@ -236,7 +311,12 @@ pub fn access_spans(
                             RegionClass::Interior,
                         ),
                         kind: AccessKind::Read,
-                        what: format!("send(p{src_patch},s{stage})@r{rank} step {mstep}"),
+                        what: Access {
+                            op: AccessOp::Send { patch: src_patch },
+                            stage,
+                            rank,
+                            step: u64::from(mstep),
+                        },
                     });
                 }
                 Event::MsgDelivered { tag, .. } if *tag < sw_mpi::APP_TAG_LIMIT => {
@@ -256,9 +336,15 @@ pub fn access_spans(
                                 RegionClass::Ghost,
                             ),
                             kind: AccessKind::Write,
-                            what: format!(
-                                "recv(p{dst_patch}<-p{src_patch},s{stage})@r{rank} step {mstep}"
-                            ),
+                            what: Access {
+                                op: AccessOp::Recv {
+                                    dst: dst_patch,
+                                    src: src_patch,
+                                },
+                                stage,
+                                rank,
+                                step: u64::from(mstep),
+                            },
                         }),
                         None => errors.push(format!(
                             "rank {rank}: delivered ghost tag {tag} names patch {src_patch} \
@@ -454,17 +540,12 @@ mod tests {
         // Per rank: 1 prep write + 3 kernel accesses; plus the post read
         // on rank 0 and the delivery write on rank 1.
         assert_eq!(spans.len(), 2 * 4 + 2);
-        assert!(spans.iter().any(|s| s.what.starts_with("send(p0,s0)@r0")));
-        assert!(spans
-            .iter()
-            .any(|s| s.what.starts_with("recv(p1<-p0,s0)@r1")));
+        let find = |what: &str| spans.iter().find(|s| s.what.to_string() == what);
+        assert!(find("send(p0,s0)@r0 step 0").is_some());
         // The delivery writes the same resource the receiver's kernel
         // reads as its ghost input.
-        let recv = spans.iter().find(|s| s.what.starts_with("recv(")).unwrap();
-        let kin = spans
-            .iter()
-            .find(|s| s.what.starts_with("kernel(p1,s0,in-ghost)"))
-            .unwrap();
+        let recv = find("recv(p1<-p0,s0)@r1 step 0").unwrap();
+        let kin = find("kernel(p1,s0,in-ghost)@r1 step 0").unwrap();
         assert_eq!(recv.resource, kin.resource);
     }
 

@@ -44,13 +44,20 @@ impl Lane {
         }
     }
 
-    /// Human-readable track name (Perfetto thread_name metadata).
+    /// Human-readable track name (Perfetto thread_name metadata); the
+    /// `Display` form.
     pub fn name(self) -> String {
+        self.to_string()
+    }
+}
+
+impl std::fmt::Display for Lane {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Lane::Mpe => "MPE".into(),
-            Lane::Cpe(k) => format!("CPE slot {k}"),
-            Lane::Progress => "progress".into(),
-            Lane::Wire => "wire".into(),
+            Lane::Mpe => f.write_str("MPE"),
+            Lane::Cpe(k) => write!(f, "CPE slot {k}"),
+            Lane::Progress => f.write_str("progress"),
+            Lane::Wire => f.write_str("wire"),
         }
     }
 }

@@ -42,5 +42,5 @@ pub mod recorder;
 pub use event::{Event, EventRecord, Lane};
 pub use metrics::{Counter, Hist, Metrics};
 pub use phases::{analyze, CritPathEntry, PhaseBreakdown, PhaseReport};
-pub use race::{trace_hb, AccessKind, AccessSpan, RaceFinding, RaceReport, TraceHb, VectorClock};
+pub use race::{trace_hb, AccessKind, AccessSpan, RaceFinding, RaceReport, TraceHb};
 pub use recorder::Recorder;

@@ -1,6 +1,8 @@
 //! Proof of the "zero-cost-when-disabled" recorder contract: recording
 //! through a disabled [`Recorder`] performs **zero** heap allocations —
-//! the hot path is a single branch on `Option<Arc<Inner>>`.
+//! the hot path is a single branch on `Option<Arc<Inner>>`. And of the
+//! consumers' contract: `perfetto::export` and `trace_hb` allocate per
+//! document and per rank, never per record.
 //!
 //! Uses a counting `#[global_allocator]` with a per-thread counter: the
 //! test harness runs the tests (and its own bookkeeping) on other threads,
@@ -9,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sw_telemetry::{Event, Lane, Recorder};
+use sw_telemetry::{perfetto, trace_hb, Event, EventRecord, Lane, Recorder};
 
 struct CountingAlloc;
 
@@ -112,5 +114,81 @@ fn enabled_recorder_does_allocate_as_a_sanity_check() {
     assert!(
         n > 0,
         "enabled recorder recorded 1000 events with 0 allocs?"
+    );
+}
+
+/// `n` records of one rank in the proportions a traced run produces; with
+/// `joins`, kernels fork and join and messages are posted and delivered.
+fn rank_buffer(n: usize, joins: bool) -> Vec<EventRecord> {
+    let rec = |i: usize, lane, event| EventRecord {
+        at_ps: 1_000 * i as u64,
+        wall_ns: None,
+        lane,
+        event,
+    };
+    (0..n)
+        .map(|i| {
+            let (patch, token, msg) = (i / 10 % 8, i as u64 / 10, i as u64 / 10);
+            let slot = Lane::Cpe((i / 10 % 4) as u32);
+            match i % 10 {
+                0 => rec(i, Lane::Mpe, Event::TaskStart { patch, stage: 0 }),
+                1 => rec(i, Lane::Mpe, Event::TaskEnd { patch, stage: 0 }),
+                2 if joins => rec(i, slot, Event::OffloadStart { patch, token }),
+                3 => rec(i, slot, Event::DmaIn { bytes: 4096 }),
+                4 => rec(i, slot, Event::DmaOut { bytes: 4096 }),
+                5 if joins => rec(i, slot, Event::OffloadDone { patch, token }),
+                6 if joins => {
+                    let post = Event::MsgPosted {
+                        msg,
+                        peer: 0,
+                        tag: 7,
+                        bytes: 4096,
+                        eager: true,
+                    };
+                    rec(i, Lane::Mpe, post)
+                }
+                7 if joins => {
+                    let delivery = Event::MsgDelivered {
+                        msg,
+                        peer: 0,
+                        tag: 7,
+                        bytes: 4096,
+                    };
+                    rec(i, Lane::Mpe, delivery)
+                }
+                8 => rec(i, Lane::Mpe, Event::ProgressCall { actions: 1 }),
+                _ => rec(i, Lane::Mpe, Event::Barrier { step: i / 10 }),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn export_allocates_per_document_not_per_record() {
+    let snap = vec![rank_buffer(10_000, true)];
+    let mut json = String::new();
+    let n = allocs_of(|| json = perfetto::export(&snap));
+    assert!(json.len() > 100 * 10_000, "{} bytes", json.len());
+    // The output buffer, the lane list and the three open-span stacks.
+    assert!(n <= 8, "export of 10 000 records allocated {n} times");
+}
+
+#[test]
+fn trace_hb_without_joins_allocates_per_rank_not_per_event() {
+    // Program order only: no fork, harvest, delivery or reduction, so no
+    // clock version is ever created and every stamp shares version 0.
+    let ranks = 4;
+    let count = |events: usize| {
+        let snap: Vec<_> = (0..ranks).map(|_| rank_buffer(events, false)).collect();
+        let mut n_events = 0;
+        let n = allocs_of(|| n_events = trace_hb(&snap).n_events());
+        assert_eq!(n_events, ranks * events);
+        n
+    };
+    let (small, large) = (count(100), count(10_000));
+    assert_eq!(small, large, "allocations grew with the event count");
+    assert!(
+        large <= 4 * ranks + 8,
+        "{large} allocations for {ranks} ranks"
     );
 }
