@@ -23,7 +23,8 @@
 
 use bench::Runner;
 use bench::{ablation, experiments as ex};
-use uintah_core::MachineConfig;
+use sw_resilience::FaultPreset;
+use uintah_core::{MachineConfig, Variant};
 
 /// Directory CSV copies are written into (when `--csv <dir>` is given).
 fn csv_dir(args: &[String]) -> Option<std::path::PathBuf> {
@@ -380,14 +381,18 @@ fn run_serve(args: &[String], seed: u64) {
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1))
     };
-    let worker_faults = match flag("--worker-faults").map(String::as_str) {
-        None | Some("none") => None,
-        Some("standard") => Some(sw_resilience::FaultConfig::standard(seed)),
-        Some("harsh") => Some(sw_resilience::FaultConfig::harsh(seed)),
-        Some(other) => bench::cli::fail(
-            "serve",
-            &format!("unknown --worker-faults preset `{other}` (none|standard|harsh)"),
-        ),
+    let worker_faults = match flag("--worker-faults") {
+        None => None,
+        Some(name) => match FaultPreset::from_name(name) {
+            Some(preset) => preset.config(seed),
+            None => bench::cli::fail(
+                "serve",
+                &format!(
+                    "unknown --worker-faults preset `{name}` ({})",
+                    FaultPreset::ALL.map(FaultPreset::name).join("|")
+                ),
+            ),
+        },
     };
     let mut serve_args = bench::serve::ServeArgs {
         seed,
@@ -507,21 +512,24 @@ fn run_trace(args: &[String]) {
             .and_then(|i| args.get(i + 1))
     };
     let problem = flag("--problem").map_or("16x16x512", |s| s.as_str());
-    let p = bench::PROBLEMS
-        .iter()
-        .find(|q| q.name == problem)
-        .unwrap_or_else(|| panic!("unknown problem {problem:?} (see Table III names)"));
+    let Some(p) = bench::PROBLEMS.iter().find(|q| q.name == problem) else {
+        bench::cli::fail(
+            "trace",
+            &format!("unknown problem `{problem}` (see Table III names)"),
+        )
+    };
     let cgs: usize = flag("--cgs").map_or(4, |s| s.parse().expect("--cgs N"));
     let steps: u32 = flag("--steps").map_or(5, |s| s.parse().expect("--steps N"));
-    let mut variants = vec![
-        uintah_core::Variant::ACC_SYNC,
-        uintah_core::Variant::ACC_ASYNC,
-    ];
+    let mut variants = vec![Variant::ACC_SYNC, Variant::ACC_ASYNC];
     for (i, a) in args.iter().enumerate() {
         if a == "--variant" {
-            let name = args.get(i + 1).expect("--variant <name>");
-            let v = bench::trace::variant_by_name(name)
-                .unwrap_or_else(|| panic!("unknown variant {name:?} (see Table IV names)"));
+            let name = args.get(i + 1).map_or("", String::as_str);
+            let Some(v) = Variant::from_name(name) else {
+                bench::cli::fail(
+                    "trace",
+                    &format!("unknown variant `{name}` (see Table IV names)"),
+                )
+            };
             if !variants.contains(&v) {
                 variants.push(v);
             }
@@ -795,10 +803,7 @@ fn main() {
         );
     }
     if want("timeline") {
-        for v in [
-            uintah_core::Variant::ACC_SYNC,
-            uintah_core::Variant::ACC_ASYNC,
-        ] {
+        for v in [Variant::ACC_SYNC, Variant::ACC_ASYNC] {
             println!("== Timeline: {} ==", v.name());
             println!("{}", bench::timeline::render_timeline(v, 4, 3, 100));
         }

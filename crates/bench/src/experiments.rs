@@ -210,13 +210,9 @@ pub fn table4() -> TextTable {
 pub fn fig5(runner: &mut Runner) -> Vec<(String, TextTable)> {
     let mut out = Vec::new();
     for p in &PROBLEMS {
-        let mut t = TextTable::new(vec![
-            "CGs",
-            "acc.sync",
-            "acc.async",
-            "acc_simd.sync",
-            "acc_simd.async",
-        ]);
+        let mut header = vec!["CGs"];
+        header.extend(SCALING_VARIANTS.map(|v| v.name()));
+        let mut t = TextTable::new(header);
         for n in p.cg_counts() {
             let mut row = vec![n.to_string()];
             for v in SCALING_VARIANTS {

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use burgers::BurgersApp;
 use sw_math::ExpKind;
-use sw_resilience::{Checkpoint, FaultConfig, FaultCounts};
+use sw_resilience::{Checkpoint, FaultConfig, FaultCounts, FaultPreset};
 use sw_telemetry::json::{
     arr, fixed, lit, obj, Json,
     Layout::{Block, Row},
@@ -263,7 +263,7 @@ impl FaultsOutcome {
                     ),
                 ),
                 (
-                    "harsh",
+                    FaultPreset::Harsh.name(),
                     obj(
                         Row,
                         [

@@ -56,7 +56,7 @@ use std::sync::Arc;
 use burgers::{BurgersAmr, BurgersApp};
 use sw_amr::{AmrApplication, AmrConfig, AmrSimulation, RegridPolicy};
 use sw_math::ExpKind;
-use sw_resilience::{fold, splitmix64, Checkpoint, FaultConfig};
+use sw_resilience::{fold, splitmix64, Checkpoint, FaultPreset};
 use sw_telemetry::analyze;
 use sw_telemetry::json::{
     arr, obj,
@@ -113,29 +113,6 @@ fn draw(seed: u64, case: u64, f: u64) -> u64 {
     splitmix64(fold(&[DOMAIN, seed, case, f]))
 }
 
-/// Fault preset of a torture case.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Preset {
-    /// No fault plane at all (`options.faults = None`).
-    NoFaults,
-    /// The standard recoverable preset: bit identity must survive.
-    Standard,
-    /// The harsh preset: recovery not guaranteed, bit-identity oracles
-    /// are skipped, completion and quiescence still required.
-    Harsh,
-}
-
-impl Preset {
-    /// Name used in config summaries and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Preset::NoFaults => "none",
-            Preset::Standard => "standard",
-            Preset::Harsh => "harsh",
-        }
-    }
-}
-
 /// A fully-specified torture case: pure data, independently re-generable
 /// from `(seed, id)`, directly constructible in a regression test.
 #[derive(Clone, Debug, PartialEq)]
@@ -148,8 +125,9 @@ pub struct TortureCase {
     pub variant: Variant,
     /// `0` = serial functional engine; otherwise `Parallel { threads }`.
     pub exec_threads: usize,
-    /// Fault preset.
-    pub faults: Preset,
+    /// Fault preset. Under `Harsh` the bit-identity oracles are skipped;
+    /// completion and quiescence are still required.
+    pub faults: FaultPreset,
     /// Seed the preset's fault plan is built from.
     pub fault_seed: u64,
     /// Checkpoint cadence (may exceed `steps`, may equal `steps`).
@@ -233,9 +211,9 @@ impl TortureCase {
             2 + (d(field::THREADS) % 3) as usize
         };
         let faults = match d(field::FAULTS) % 4 {
-            0 | 1 => Preset::NoFaults,
-            2 => Preset::Standard,
-            _ => Preset::Harsh,
+            0 | 1 => FaultPreset::NoFaults,
+            2 => FaultPreset::Standard,
+            _ => FaultPreset::Harsh,
         };
         let steps = 1 + (d(field::STEPS) % 4) as u32;
         let ckpt_every = match d(field::CKPT) % 4 {
@@ -253,12 +231,7 @@ impl TortureCase {
         } else {
             1
         };
-        let lb = [
-            LoadBalancer::Block,
-            LoadBalancer::RoundRobin,
-            LoadBalancer::Morton,
-            LoadBalancer::Hilbert,
-        ][(d(field::LB) % 4) as usize];
+        let lb = LoadBalancer::ALL[(d(field::LB) % 4) as usize];
         let corrupt = if id % 7 == 3 {
             Some((d(field::CORRUPT) % N_CORRUPTIONS as u64) as u8)
         } else {
@@ -320,11 +293,7 @@ impl TortureCase {
                 threads: self.exec_threads,
             }
         };
-        cfg.options.faults = match self.faults {
-            Preset::NoFaults => None,
-            Preset::Standard => Some(FaultConfig::standard(self.fault_seed)),
-            Preset::Harsh => Some(FaultConfig::harsh(self.fault_seed)),
-        };
+        cfg.options.faults = self.faults.config(self.fault_seed);
         cfg.ckpt_every = self.ckpt_every;
         cfg.pdes = self.pdes;
         cfg.threads = self.pdes_threads;
@@ -402,18 +371,9 @@ impl TortureCase {
 
     /// A ready-to-paste regression test reproducing this case.
     pub fn regression_test(&self, seed: u64, id: u64, oracle: &str) -> String {
-        let variant = match self.variant.name() {
-            "host.sync" => "HOST_SYNC",
-            "acc.sync" => "ACC_SYNC",
-            "acc_simd.sync" => "ACC_SIMD_SYNC",
-            "acc.async" => "ACC_ASYNC",
-            _ => "ACC_SIMD_ASYNC",
-        };
-        let faults = match self.faults {
-            Preset::NoFaults => "NoFaults",
-            Preset::Standard => "Standard",
-            Preset::Harsh => "Harsh",
-        };
+        // `acc_simd.async` -> `ACC_SIMD_ASYNC`: the Table IV consts are
+        // the upper-cased names.
+        let variant = self.variant.name().to_uppercase().replace('.', "_");
         format!(
             "#[test]\n\
              fn torture_seed{seed}_case{id}_regression() {{\n\
@@ -423,7 +383,7 @@ impl TortureCase {
              \x20       layout: ({}, {}, {}),\n\
              \x20       variant: uintah_core::Variant::{variant},\n\
              \x20       exec_threads: {},\n\
-             \x20       faults: bench::torture::Preset::{faults},\n\
+             \x20       faults: sw_resilience::FaultPreset::{:?},\n\
              \x20       fault_seed: {:#x},\n\
              \x20       ckpt_every: {:?},\n\
              \x20       steps: {},\n\
@@ -448,6 +408,7 @@ impl TortureCase {
             self.layout.1,
             self.layout.2,
             self.exec_threads,
+            self.faults,
             self.fault_seed,
             self.ckpt_every,
             self.steps,
@@ -699,7 +660,7 @@ fn battery_valid(
     // Harsh runs may legitimately diverge bit-wise (recovery is not
     // guaranteed): the differential identity oracles only apply to the
     // deterministic presets.
-    if case.faults != Preset::Harsh {
+    if case.faults != FaultPreset::Harsh {
         // --- Parallel functional engine: bit identity. ---
         let threads = if case.exec_threads == 0 {
             2
@@ -796,7 +757,7 @@ fn battery_valid(
                     ),
                 ));
             }
-            if case.faults != Preset::Harsh && bits(&restored) != ref_bits {
+            if case.faults != FaultPreset::Harsh && bits(&restored) != ref_bits {
                 return Err(fail(
                     "ckpt_restart",
                     format!("restore from step {boundary} diverged from the uninterrupted run"),
@@ -892,7 +853,7 @@ pub fn shrink(case: &TortureCase, fails: &mut dyn FnMut(&TortureCase) -> bool) -
     /// applied to fixpoint (halving an axis repeats until the axis is 1 or
     /// the battery stops failing) before moving to the next.
     const TRANSFORMS: &[fn(&mut TortureCase)] = &[
-        |c| c.faults = Preset::NoFaults,
+        |c| c.faults = FaultPreset::NoFaults,
         |c| c.amr = false,
         |c| c.ckpt_every = None,
         |c| {
@@ -1181,8 +1142,8 @@ mod tests {
         assert_ne!(a, c, "different seeds must change the corpus");
         // Grammar coverage in a modest corpus.
         assert!(a.iter().any(|x| x.corrupt.is_some()));
-        assert!(a.iter().any(|x| x.faults == Preset::Harsh));
-        assert!(a.iter().any(|x| x.faults == Preset::Standard));
+        assert!(a.iter().any(|x| x.faults == FaultPreset::Harsh));
+        assert!(a.iter().any(|x| x.faults == FaultPreset::Standard));
         assert!(a.iter().any(|x| x.ckpt_every.is_some_and(|k| k > x.steps)));
         assert!(a.iter().any(|x| x.ckpt_every.is_some_and(|k| k == x.steps)));
         assert!(a.iter().any(|x| x.exec_threads > 0));
@@ -1234,7 +1195,7 @@ mod tests {
             layout: (3, 2, 1),
             variant: Variant::ACC_SIMD_ASYNC,
             exec_threads: 4,
-            faults: Preset::Standard,
+            faults: FaultPreset::Standard,
             fault_seed: 1,
             ckpt_every: Some(2),
             steps: 4,
@@ -1253,11 +1214,11 @@ mod tests {
         let mut evals = 0;
         let min = shrink(&case, &mut |c| {
             evals += 1;
-            c.steps >= 2 && c.faults != Preset::NoFaults
+            c.steps >= 2 && c.faults != FaultPreset::NoFaults
         });
         assert!(evals <= 60, "shrink budget exceeded: {evals}");
         assert_eq!(min.steps, 2);
-        assert_ne!(min.faults, Preset::NoFaults);
+        assert_ne!(min.faults, FaultPreset::NoFaults);
         assert!(!min.amr);
         assert_eq!(min.ckpt_every, None);
         assert_eq!(min.exec_threads, 0);
@@ -1268,6 +1229,22 @@ mod tests {
         let t = min.regression_test(0, 0, "synthetic");
         assert!(t.contains("bench::torture::TortureCase {"));
         assert!(t.contains("assert_eq!(bench::torture::check(&case), Ok(()));"));
+        assert!(t.contains("faults: sw_resilience::FaultPreset::Standard,"));
+        let consts = [
+            "HOST_SYNC",
+            "ACC_SYNC",
+            "ACC_SIMD_SYNC",
+            "ACC_ASYNC",
+            "ACC_SIMD_ASYNC",
+        ];
+        for (variant, name) in Variant::TABLE_IV.into_iter().zip(consts) {
+            let t = TortureCase {
+                variant,
+                ..min.clone()
+            }
+            .regression_test(0, 0, "synthetic");
+            assert!(t.contains(&format!("variant: uintah_core::Variant::{name},")));
+        }
     }
 
     #[test]

@@ -53,18 +53,6 @@ pub struct TraceCase {
     pub metrics: Json,
 }
 
-/// Look a Table IV variant up by its paper name (plus `host_simd.sync`).
-pub fn variant_by_name(name: &str) -> Option<Variant> {
-    let all = [
-        Variant::HOST_SYNC,
-        Variant::ACC_SYNC,
-        Variant::ACC_SIMD_SYNC,
-        Variant::ACC_ASYNC,
-        Variant::ACC_SIMD_ASYNC,
-    ];
-    all.into_iter().find(|v| v.name() == name)
-}
-
 /// The exactness contract between a trace and its run: the step windows
 /// the phase pass rebuilt from `Barrier` events equal `RunReport::step_end`
 /// to the picosecond, and every (step, rank) four-way split sums to its
@@ -297,13 +285,6 @@ mod tests {
             assert!(!c.phases.critical_path.is_empty());
             assert!(c.report.leaked_handles.is_empty(), "no leaked handles");
         }
-    }
-
-    #[test]
-    fn variant_lookup_by_paper_name() {
-        assert_eq!(variant_by_name("acc.async"), Some(Variant::ACC_ASYNC));
-        assert_eq!(variant_by_name("host.sync"), Some(Variant::HOST_SYNC));
-        assert_eq!(variant_by_name("nope"), None);
     }
 
     #[test]

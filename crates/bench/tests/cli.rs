@@ -34,3 +34,41 @@ fn a_known_subcommand_still_runs() {
         .unwrap()
         .contains("== Table III: problem settings =="));
 }
+
+#[test]
+fn trace_accepts_every_variant_name() {
+    // `host_simd.sync` is a name `Variant::name` produces; the trace used
+    // to panic on it with "unknown variant".
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .current_dir(&dir)
+        .args(["trace", "--cgs", "2", "--steps", "2"])
+        .args(["--variant", "host_simd.sync"])
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(dir
+        .join("results/TRACE_16x16x512_host_simd.sync_2cg.perfetto.json")
+        .exists());
+}
+
+#[test]
+fn trace_rejects_unknown_names_with_one_error_line() {
+    for (flag, bad) in [("--variant", "warp.sync"), ("--problem", "1x1x1")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["trace", flag, bad])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(1), "{flag} {bad} must exit 1");
+        assert!(out.stdout.is_empty(), "{flag} {bad} ran something first");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.starts_with("ERROR: repro trace: ")
+                && stderr.contains(bad)
+                && stderr.lines().count() == 1,
+            "{flag} {bad}: {stderr}"
+        );
+    }
+}

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use sw_athread::ExecPolicy;
-use sw_resilience::{fold, splitmix64, FaultConfig};
+use sw_resilience::{fold, splitmix64, FaultConfig, FaultPreset};
 use uintah_core::grid::iv;
 use uintah_core::{ExecMode, Level, LoadBalancer, MachineConfig, RunConfig, Variant};
 
@@ -171,7 +171,7 @@ pub struct JobSpec {
     pub patch: String,
     /// Patch layout, `AxBxC` patches.
     pub layout: String,
-    /// Variant name (paper spelling, e.g. `acc_simd.async`).
+    /// Variant name: any [`Variant::name`], e.g. `acc_simd.async`.
     pub variant: String,
     /// Execution mode: `functional` or `model`.
     pub exec: String,
@@ -204,15 +204,15 @@ impl Default for JobSpec {
         JobSpec {
             patch: "4x4x4".to_string(),
             layout: "2x1x1".to_string(),
-            variant: "acc.async".to_string(),
-            exec: "functional".to_string(),
+            variant: Variant::ACC_ASYNC.name().to_string(),
+            exec: ExecMode::Functional.name().to_string(),
             steps: 2,
             ranks: 2,
-            lb: "block".to_string(),
+            lb: LoadBalancer::Block.name().to_string(),
             machine: "tiny".to_string(),
             exec_threads: 0,
             cpe_groups: 1,
-            faults: "none".to_string(),
+            faults: FaultPreset::NoFaults.name().to_string(),
             fault_seed: 1,
             ckpt_every: 0,
             pdes: false,
@@ -271,34 +271,20 @@ impl JobSpec {
         let (lx, ly, lz) = parse_triple(&self.layout, "layout")?;
         let level =
             Level::try_new(iv(px, py, pz), iv(lx, ly, lz)).map_err(|e| format!("level: {e}"))?;
-        let variant = Variant::TABLE_IV
-            .iter()
-            .copied()
-            .find(|v| v.name() == self.variant)
+        let variant = Variant::from_name(&self.variant)
             .ok_or_else(|| format!("unknown variant `{}`", self.variant))?;
-        let exec = match self.exec.as_str() {
-            "functional" => ExecMode::Functional,
-            "model" => ExecMode::Model,
-            other => return Err(format!("unknown exec mode `{other}`")),
-        };
-        let lb = match self.lb.as_str() {
-            "block" => LoadBalancer::Block,
-            "rr" => LoadBalancer::RoundRobin,
-            "morton" => LoadBalancer::Morton,
-            "hilbert" => LoadBalancer::Hilbert,
-            other => return Err(format!("unknown balancer `{other}`")),
-        };
+        let exec = ExecMode::from_name(&self.exec)
+            .ok_or_else(|| format!("unknown exec mode `{}`", self.exec))?;
+        let lb = LoadBalancer::from_name(&self.lb)
+            .ok_or_else(|| format!("unknown balancer `{}`", self.lb))?;
         let machine = match self.machine.as_str() {
             "tiny" => MachineConfig::test_tiny(),
             "sw26010" => MachineConfig::sw26010(),
             other => return Err(format!("unknown machine `{other}`")),
         };
-        let faults = match self.faults.as_str() {
-            "none" => None,
-            "standard" => Some(FaultConfig::standard(self.fault_seed)),
-            "harsh" => Some(FaultConfig::harsh(self.fault_seed)),
-            other => return Err(format!("unknown fault preset `{other}`")),
-        };
+        let faults = FaultPreset::from_name(&self.faults)
+            .ok_or_else(|| format!("unknown fault preset `{}`", self.faults))?
+            .config(self.fault_seed);
         let mut cfg = RunConfig::paper(variant, exec, self.ranks);
         cfg.steps = self.steps;
         cfg.lb = lb;
@@ -345,12 +331,7 @@ pub fn demo_jobs(seed: u64, n: usize) -> Vec<(Level, RunConfig)> {
         let mut cfg = RunConfig::paper(variant, ExecMode::Functional, ranks);
         cfg.steps = 1 + (draw(seed, id, 8) % 2) as u32;
         cfg.machine = MachineConfig::test_tiny();
-        cfg.lb = match draw(seed, id, 9) % 4 {
-            0 => LoadBalancer::Block,
-            1 => LoadBalancer::RoundRobin,
-            2 => LoadBalancer::Morton,
-            _ => LoadBalancer::Hilbert,
-        };
+        cfg.lb = LoadBalancer::ALL[(draw(seed, id, 9) % 4) as usize];
         cfg.options.exec_policy = if draw(seed, id, 10).is_multiple_of(2) {
             ExecPolicy::Serial
         } else {
@@ -419,6 +400,12 @@ mod tests {
         assert!(JobSpec::parse(r#"{"varint": "acc.sync"}"#).is_err());
         let bad_variant = JobSpec::parse(r#"{"variant": "warp.sync"}"#).unwrap();
         assert!(bad_variant.build().is_err());
+        // Every name `Variant::name` produces parses, not only Table IV's.
+        let host_simd = JobSpec::parse(r#"{"variant": "host_simd.sync"}"#).unwrap();
+        assert_eq!(
+            host_simd.build().unwrap().1.variant.name(),
+            "host_simd.sync"
+        );
         let bad_patch = JobSpec::parse(r#"{"patch": "4x4"}"#).unwrap();
         assert!(bad_patch.build().is_err());
         // Typed-validation boundary: more ranks than patches is rejected

@@ -28,6 +28,29 @@ pub enum LoadBalancer {
 }
 
 impl LoadBalancer {
+    /// Every policy.
+    pub const ALL: [LoadBalancer; 4] = [
+        LoadBalancer::Block,
+        LoadBalancer::RoundRobin,
+        LoadBalancer::Morton,
+        LoadBalancer::Hilbert,
+    ];
+
+    /// The policy's name on the canonical line and in job specs.
+    pub fn name(self) -> &'static str {
+        match self {
+            LoadBalancer::Block => "block",
+            LoadBalancer::RoundRobin => "rr",
+            LoadBalancer::Morton => "morton",
+            LoadBalancer::Hilbert => "hilbert",
+        }
+    }
+
+    /// Inverse of [`LoadBalancer::name`].
+    pub fn from_name(name: &str) -> Option<LoadBalancer> {
+        LoadBalancer::ALL.into_iter().find(|lb| lb.name() == name)
+    }
+
     /// Compute `patch id -> rank` for `n_ranks`.
     pub fn assign(&self, level: &Level, n_ranks: usize) -> Vec<usize> {
         assert!(n_ranks >= 1);
@@ -224,6 +247,14 @@ mod tests {
                 "{lb:?}"
             );
         }
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for lb in LoadBalancer::ALL {
+            assert_eq!(LoadBalancer::from_name(lb.name()), Some(lb));
+        }
+        assert_eq!(LoadBalancer::from_name("BLOCK"), None);
     }
 
     #[test]

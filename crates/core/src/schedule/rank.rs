@@ -43,11 +43,25 @@ use crate::var::{CcVar, DwPair};
 
 /// The label of the solution variable `u` (the old data warehouse holds it
 /// ghosted; the last stage's output becomes it at the end of the step).
+///
+/// This and the two functions below are the warehouse label convention the
+/// scheduler executes, the static verifier (`schedule::verify`) models and
+/// the race detector (`sim::racecheck`) keys its resources by.
 pub const LABEL_U: usize = 0;
 
 /// The new-DW label of stage `s`'s output.
-const fn stage_label(s: usize) -> usize {
+pub(crate) const fn stage_label(s: usize) -> usize {
     1 + s
+}
+
+/// The label stage `s` reads: the old-DW solution for stage 0, the
+/// previous stage's output otherwise — numerically `s` either way.
+pub(crate) const fn in_label(s: usize) -> usize {
+    if s == 0 {
+        LABEL_U
+    } else {
+        stage_label(s - 1)
+    }
 }
 
 /// Everything outside the rank that a scheduling step may touch.

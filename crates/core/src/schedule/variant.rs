@@ -84,6 +84,26 @@ impl Variant {
         }
     }
 
+    /// Inverse of [`Variant::name`] over all six names it produces (Table
+    /// IV's five plus `host_simd.sync`). A name does not carry the exp
+    /// library, so the result uses the fast one, as the paper's runs do.
+    pub fn from_name(name: &str) -> Option<Variant> {
+        [
+            SchedulerMode::MpeOnly,
+            SchedulerMode::SyncCpe,
+            SchedulerMode::AsyncCpe,
+        ]
+        .into_iter()
+        .flat_map(|mode| {
+            [false, true].map(|simd| Variant {
+                mode,
+                simd,
+                exp: ExpKind::Fast,
+            })
+        })
+        .find(|v| v.name() == name)
+    }
+
     /// Whether kernels are offloaded to the CPE cluster (tiling applies).
     pub fn offloads(&self) -> bool {
         self.mode != SchedulerMode::MpeOnly
@@ -157,9 +177,50 @@ pub enum ExecMode {
     Model,
 }
 
+impl ExecMode {
+    /// Both modes.
+    pub const ALL: [ExecMode; 2] = [ExecMode::Functional, ExecMode::Model];
+
+    /// The mode's name on the canonical line and in job specs.
+    pub fn name(self) -> &'static str {
+        match self {
+            ExecMode::Functional => "functional",
+            ExecMode::Model => "model",
+        }
+    }
+
+    /// Inverse of [`ExecMode::name`].
+    pub fn from_name(name: &str) -> Option<ExecMode> {
+        ExecMode::ALL.into_iter().find(|m| m.name() == name)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn names_round_trip() {
+        for mode in [
+            SchedulerMode::MpeOnly,
+            SchedulerMode::SyncCpe,
+            SchedulerMode::AsyncCpe,
+        ] {
+            for simd in [false, true] {
+                let v = Variant {
+                    mode,
+                    simd,
+                    exp: ExpKind::Fast,
+                };
+                assert_eq!(Variant::from_name(v.name()), Some(v));
+            }
+        }
+        assert_eq!(Variant::from_name("acc.asynk"), None);
+        for m in ExecMode::ALL {
+            assert_eq!(ExecMode::from_name(m.name()), Some(m));
+        }
+        assert_eq!(ExecMode::from_name("Model"), None);
+    }
 
     #[test]
     fn table_iv_names() {

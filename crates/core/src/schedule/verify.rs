@@ -12,8 +12,8 @@
 //! ghost messages match up, that the graph is acyclic, and that the tile
 //! plans partition each patch exactly within the LDM budget.
 //!
-//! The model follows the scheduler's data-warehouse label convention:
-//! label 0 is the ghosted old-DW solution `u`; label `1 + s` is stage `s`'s
+//! The model uses the scheduler's own data-warehouse label convention
+//! (`schedule::rank`'s `LABEL_U`, `stage_label`, `in_label`): label 0 is the ghosted old-DW solution `u`; label `1 + s` is stage `s`'s
 //! output in the new DW (allocated ghosted so it can serve as the next
 //! stage's input).
 
@@ -25,20 +25,13 @@ use sw_athread::{assign_tiles, choose_tile_shape, tiles_of, InOutFootprint, Tile
 use sw_sim::MachineConfig;
 
 use crate::grid::{Level, Region};
+use crate::schedule::rank::{in_label, stage_label, LABEL_U};
 use crate::schedule::variant::{SchedulerMode, SchedulerOptions, Variant};
 use crate::task::plan::RankPlan;
 
 /// Convert a grid region to the analyzer's box (lossless).
 fn bx(r: &Region) -> Box3 {
     Box3::new([r.lo.x, r.lo.y, r.lo.z], [r.hi.x, r.hi.y, r.hi.z])
-}
-
-/// Old-DW solution label (`u`).
-const LABEL_U: usize = 0;
-
-/// New-DW label of stage `s`'s output.
-const fn stage_label(s: usize) -> usize {
-    1 + s
 }
 
 /// Compile the per-rank plans into one analyzable schedule model of a
@@ -130,13 +123,12 @@ pub fn build_schedule_model(
                     window: bx(&rv.window),
                 });
                 // Stage 0 unpacks into the old DW; stage k >= 1 carries the
-                // remote (k-1)-stage output, label stage_label(k-1) == k.
-                let label = if stage == 0 { LABEL_U } else { stage };
+                // remote (k-1)-stage output: the stage's input label.
                 s.access(
                     t,
                     VarRef {
                         patch: rv.dst_patch,
-                        label,
+                        label: in_label(stage),
                     },
                     bx(&rv.window),
                     AccessKind::Write,
@@ -178,13 +170,12 @@ pub fn build_schedule_model(
                     }
                 }
                 // Boundary fills of the stage's input.
-                let in_label = if st == 0 { LABEL_U } else { st };
                 for bc in &prep.bc_regions {
                     s.access(
                         t,
                         VarRef {
                             patch: p,
-                            label: in_label,
+                            label: in_label(st),
                         },
                         bx(bc),
                         AccessKind::Write,
@@ -214,7 +205,7 @@ pub fn build_schedule_model(
                     k,
                     VarRef {
                         patch: p,
-                        label: in_label,
+                        label: in_label(st),
                     },
                     bx(&region.grow(ghost)),
                     AccessKind::Read,

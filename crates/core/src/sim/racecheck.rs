@@ -20,13 +20,14 @@
 //!   ([`decode_ghost_tag`]), which carries `(step, stage, src_patch,
 //!   face)` — immune to the one-step skew the async scheduler allows.
 //!
-//! Resources are keyed per `(step, patch, label, interior|ghost)`. Label
-//! convention matches the static verifier (`schedule::verify`): label 0 is
-//! the old-DW solution, label `1 + s` stage `s`'s output; stage `s` reads
-//! label `s`. Keying by step means cross-step aliasing (the DW swap at the
-//! barrier) is *not* modeled — the barrier is deliberately not a
-//! synchronization edge either, so the detector stays strict within a step
-//! without manufacturing cross-step false positives.
+//! Resources are keyed per `(step, patch, label, interior|ghost)`. Labels
+//! are the scheduler's (`schedule::rank`), shared with the static verifier
+//! (`schedule::verify`): label 0 is the old-DW solution, label `1 + s`
+//! stage `s`'s output; stage `s` reads label `s`. Keying by step means
+//! cross-step aliasing (the DW swap at the barrier) is *not* modeled — the
+//! barrier is deliberately not a synchronization edge either, so the
+//! detector stays strict within a step without manufacturing cross-step
+//! false positives.
 //!
 //! The **differential contract** ([`race_check`]): every observed
 //! `MsgPosted -> MsgDelivered` edge must be implied by the static model —
@@ -43,25 +44,8 @@ use sw_telemetry::race::{trace_hb, AccessKind, AccessSpan, RaceReport};
 use sw_telemetry::{Event, EventRecord, Lane};
 
 use crate::grid::Level;
+use crate::schedule::rank::{in_label, stage_label};
 use crate::task::plan::{decode_ghost_tag, RankPlan};
-
-/// Old-DW solution label (`u`); mirrors `schedule::verify`.
-const LABEL_U: usize = 0;
-
-/// New-DW label of stage `s`'s output; mirrors `schedule::verify`.
-const fn stage_label(s: usize) -> usize {
-    1 + s
-}
-
-/// The label stage `s` reads: the old-DW solution for stage 0, the
-/// previous stage's output otherwise — numerically `s` either way.
-const fn in_label(s: usize) -> usize {
-    if s == 0 {
-        LABEL_U
-    } else {
-        stage_label(s - 1)
-    }
-}
 
 /// Interior-or-ghost region class of a resource key.
 #[derive(Clone, Copy)]

@@ -30,5 +30,7 @@ pub mod plan;
 pub mod stats;
 
 pub use ckpt::{AmrLevelRecord, AmrSection, Checkpoint, PatchRecord};
-pub use plan::{fold, splitmix64, FaultConfig, FaultPlan, MsgFault, MsgKey, OffloadKey, SlotFault};
+pub use plan::{
+    fold, splitmix64, FaultConfig, FaultPlan, FaultPreset, MsgFault, MsgKey, OffloadKey, SlotFault,
+};
 pub use stats::{FaultCounts, FaultStats};

@@ -136,6 +136,51 @@ impl FaultConfig {
     }
 }
 
+/// The named fault presets, mildest first: what a job line, a CLI flag or a
+/// torture case asks for by name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultPreset {
+    /// No fault plane at all.
+    NoFaults,
+    /// [`FaultConfig::standard`]: recoverable, bit identity must survive.
+    Standard,
+    /// [`FaultConfig::harsh`]: recovery not guaranteed.
+    Harsh,
+}
+
+impl FaultPreset {
+    /// Every preset, mildest first.
+    pub const ALL: [FaultPreset; 3] = [
+        FaultPreset::NoFaults,
+        FaultPreset::Standard,
+        FaultPreset::Harsh,
+    ];
+
+    /// The preset's name: `none`, `standard` or `harsh`.
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultPreset::NoFaults => "none",
+            FaultPreset::Standard => "standard",
+            FaultPreset::Harsh => "harsh",
+        }
+    }
+
+    /// Inverse of [`FaultPreset::name`].
+    pub fn from_name(name: &str) -> Option<FaultPreset> {
+        FaultPreset::ALL.into_iter().find(|p| p.name() == name)
+    }
+
+    /// The fault config this preset installs for `seed`; `None` for
+    /// [`FaultPreset::NoFaults`].
+    pub fn config(self, seed: u64) -> Option<FaultConfig> {
+        match self {
+            FaultPreset::NoFaults => None,
+            FaultPreset::Standard => Some(FaultConfig::standard(seed)),
+            FaultPreset::Harsh => Some(FaultConfig::harsh(seed)),
+        }
+    }
+}
+
 /// Stable identity of one offload **attempt**: the fault decision is per
 /// attempt, so a retry of the same task rolls fresh dice (and, under
 /// [`FaultConfig::guarantee_recovery`], is forced clean on the last try).
@@ -402,6 +447,16 @@ mod tests {
             assert_eq!(p.slot_fault(k), p.slot_fault(k));
             assert_eq!(p.dma_fault(k), p.dma_fault(k));
         }
+    }
+
+    #[test]
+    fn preset_names_round_trip() {
+        for p in FaultPreset::ALL {
+            assert_eq!(FaultPreset::from_name(p.name()), Some(p));
+        }
+        assert_eq!(FaultPreset::from_name("Harsh"), None);
+        assert_eq!(FaultPreset::NoFaults.config(7), None);
+        assert_eq!(FaultPreset::Harsh.config(7), Some(FaultConfig::harsh(7)));
     }
 
     #[test]

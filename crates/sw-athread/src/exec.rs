@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use sw_sim::{LdmAlloc, LdmOverflow};
 
-use crate::tile::{Dims3, TileDesc};
+use crate::tile::{is_exact_partition, Dims3, TileDesc};
 
 /// Times a parallel-policy offload was demoted to serial because its tile
 /// assignment was not an exact partition of the output (see
@@ -274,17 +274,17 @@ pub fn run_patch_functional_with(
     );
     let (max_in, max_out) = staging_extents(assignment, g);
     let busy_lists = assignment.iter().filter(|l| !l.is_empty()).count();
-    let workers = policy.workers_for(busy_lists);
-    let exact = is_exact_partition(output.dims, assignment);
-    if workers > 1 && !exact {
+    let mut workers = policy.workers_for(busy_lists);
+    if workers > 1 && !is_exact_partition(output.dims, assignment) {
         // Overlapping or incomplete tile assignments must keep the serial
         // last-write-wins order; count the demotion so it is never silent.
         note_serial_fallback(
             output.dims,
             assignment.iter().map(|l| l.len()).sum::<usize>(),
         );
+        workers = 1;
     }
-    if workers > 1 && exact {
+    if workers > 1 {
         run_parallel(RunArgs {
             kernel,
             input,
@@ -341,48 +341,6 @@ fn staging_extents(assignment: &[Vec<TileDesc>], g: usize) -> (usize, usize) {
         max_out = max_out.max(t.dims.0 * t.dims.1 * t.dims.2);
     }
     (max_in, max_out)
-}
-
-/// Whether `assignment` tiles a `dims` box exactly: all tiles in bounds,
-/// every cell covered exactly once. This is the disjointness proof the
-/// parallel writers rely on; `tiles_of` output always satisfies it.
-fn is_exact_partition(dims: Dims3, assignment: &[Vec<TileDesc>]) -> bool {
-    let total = dims.0 as u64 * dims.1 as u64 * dims.2 as u64;
-    let mut covered: u64 = 0;
-    for t in assignment.iter().flatten() {
-        if t.dims.0 > dims.0
-            || t.origin.0 > dims.0 - t.dims.0
-            || t.dims.1 > dims.1
-            || t.origin.1 > dims.1 - t.dims.1
-            || t.dims.2 > dims.2
-            || t.origin.2 > dims.2 - t.dims.2
-            || t.dims.0 * t.dims.1 * t.dims.2 == 0
-        {
-            return false;
-        }
-        covered += t.cells();
-    }
-    if covered != total {
-        return false;
-    }
-    // Equal cell count plus in-bounds still admits overlap; mark each cell.
-    let mut seen = vec![false; dims.0 * dims.1 * dims.2];
-    let plane = dims.0 * dims.1;
-    for t in assignment.iter().flatten() {
-        let row0 = t.origin.0 + dims.0 * t.origin.1 + plane * t.origin.2;
-        for z in 0..t.dims.2 {
-            let zbase = row0 + z * plane;
-            for y in 0..t.dims.1 {
-                let row = zbase + y * dims.0;
-                for c in &mut seen[row..row + t.dims.0] {
-                    if std::mem::replace(c, true) {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    true
 }
 
 /// Per-worker reusable execution state: one simulated LDM allocator plus
@@ -942,33 +900,6 @@ mod tests {
         assert_eq!(ExecPolicy::Parallel { threads: 8 }.workers_for(0), 1);
         assert!(ExecPolicy::AUTO.workers_for(64) >= 1);
         assert_eq!(ExecPolicy::default(), ExecPolicy::Serial);
-    }
-
-    #[test]
-    fn partition_checker_accepts_tiles_of_and_rejects_overlap() {
-        let patch = (10, 10, 10);
-        let tiles = tiles_of(patch, (4, 4, 4));
-        let assignment = assign_tiles(&tiles, 5);
-        assert!(is_exact_partition(patch, &assignment));
-        // Drop a tile: under-coverage.
-        let mut missing = assignment.clone();
-        missing[0].pop();
-        assert!(!is_exact_partition(patch, &missing));
-        // Duplicate a tile: overlap (cell count catches it).
-        let mut dup = assignment.clone();
-        let t = dup[0][0];
-        dup[0].push(t);
-        assert!(!is_exact_partition(patch, &dup));
-        // Same cell count, shifted tile: overlap (bitmap catches it).
-        let mut shifted = assignment;
-        shifted[1][0].origin = shifted[0][0].origin;
-        assert!(!is_exact_partition(patch, &shifted));
-        // Out-of-bounds tile.
-        let oob = vec![vec![TileDesc {
-            origin: (8, 0, 0),
-            dims: (4, 10, 10),
-        }]];
-        assert!(!is_exact_partition(patch, &oob));
     }
 
     #[test]

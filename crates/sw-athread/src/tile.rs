@@ -202,40 +202,51 @@ pub fn assign_tiles(tiles: &[TileDesc], cpes: usize) -> Vec<Vec<TileDesc>> {
 /// Verify that an assignment of tiles to CPEs is an **exact partition** of
 /// the patch: every cell covered exactly once, every tile in bounds.
 ///
-/// This is the same property PR 2's static verifier proves offline for
-/// compiled tile plans; the resilience layer re-checks it *online* whenever
-/// it repartitions a patch over surviving CPE slots after a blacklist, so a
-/// recovery path can never silently compute a torn field — if the check
-/// fails the caller degrades to serial MPE execution instead.
+/// This is the disjointness proof the parallel executor's writers rely on
+/// (`tiles_of` output always satisfies it), and the same property
+/// `sw-analyze` proves offline for compiled tile plans. The resilience
+/// layer re-checks it *online* whenever it repartitions a patch over
+/// surviving CPE slots after a blacklist, so a recovery path can never
+/// silently compute a torn field — if the check fails the caller degrades
+/// to serial MPE execution instead.
 pub fn is_exact_partition(patch: Dims3, assignment: &[Vec<TileDesc>]) -> bool {
-    let total = cells(patch) as usize;
-    let mut covered = vec![false; total];
-    let mut n = 0usize;
-    for list in assignment {
-        for t in list {
-            let (ox, oy, oz) = t.origin;
-            let (dx, dy, dz) = t.dims;
-            if dx == 0 || dy == 0 || dz == 0 {
-                return false;
-            }
-            if ox + dx > patch.0 || oy + dy > patch.1 || oz + dz > patch.2 {
-                return false; // out of bounds
-            }
-            for z in oz..oz + dz {
-                for y in oy..oy + dy {
-                    for x in ox..ox + dx {
-                        let idx = (z * patch.1 + y) * patch.0 + x;
-                        if covered[idx] {
-                            return false; // overlap
-                        }
-                        covered[idx] = true;
-                        n += 1;
+    // Bounds and cell count first: they reject most bad plans without a
+    // cells-sized mask.
+    let mut covered: u64 = 0;
+    for t in assignment.iter().flatten() {
+        if t.dims.0 > patch.0
+            || t.origin.0 > patch.0 - t.dims.0
+            || t.dims.1 > patch.1
+            || t.origin.1 > patch.1 - t.dims.1
+            || t.dims.2 > patch.2
+            || t.origin.2 > patch.2 - t.dims.2
+            || t.cells() == 0
+        {
+            return false;
+        }
+        covered += t.cells();
+    }
+    if covered != cells(patch) {
+        return false;
+    }
+    // Equal cell count plus in-bounds still admits overlap; mark each cell.
+    let mut seen = vec![false; patch.0 * patch.1 * patch.2];
+    let plane = patch.0 * patch.1;
+    for t in assignment.iter().flatten() {
+        let row0 = t.origin.0 + patch.0 * t.origin.1 + plane * t.origin.2;
+        for z in 0..t.dims.2 {
+            let zbase = row0 + z * plane;
+            for y in 0..t.dims.1 {
+                let row = zbase + y * patch.0;
+                for c in &mut seen[row..row + t.dims.0] {
+                    if std::mem::replace(c, true) {
+                        return false;
                     }
                 }
             }
         }
     }
-    n == total
+    true
 }
 
 /// Working-set model used to size tiles: bytes of LDM a kernel needs for a
@@ -383,6 +394,30 @@ mod tests {
             dims: (4, 4, 4),
         });
         assert!(!is_exact_partition(patch, &asg));
+        // Empty tile.
+        asg[1].pop();
+        asg[1].push(TileDesc {
+            origin: (0, 0, 0),
+            dims: (4, 0, 4),
+        });
+        assert!(!is_exact_partition(patch, &asg));
+    }
+
+    #[test]
+    fn exact_partition_catches_overlap_at_an_equal_cell_count() {
+        let patch = (10, 10, 10);
+        let tiles = tiles_of(patch, (4, 4, 4));
+        let mut asg = assign_tiles(&tiles, 5);
+        assert!(is_exact_partition(patch, &asg));
+        // Same cell count, shifted tile: only the mask catches it.
+        asg[1][0].origin = asg[0][0].origin;
+        assert!(!is_exact_partition(patch, &asg));
+        // A tile hanging off the far edge.
+        let oob = vec![vec![TileDesc {
+            origin: (8, 0, 0),
+            dims: (4, 10, 10),
+        }]];
+        assert!(!is_exact_partition(patch, &oob));
     }
 
     #[test]

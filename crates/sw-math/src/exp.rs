@@ -34,6 +34,22 @@ pub enum ExpKind {
 }
 
 impl ExpKind {
+    /// Both libraries.
+    pub const ALL: [ExpKind; 2] = [ExpKind::Accurate, ExpKind::Fast];
+
+    /// The library's name on the canonical run-config line.
+    pub fn name(self) -> &'static str {
+        match self {
+            ExpKind::Accurate => "accurate",
+            ExpKind::Fast => "fast",
+        }
+    }
+
+    /// Inverse of [`ExpKind::name`].
+    pub fn from_name(name: &str) -> Option<ExpKind> {
+        ExpKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+
     /// Flops one call costs under the SW26010 hardware-counter accounting.
     pub const fn flops(self) -> u64 {
         match self {
@@ -293,6 +309,14 @@ mod tests {
                 exp_accurate(Cf64::new(x)).get().to_bits()
             );
         }
+    }
+
+    #[test]
+    fn expkind_names_round_trip() {
+        for k in ExpKind::ALL {
+            assert_eq!(ExpKind::from_name(k.name()), Some(k));
+        }
+        assert_eq!(ExpKind::from_name("Fast"), None);
     }
 
     #[test]
