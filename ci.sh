@@ -34,6 +34,13 @@ step "swbench self-test (benchmark/, --quick sizes)"
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 if [[ "${1:-}" != "quick" ]]; then
+  step "swbench end to end (benchmark/run.sh all --quick)"
+  # The release build and the run.sh entry point the benchmark itself uses:
+  # all four workloads, untraced and traced. A run whose simulations or
+  # checks fail exits non-zero here, before a benchmark run finds it. The
+  # result files go to a throwaway directory.
+  bash benchmark/run.sh all --quick --out "$(mktemp -d)"
+
   # Every repro stage gates itself: the campaign's `violations()` name the
   # failing cell on one `ERROR: repro <stage>: ...` stderr line and the
   # process exits non-zero. Each stage rewrites its artifact under results/.

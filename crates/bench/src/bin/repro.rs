@@ -26,12 +26,60 @@ use bench::{ablation, experiments as ex};
 use sw_resilience::FaultPreset;
 use uintah_core::{MachineConfig, Variant};
 
-/// Directory CSV copies are written into (when `--csv <dir>` is given).
-fn csv_dir(args: &[String]) -> Option<std::path::PathBuf> {
+/// Every flag that takes a value: the word after one is its value, never a
+/// subcommand, and [`flag_values`] is the only place a value is read.
+const VALUE_FLAGS: [&str; 17] = [
+    "--csv",
+    "--jobs",
+    "--problem",
+    "--cgs",
+    "--variant",
+    "--steps",
+    "--seed",
+    "--cases",
+    "--demo",
+    "--workers",
+    "--cache",
+    "--worker-faults",
+    "--oracle-ppm",
+    "--jobs-file",
+    "--out",
+    "--perfetto",
+    "--stream",
+];
+
+/// The flags that take no value.
+const SWITCHES: [&str; 5] = ["--serial", "--quick", "--full", "--stdin", "--no-cache"];
+
+/// The values given to the value flag `name`, in order (`--variant` may
+/// repeat). A flag with nothing after it exits through `bench::cli::fail`.
+fn flag_values<'a>(args: &'a [String], name: &'a str) -> impl Iterator<Item = &'a str> {
+    debug_assert!(VALUE_FLAGS.contains(&name), "{name} is not a value flag");
     args.iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
+        .enumerate()
+        .filter(move |(_, a)| *a == name)
+        .map(move |(i, _)| match args.get(i + 1) {
+            Some(v) => v.as_str(),
+            None => bench::cli::fail(name, "missing value"),
+        })
+}
+
+/// The value of `name`, if the flag is given (the first, if repeated).
+fn flag<'a>(args: &'a [String], name: &'a str) -> Option<&'a str> {
+    flag_values(args, name).next()
+}
+
+/// The value of `name` as an unsigned integer, `default` when the flag is
+/// absent. A value that does not parse exits through `bench::cli::fail`.
+fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    flag(args, name).map_or(default, |v| {
+        v.parse().unwrap_or_else(|_| {
+            bench::cli::fail(
+                name,
+                &format!("invalid value `{v}` (expected an unsigned integer)"),
+            )
+        })
+    })
 }
 
 /// Final sweep-report check: if any functional offload silently degraded
@@ -46,16 +94,6 @@ fn warn_serial_fallbacks() {
              not an exact partition (see sw_athread::serial_fallback_count)"
         );
     }
-}
-
-/// Master seed for everything stochastic in the harness: the fault plans
-/// of `faults` and the kernel-noise streams of `fidelity`. Default 42.
-fn seed_arg(args: &[String]) -> u64 {
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--seed N"))
-        .unwrap_or(42)
 }
 
 /// `faults` subcommand: the resilience campaign — byte-identity under the
@@ -376,12 +414,7 @@ fn run_scale(quick: bool, full: bool) {
 /// non-zero on any lost/duplicated/failed job, oracle mismatch, or
 /// malformed job line.
 fn run_serve(args: &[String], seed: u64) {
-    let flag = |name: &str| -> Option<&String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let worker_faults = match flag("--worker-faults") {
+    let worker_faults = match flag(args, "--worker-faults") {
         None => None,
         Some(name) => match FaultPreset::from_name(name) {
             Some(preset) => preset.config(seed),
@@ -394,39 +427,25 @@ fn run_serve(args: &[String], seed: u64) {
             ),
         },
     };
-    let mut serve_args = bench::serve::ServeArgs {
+    let d = bench::serve::ServeArgs::default();
+    let path = |name| flag(args, name).map(std::path::PathBuf::from);
+    let serve_args = bench::serve::ServeArgs {
         seed,
         worker_faults,
         read_stdin: args.iter().any(|a| a == "--stdin"),
-        ..bench::serve::ServeArgs::default()
+        demo: num_flag(args, "--demo", d.demo),
+        workers: num_flag(args, "--workers", d.workers),
+        oracle_ppm: num_flag(args, "--oracle-ppm", d.oracle_ppm),
+        stream_every: num_flag(args, "--stream", d.stream_every),
+        cache: if args.iter().any(|a| a == "--no-cache") {
+            None
+        } else {
+            path("--cache").or(d.cache)
+        },
+        jobs_file: path("--jobs-file").or(d.jobs_file),
+        out: path("--out").unwrap_or(d.out),
+        perfetto: path("--perfetto").or(d.perfetto),
     };
-    if let Some(v) = flag("--demo") {
-        serve_args.demo = v.parse().expect("--demo N");
-    }
-    if let Some(v) = flag("--workers") {
-        serve_args.workers = v.parse().expect("--workers N");
-    }
-    if let Some(v) = flag("--oracle-ppm") {
-        serve_args.oracle_ppm = v.parse().expect("--oracle-ppm N");
-    }
-    if let Some(v) = flag("--stream") {
-        serve_args.stream_every = v.parse().expect("--stream N");
-    }
-    if let Some(v) = flag("--cache") {
-        serve_args.cache = Some(std::path::PathBuf::from(v));
-    }
-    if args.iter().any(|a| a == "--no-cache") {
-        serve_args.cache = None;
-    }
-    if let Some(v) = flag("--jobs-file") {
-        serve_args.jobs_file = Some(std::path::PathBuf::from(v));
-    }
-    if let Some(v) = flag("--out") {
-        serve_args.out = std::path::PathBuf::from(v);
-    }
-    if let Some(v) = flag("--perfetto") {
-        serve_args.perfetto = Some(std::path::PathBuf::from(v));
-    }
     let summary = match bench::serve::run_serve(&serve_args) {
         Ok(s) => s,
         Err(e) => bench::cli::fail("serve", &e.to_string()),
@@ -477,27 +496,6 @@ fn run_serve(args: &[String], seed: u64) {
     bench::cli::gate("serve", &summary.violations());
 }
 
-/// Torture corpus size: `--cases N`, default 200.
-fn cases_arg(args: &[String]) -> u64 {
-    args.iter()
-        .position(|a| a == "--cases")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--cases N"))
-        .unwrap_or(200)
-}
-
-/// Worker-pool size: `--serial` wins, then `--jobs N`, default `0` (auto).
-fn jobs_arg(args: &[String]) -> usize {
-    if args.iter().any(|a| a == "--serial") {
-        return 1;
-    }
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 /// `trace` subcommand: instrumented runs -> Perfetto trace JSON + derived
 /// phase metrics (`results/TRACE_*.perfetto.json`, `results/TIMELINE.json`).
 ///
@@ -506,33 +504,25 @@ fn jobs_arg(args: &[String]) -> usize {
 /// (repeatable; `acc.sync` and `acc.async` are always traced so the
 /// sync-vs-async overlap comparison is always present).
 fn run_trace(args: &[String]) {
-    let flag = |name: &str| -> Option<&String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let problem = flag("--problem").map_or("16x16x512", |s| s.as_str());
+    let problem = flag(args, "--problem").unwrap_or("16x16x512");
     let Some(p) = bench::PROBLEMS.iter().find(|q| q.name == problem) else {
         bench::cli::fail(
             "trace",
             &format!("unknown problem `{problem}` (see Table III names)"),
         )
     };
-    let cgs: usize = flag("--cgs").map_or(4, |s| s.parse().expect("--cgs N"));
-    let steps: u32 = flag("--steps").map_or(5, |s| s.parse().expect("--steps N"));
+    let cgs: usize = num_flag(args, "--cgs", 4);
+    let steps: u32 = num_flag(args, "--steps", 5);
     let mut variants = vec![Variant::ACC_SYNC, Variant::ACC_ASYNC];
-    for (i, a) in args.iter().enumerate() {
-        if a == "--variant" {
-            let name = args.get(i + 1).map_or("", String::as_str);
-            let Some(v) = Variant::from_name(name) else {
-                bench::cli::fail(
-                    "trace",
-                    &format!("unknown variant `{name}` (see Table IV names)"),
-                )
-            };
-            if !variants.contains(&v) {
-                variants.push(v);
-            }
+    for name in flag_values(args, "--variant") {
+        let Some(v) = Variant::from_name(name) else {
+            bench::cli::fail(
+                "trace",
+                &format!("unknown variant `{name}` (see Table IV names)"),
+            )
+        };
+        if !variants.contains(&v) {
+            variants.push(v);
         }
     }
     let dir = std::path::Path::new("results");
@@ -606,52 +596,35 @@ fn run_analyze() {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let csv = csv_dir(&args);
+    // A value flag missing its value exits here, before anything runs.
+    for name in VALUE_FLAGS {
+        flag_values(&args, name).for_each(drop);
+    }
+    // Master seed for everything stochastic in the harness: the fault plans
+    // of `faults` and the kernel-noise streams of `fidelity`.
+    let seed: u64 = num_flag(&args, "--seed", 42);
+    // Torture corpus size.
+    let cases: u64 = num_flag(&args, "--cases", 200);
+    // Worker-pool size: `--serial` wins, then `--jobs N`, `0` = auto.
+    let jobs = num_flag(&args, "--jobs", 0);
+    let jobs = if args.iter().any(|a| a == "--serial") {
+        1
+    } else {
+        jobs
+    };
+    let csv = flag(&args, "--csv").map(std::path::PathBuf::from);
     if let Some(dir) = &csv {
         std::fs::create_dir_all(dir).expect("create csv dir");
     }
-    let jobs = jobs_arg(&args);
-    let seed = seed_arg(&args);
-    let positional: Vec<&String> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if [
-                    "--csv",
-                    "--jobs",
-                    "--problem",
-                    "--cgs",
-                    "--variant",
-                    "--steps",
-                    "--seed",
-                    "--cases",
-                    "--demo",
-                    "--workers",
-                    "--cache",
-                    "--worker-faults",
-                    "--oracle-ppm",
-                    "--jobs-file",
-                    "--out",
-                    "--perfetto",
-                    "--stream",
-                ]
-                .contains(&a.as_str())
-                {
-                    skip_next = true;
-                    return false;
-                }
-                *a != "--serial"
-                    && *a != "--quick"
-                    && *a != "--full"
-                    && *a != "--stdin"
-                    && *a != "--no-cache"
-            })
-            .collect()
-    };
+    let positional: Vec<&String> = args
+        .iter()
+        .enumerate()
+        .filter(|&(i, a)| {
+            let is_value = i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str());
+            !is_value && !SWITCHES.contains(&a.as_str()) && !VALUE_FLAGS.contains(&a.as_str())
+        })
+        .map(|(_, a)| a)
+        .collect();
     // The campaigns: explicit only (each writes its artifact under results/
     // and exits non-zero through `bench::cli` on a failed proof; none is a
     // paper table, so `all` does not include them). Requested campaigns run
@@ -661,7 +634,7 @@ fn main() {
         ("serve", &|| run_serve(&args, seed)),
         ("faults", &|| run_faults(seed)),
         ("amr", &|| run_amr(seed)),
-        ("torture", &|| run_torture(seed, cases_arg(&args))),
+        ("torture", &|| run_torture(seed, cases)),
         ("check", &run_check),
         ("comm", &run_comm),
         ("scale", &|| {

@@ -9,9 +9,10 @@
 //! and runs each one through a battery of cross-checking oracles:
 //!
 //! * **constructs / completes / quiescent** — `Simulation::try_new`
-//!   accepts the config, the run finishes all its steps without panicking
-//!   (the static verifier runs inline via `SchedulerOptions::verify`), and
-//!   no MPI handle is leaked at shutdown;
+//!   accepts the config and every variation of it the battery runs, the
+//!   run finishes all its steps without panicking (the static verifier
+//!   runs inline via `SchedulerOptions::verify`), and no MPI handle is
+//!   leaked at shutdown;
 //! * **telemetry_reconciles** — the phase pass rebuilt from the recorded
 //!   spans equals `RunReport::step_end` exactly and every four-way split
 //!   sums to its window;
@@ -24,21 +25,24 @@
 //! * **ckpt_noop / ckpt_restart** — a cadence longer than the run writes
 //!   nothing; otherwise restoring the last on-disk checkpoint into a fresh
 //!   process reconverges byte-identically;
-//! * **regrid_bit_identical** — on cases flagged `amr`, a two-level
+//! * **regrid_bit_identical** — on cases with a regrid policy, a two-level
 //!   adaptive run over the same root (regridding mid-run, every recompiled
 //!   plan re-verified with zero findings) produces bit-identical fields,
 //!   stats, and checkpoint bytes under serial and parallel execution.
 //!
-//! Bit-identity oracles are skipped under the `harsh` preset (recovery is
-//! deliberately not guaranteed there); completion and quiescence still
-//! hold. Every seventh case is intentionally corrupted (zero steps, more
-//! ranks than patches, groups on a sync scheduler, NaN noise, an LDM no
-//! tile fits, an invalid machine model, ...) and must be **rejected with a
-//! typed error, not a panic** — the rejection oracle.
+//! Bit-identity oracles are skipped when the fault plan does not guarantee
+//! recovery (the `harsh` preset); completion and quiescence still hold.
+//! Every seventh case is intentionally corrupted (zero steps, more ranks
+//! than patches, groups on a sync scheduler, NaN noise, an LDM no tile
+//! fits, an invalid machine model, ...) and must be **rejected with a typed
+//! error, not a panic** — the rejection oracle.
 //!
-//! On an oracle failure the harness greedily shrinks the case toward a
-//! minimal reproducing config and emits a ready-to-paste regression test
-//! into `results/TORTURE.json` (and stdout). A fixed-seed corpus runs as a
+//! A case *is* its [`RunConfig`] (plus the level, an optional regrid policy
+//! and the corruption's name) and is reported by its canonical line. On an
+//! oracle failure the harness greedily shrinks the case toward a minimal
+//! config that still fails the same oracle and emits a ready-to-paste
+//! regression test, which parses that line back, into
+//! `results/TORTURE.json` (and stdout). A fixed-seed corpus runs as a
 //! `ci.sh` stage.
 //!
 //! Draws reuse the resilience subsystem's keying discipline
@@ -47,6 +51,7 @@
 //! of evaluation order — cases can be re-generated individually by id.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
@@ -64,8 +69,8 @@ use sw_telemetry::json::{
 };
 use uintah_core::grid::iv;
 use uintah_core::{
-    ExecMode, ExecPolicy, Level, LoadBalancer, MachineConfig, RunConfig, SchedulerMode, Simulation,
-    Variant,
+    canonical_job, ConfigError, ExecMode, ExecPolicy, Level, LoadBalancer, MachineConfig,
+    RunConfig, RunReport, SchedulerMode, SchedulerOptions, Simulation, Variant,
 };
 
 use crate::runner::bits;
@@ -114,54 +119,26 @@ fn draw(seed: u64, case: u64, f: u64) -> u64 {
 }
 
 /// A fully-specified torture case: pure data, independently re-generable
-/// from `(seed, id)`, directly constructible in a regression test.
-#[derive(Clone, Debug, PartialEq)]
+/// from `(seed, id)`, directly constructible in a regression test. The run
+/// itself is `cfg`, spelled by its canonical line; the case only adds the
+/// level geometry, the adaptive-mesh policy and the corruption's name.
+#[derive(Clone, Debug)]
 pub struct TortureCase {
     /// Cells per patch per axis (1..=7: includes 1-cell and prime axes).
     pub patch: (i64, i64, i64),
     /// Patches per axis (1..=3).
     pub layout: (i64, i64, i64),
-    /// Table IV variant.
-    pub variant: Variant,
-    /// `0` = serial functional engine; otherwise `Parallel { threads }`.
-    pub exec_threads: usize,
-    /// Fault preset. Under `Harsh` the bit-identity oracles are skipped;
-    /// completion and quiescence are still required.
-    pub faults: FaultPreset,
-    /// Seed the preset's fault plan is built from.
-    pub fault_seed: u64,
-    /// Checkpoint cadence (may exceed `steps`, may equal `steps`).
-    pub ckpt_every: Option<u32>,
-    /// Timesteps (1..=4).
-    pub steps: u32,
-    /// Ranks (1..=min(4, patches)).
-    pub n_ranks: usize,
-    /// CPE groups (2 only on the async scheduler).
-    pub cpe_groups: usize,
-    /// Patch-to-rank policy.
-    pub lb: LoadBalancer,
-    /// Run on the 4-CPE / 8 KB-LDM test machine instead of the SW26010.
-    pub tiny_machine: bool,
-    /// Drive the run through the conservative-PDES engine (`cfg.pdes`).
-    pub pdes: bool,
-    /// Rank-level worker threads for the PDES engine (`cfg.threads`;
-    /// `None` = auto-detect).
-    pub pdes_threads: Option<usize>,
-    /// Also drive the case through the adaptive-mesh driver
-    /// (`regrid_bit_identical` oracle): a two-level `AmrSimulation` over
-    /// the same root level, regridding mid-run, must produce bit-identical
-    /// fields and checkpoint bytes under serial and parallel execution.
-    pub amr: bool,
-    /// Regrid cadence for the AMR battery (1..=2 so even 1-step runs
-    /// exercise the regrid path).
-    pub amr_regrid_every: u32,
-    /// Refinement threshold, drawn from a palette that includes
-    /// refine-everything (`0.0`) and never-refine (`f64::INFINITY`).
-    pub amr_threshold: f64,
-    /// Seed for the refinement-flag dilation tie-break.
-    pub amr_seed: u64,
-    /// `Some(kind)`: the config is deliberately invalid and must be
-    /// rejected with a typed error (see [`corruption_name`]).
+    /// The run, corruption included: exactly the config the battery (or
+    /// the rejection oracle) sees.
+    pub cfg: RunConfig,
+    /// Also drive the case through the adaptive-mesh driver under this
+    /// policy (`regrid_bit_identical` oracle): a two-level `AmrSimulation`
+    /// over the same root level, regridding mid-run, must produce
+    /// bit-identical fields and checkpoint bytes under serial and parallel
+    /// execution.
+    pub amr: Option<RegridPolicy>,
+    /// `Some(kind)`: `cfg` is deliberately invalid and must be rejected
+    /// with a typed error (see [`corruption_name`]).
     pub corrupt: Option<u8>,
 }
 
@@ -185,6 +162,19 @@ pub fn corruption_name(kind: u8) -> &'static str {
     }
 }
 
+/// The two-level policy the AMR battery runs: only the refinement
+/// threshold, the regrid cadence and the dilation seed are drawn.
+pub fn amr_policy(flag_threshold: f64, regrid_every: u32, seed: u64) -> RegridPolicy {
+    RegridPolicy {
+        max_levels: 2,
+        ratio: 2,
+        flag_threshold,
+        regrid_every,
+        regrid_frac: 0.25,
+        seed,
+    }
+}
+
 impl TortureCase {
     /// Generate case `id` of the campaign keyed by `seed`.
     pub fn generate(seed: u64, id: u64) -> TortureCase {
@@ -192,31 +182,38 @@ impl TortureCase {
         let tiny = d(field::MACHINE) % 8 == 0;
         let axis_cap = if tiny { 3 } else { 7 };
         let axis = |f: u64| 1 + (d(f) % axis_cap) as i64;
-        let patch = (
-            axis(field::PATCH_X),
-            axis(field::PATCH_Y),
-            axis(field::PATCH_Z),
-        );
         let lay = |f: u64| 1 + (d(f) % 3) as i64;
         let layout = (
             lay(field::LAYOUT_X),
             lay(field::LAYOUT_Y),
             lay(field::LAYOUT_Z),
         );
-        let patches = (layout.0 * layout.1 * layout.2) as usize;
+        let patches = (layout.0 * layout.1 * layout.2) as u64;
         let variant = Variant::TABLE_IV[(d(field::VARIANT) % 5) as usize];
-        let exec_threads = if d(field::EXEC) % 3 == 0 {
-            0
-        } else {
-            2 + (d(field::THREADS) % 3) as usize
-        };
+        let n_ranks = 1 + (d(field::RANKS) % 4.min(patches)) as usize;
+        let mut cfg = RunConfig::paper(variant, ExecMode::Functional, n_ranks);
+        let steps = 1 + (d(field::STEPS) % 4) as u32;
+        cfg.steps = steps;
+        cfg.lb = LoadBalancer::ALL[(d(field::LB) % 4) as usize];
+        if tiny {
+            // The 4-CPE / 8 KB-LDM test machine instead of the SW26010.
+            cfg.machine = MachineConfig::test_tiny();
+        }
+        if variant.mode == SchedulerMode::AsyncCpe && d(field::GROUPS) % 4 == 0 {
+            cfg.options.cpe_groups = 2;
+        }
+        if d(field::EXEC) % 3 != 0 {
+            cfg.options.exec_policy = ExecPolicy::Parallel {
+                threads: 2 + (d(field::THREADS) % 3) as usize,
+            };
+        }
         let faults = match d(field::FAULTS) % 4 {
             0 | 1 => FaultPreset::NoFaults,
             2 => FaultPreset::Standard,
             _ => FaultPreset::Harsh,
         };
-        let steps = 1 + (d(field::STEPS) % 4) as u32;
-        let ckpt_every = match d(field::CKPT) % 4 {
+        cfg.options.faults = faults.config(d(field::FAULT_SEED));
+        cfg.ckpt_every = match d(field::CKPT) % 4 {
             0 => None,
             // A boundary strictly inside the run (when steps > 1).
             1 => Some(1 + (d(field::CKPT_K) % steps as u64) as u32),
@@ -225,47 +222,65 @@ impl TortureCase {
             // A cadence the run never reaches.
             _ => Some(steps + 1 + (d(field::CKPT_K) % 97) as u32),
         };
-        let n_ranks = 1 + (d(field::RANKS) % 4.min(patches as u64)) as usize;
-        let cpe_groups = if variant.mode == SchedulerMode::AsyncCpe && d(field::GROUPS) % 4 == 0 {
-            2
-        } else {
-            1
-        };
-        let lb = LoadBalancer::ALL[(d(field::LB) % 4) as usize];
-        let corrupt = if id % 7 == 3 {
-            Some((d(field::CORRUPT) % N_CORRUPTIONS as u64) as u8)
-        } else {
-            None
-        };
-        let pdes = d(field::PDES) % 2 == 0;
-        let pdes_threads = match d(field::PDES_THREADS) % 3 {
+        cfg.pdes = d(field::PDES) % 2 == 0;
+        cfg.threads = match d(field::PDES_THREADS) % 3 {
             0 => None,
             k => Some(1 + k as usize),
         };
-        let amr = d(field::AMR) % 4 == 0;
-        let amr_regrid_every = 1 + (d(field::AMR_REGRID) % 2) as u32;
-        let amr_threshold = [0.0, 0.05, 0.5, f64::INFINITY][(d(field::AMR_THRESHOLD) % 4) as usize];
-        TortureCase {
-            patch,
+        // The threshold palette spans refine-everything (`0.0`) and
+        // never-refine (infinity); a cadence of 1..=2 makes even 1-step
+        // runs regrid.
+        let amr = (d(field::AMR) % 4 == 0).then(|| {
+            amr_policy(
+                [0.0, 0.05, 0.5, f64::INFINITY][(d(field::AMR_THRESHOLD) % 4) as usize],
+                1 + (d(field::AMR_REGRID) % 2) as u32,
+                d(field::AMR_SEED),
+            )
+        });
+        let case = TortureCase {
+            patch: (
+                axis(field::PATCH_X),
+                axis(field::PATCH_Y),
+                axis(field::PATCH_Z),
+            ),
             layout,
-            variant,
-            exec_threads,
-            faults,
-            fault_seed: splitmix64(fold(&[DOMAIN, seed, id, field::FAULT_SEED])),
-            ckpt_every,
-            steps,
-            n_ranks,
-            cpe_groups,
-            lb,
-            tiny_machine: tiny,
-            pdes,
-            pdes_threads,
+            cfg,
             amr,
-            amr_regrid_every,
-            amr_threshold,
-            amr_seed: splitmix64(fold(&[DOMAIN, seed, id, field::AMR_SEED])),
-            corrupt,
+            corrupt: None,
+        };
+        if id % 7 == 3 {
+            case.corrupted((d(field::CORRUPT) % N_CORRUPTIONS as u64) as u8)
+        } else {
+            case
         }
+    }
+
+    /// The case with corruption `kind` written into its config. Idempotent,
+    /// so the shrinker re-applies it after every simplification.
+    pub fn corrupted(mut self, kind: u8) -> TortureCase {
+        let patches = self.patches();
+        let cfg = &mut self.cfg;
+        match kind % N_CORRUPTIONS {
+            0 => cfg.steps = 0,
+            1 => cfg.n_ranks = patches + 1,
+            2 => cfg.options.cpe_groups = 0,
+            3 => {
+                cfg.variant = Variant::ACC_SYNC;
+                cfg.options.cpe_groups = 2;
+            }
+            4 => cfg.ckpt_every = Some(0),
+            5 => cfg.noise_frac = f64::NAN,
+            6 => cfg.machine.ldm_bytes = 64,
+            7 => cfg.machine.cpes_per_cg = 0,
+            8 => cfg.machine.net_bw_gbs = -1.0,
+            9 => cfg.cg_speeds = Some(Vec::new()),
+            _ => {
+                cfg.pdes = true;
+                cfg.threads = Some(0);
+            }
+        }
+        self.corrupt = Some(kind);
+        self
     }
 
     /// Number of patches in the layout.
@@ -273,160 +288,74 @@ impl TortureCase {
         (self.layout.0 * self.layout.1 * self.layout.2) as usize
     }
 
-    /// Build the level and the run config, applying any corruption.
-    pub fn build(&self) -> (Level, RunConfig) {
-        let level = Level::new(
+    /// The root level the case runs on.
+    pub fn level(&self) -> Level {
+        Level::new(
             iv(self.patch.0, self.patch.1, self.patch.2),
             iv(self.layout.0, self.layout.1, self.layout.2),
-        );
-        let mut cfg = RunConfig::paper(self.variant, ExecMode::Functional, self.n_ranks);
-        cfg.steps = self.steps;
-        cfg.lb = self.lb;
-        if self.tiny_machine {
-            cfg.machine = MachineConfig::test_tiny();
-        }
-        cfg.options.cpe_groups = self.cpe_groups;
-        cfg.options.exec_policy = if self.exec_threads == 0 {
-            ExecPolicy::Serial
-        } else {
-            ExecPolicy::Parallel {
-                threads: self.exec_threads,
-            }
-        };
-        cfg.options.faults = self.faults.config(self.fault_seed);
-        cfg.ckpt_every = self.ckpt_every;
-        cfg.pdes = self.pdes;
-        cfg.threads = self.pdes_threads;
-        if let Some(kind) = self.corrupt {
-            match kind % N_CORRUPTIONS {
-                0 => cfg.steps = 0,
-                1 => cfg.n_ranks = self.patches() + 1,
-                2 => cfg.options.cpe_groups = 0,
-                3 => {
-                    cfg.variant = Variant::ACC_SYNC;
-                    cfg.options.cpe_groups = 2;
-                }
-                4 => cfg.ckpt_every = Some(0),
-                5 => cfg.noise_frac = f64::NAN,
-                6 => cfg.machine.ldm_bytes = 64,
-                7 => cfg.machine.cpes_per_cg = 0,
-                8 => cfg.machine.net_bw_gbs = -1.0,
-                9 => cfg.cg_speeds = Some(Vec::new()),
-                _ => {
-                    cfg.pdes = true;
-                    cfg.threads = Some(0);
-                }
-            }
-        }
-        (level, cfg)
-    }
-
-    /// One-line summary (JSON + stdout).
-    pub fn summary(&self) -> String {
-        format!(
-            "patch={}x{}x{} layout={}x{}x{} variant={} exec={} faults={} ckpt={} steps={} \
-             ranks={} groups={} lb={:?} machine={} pdes={}{}{}",
-            self.patch.0,
-            self.patch.1,
-            self.patch.2,
-            self.layout.0,
-            self.layout.1,
-            self.layout.2,
-            self.variant.name(),
-            if self.exec_threads == 0 {
-                "serial".to_string()
-            } else {
-                format!("par{}", self.exec_threads)
-            },
-            self.faults.name(),
-            self.ckpt_every
-                .map_or("never".to_string(), |k| format!("every{k}")),
-            self.steps,
-            self.n_ranks,
-            self.cpe_groups,
-            self.lb,
-            if self.tiny_machine { "tiny" } else { "sw26010" },
-            if self.pdes {
-                match self.pdes_threads {
-                    Some(t) => format!("t{t}"),
-                    None => "auto".to_string(),
-                }
-            } else {
-                "off".to_string()
-            },
-            if self.amr {
-                format!(
-                    " amr=thr{}/every{}",
-                    self.amr_threshold, self.amr_regrid_every
-                )
-            } else {
-                String::new()
-            },
-            self.corrupt.map_or(String::new(), |k| format!(
-                " CORRUPT={}",
-                corruption_name(k)
-            )),
         )
     }
 
-    /// A ready-to-paste regression test reproducing this case.
+    /// Is recovery from every injected fault guaranteed? Only then must the
+    /// run stay bit-identical to its fault-free siblings (the harsh preset
+    /// turns the guarantee off).
+    fn recovers(&self) -> bool {
+        self.cfg
+            .options
+            .faults
+            .as_ref()
+            .is_none_or(|f| f.guarantee_recovery)
+    }
+
+    /// The case's name: its canonical job line, then the AMR policy and the
+    /// corruption, if any. Two cases with one summary are the same case
+    /// (NaN noise included, which `==` on the config would deny).
+    pub fn summary(&self) -> String {
+        let mut s = canonical_job(&self.level(), "burgers", &self.cfg);
+        if let Some(p) = &self.amr {
+            let _ = write!(
+                s,
+                " amr=thr{}/every{}/seed{:#x}",
+                p.flag_threshold, p.regrid_every, p.seed
+            );
+        }
+        if let Some(kind) = self.corrupt {
+            let _ = write!(s, " CORRUPT={}", corruption_name(kind));
+        }
+        s
+    }
+
+    /// A ready-to-paste regression test reproducing this case: the config
+    /// is its canonical line, parsed back.
     pub fn regression_test(&self, seed: u64, id: u64, oracle: &str) -> String {
-        // `acc_simd.async` -> `ACC_SIMD_ASYNC`: the Table IV consts are
-        // the upper-cased names.
-        let variant = self.variant.name().to_uppercase().replace('.', "_");
+        let amr = self.amr.as_ref().map_or("None".to_string(), |p| {
+            // `{:?}` on an infinite f64 prints `inf`, which is not Rust.
+            let threshold = if p.flag_threshold.is_finite() {
+                format!("{:?}", p.flag_threshold)
+            } else {
+                "f64::INFINITY".to_string()
+            };
+            format!(
+                "Some(bench::torture::amr_policy({threshold}, {}, {:#x}))",
+                p.regrid_every, p.seed
+            )
+        });
         format!(
             "#[test]\n\
              fn torture_seed{seed}_case{id}_regression() {{\n\
              \x20   // Minimized by `repro torture --seed {seed}`: oracle `{oracle}` failed.\n\
              \x20   let case = bench::torture::TortureCase {{\n\
-             \x20       patch: ({}, {}, {}),\n\
-             \x20       layout: ({}, {}, {}),\n\
-             \x20       variant: uintah_core::Variant::{variant},\n\
-             \x20       exec_threads: {},\n\
-             \x20       faults: sw_resilience::FaultPreset::{:?},\n\
-             \x20       fault_seed: {:#x},\n\
-             \x20       ckpt_every: {:?},\n\
-             \x20       steps: {},\n\
-             \x20       n_ranks: {},\n\
-             \x20       cpe_groups: {},\n\
-             \x20       lb: uintah_core::LoadBalancer::{:?},\n\
-             \x20       tiny_machine: {},\n\
-             \x20       pdes: {},\n\
-             \x20       pdes_threads: {:?},\n\
-             \x20       amr: {},\n\
-             \x20       amr_regrid_every: {},\n\
-             \x20       amr_threshold: {},\n\
-             \x20       amr_seed: {:#x},\n\
+             \x20       patch: {:?},\n\
+             \x20       layout: {:?},\n\
+             \x20       cfg: {:?}.parse::<uintah_core::RunConfig>().unwrap(),\n\
+             \x20       amr: {amr},\n\
              \x20       corrupt: {:?},\n\
              \x20   }};\n\
              \x20   assert_eq!(bench::torture::check(&case), Ok(()));\n\
              }}\n",
-            self.patch.0,
-            self.patch.1,
-            self.patch.2,
-            self.layout.0,
-            self.layout.1,
-            self.layout.2,
-            self.exec_threads,
-            self.faults,
-            self.fault_seed,
-            self.ckpt_every,
-            self.steps,
-            self.n_ranks,
-            self.cpe_groups,
-            self.lb,
-            self.tiny_machine,
-            self.pdes,
-            self.pdes_threads,
-            self.amr,
-            self.amr_regrid_every,
-            // `{}` on an infinite f64 prints `inf`, which is not Rust.
-            if self.amr_threshold.is_finite() {
-                format!("{:?}", self.amr_threshold)
-            } else {
-                "f64::INFINITY".to_string()
-            },
-            self.amr_seed,
+            self.patch,
+            self.layout,
+            self.cfg.to_string(),
             self.corrupt,
         )
     }
@@ -478,9 +407,7 @@ pub fn run_battery(case: &TortureCase) -> BatteryVerdict {
 
     // --- Rejection oracle (corrupted cases end here). ---
     if let Some(kind) = case.corrupt {
-        let (level, cfg) = case.build();
-        let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-        return match guarded("try_new", || Simulation::try_new(level, app, cfg)) {
+        return match construct(case, case.cfg.clone()) {
             Err(msg) => fail("rejects_without_panicking", msg),
             Ok(Ok(_)) => fail(
                 "rejects_without_panicking",
@@ -516,6 +443,52 @@ pub fn run_battery(case: &TortureCase) -> BatteryVerdict {
     }
 }
 
+/// `Simulation::try_new` of `cfg` on the case's level, a panic caught as
+/// the outer `Err`.
+fn construct(
+    case: &TortureCase,
+    cfg: RunConfig,
+) -> Result<Result<Simulation, ConfigError>, String> {
+    let level = case.level();
+    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
+    guarded("try_new", || Simulation::try_new(level, app, cfg))
+}
+
+/// Construct and run the case's config with `edit` applied, restoring the
+/// checkpoint at `restore` first if one is given. A rejection or a panic
+/// while constructing fails `constructs`; a panic while running fails
+/// `oracle`.
+fn run_edited(
+    case: &TortureCase,
+    oracle: &'static str,
+    restore: Option<&Path>,
+    edit: impl FnOnce(&mut RunConfig),
+) -> Result<(Simulation, RunReport), OracleFailure> {
+    let fail = |oracle: &'static str, detail: String| OracleFailure { oracle, detail };
+    let mut cfg = case.cfg.clone();
+    edit(&mut cfg);
+    let mut sim = match construct(case, cfg) {
+        Err(msg) => return Err(fail("constructs", format!("{msg} in the {oracle} run"))),
+        Ok(Err(e)) => {
+            return Err(fail(
+                "constructs",
+                format!("valid config rejected in the {oracle} run: {e}"),
+            ))
+        }
+        Ok(Ok(sim)) => sim,
+    };
+    guarded("run", move || {
+        if let Some(path) = restore {
+            let ckpt = Checkpoint::read_from(path)
+                .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+            sim.restore_from(ckpt);
+        }
+        let report = sim.run();
+        (sim, report)
+    })
+    .map_err(|msg| fail(oracle, msg))
+}
+
 /// The valid-case battery body (scratch dir managed by the caller).
 fn battery_valid(
     case: &TortureCase,
@@ -523,36 +496,28 @@ fn battery_valid(
     passed: &mut Vec<&'static str>,
 ) -> Result<(), OracleFailure> {
     let fail = |oracle: &'static str, detail: String| OracleFailure { oracle, detail };
-    let fresh = |exec: ExecMode| -> (Level, Arc<BurgersApp>, RunConfig) {
-        let (level, mut cfg) = case.build();
-        cfg.exec = exec;
-        let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-        (level, app, cfg)
-    };
+    let cfg = &case.cfg;
 
     // --- Reference run: functional, serial engine, verifier + telemetry
     // on. PDES stays off here — the reference IS the serial baseline the
     // pdes_bit_identical oracle compares against.
-    let (level, app, mut cfg) = fresh(ExecMode::Functional);
-    cfg.options.exec_policy = ExecPolicy::Serial;
-    cfg.options.verify = true;
-    cfg.options.telemetry = true;
-    cfg.pdes = false;
-    cfg.threads = None;
-    cfg.ckpt_dir = Some(scratch.to_path_buf());
-    let mut reference = match guarded("try_new", || Simulation::try_new(level, app, cfg)) {
-        Err(msg) => return Err(fail("constructs", msg)),
-        Ok(Err(e)) => return Err(fail("constructs", format!("valid config rejected: {e}"))),
-        Ok(Ok(sim)) => sim,
-    };
-    passed.push("constructs");
-
-    let report =
-        guarded("reference run", || reference.run()).map_err(|msg| fail("completes", msg))?;
-    if report.steps != case.steps {
+    let reference = run_edited(case, "completes", None, |c| {
+        c.options.exec_policy = ExecPolicy::Serial;
+        c.options.verify = true;
+        c.options.telemetry = true;
+        c.pdes = false;
+        c.threads = None;
+        c.ckpt_dir = Some(scratch.to_path_buf());
+    });
+    // A panic while running still counts the construction as passed.
+    if !reference.as_ref().is_err_and(|f| f.oracle == "constructs") {
+        passed.push("constructs");
+    }
+    let (reference, report) = reference?;
+    if report.steps != cfg.steps {
         return Err(fail(
             "completes",
-            format!("ran {} of {} steps", report.steps, case.steps),
+            format!("ran {} of {} steps", report.steps, cfg.steps),
         ));
     }
     passed.push("completes");
@@ -583,23 +548,15 @@ fn battery_valid(
     let ref_bits = bits(&reference);
 
     // --- Model-mode agreement: identical virtual step-end times. ---
-    {
-        let (level, app, cfg) = fresh(ExecMode::Model);
-        let model = guarded("model run", || {
-            Simulation::try_new(level, app, cfg)
-                .unwrap_or_else(|e| panic!("model config rejected: {e}"))
-                .run()
-        })
-        .map_err(|msg| fail("model_agrees", msg))?;
-        if model.step_end != report.step_end || model.total_time != report.total_time {
-            return Err(fail(
-                "model_agrees",
-                format!(
-                    "functional step_end {:?} != model step_end {:?}",
-                    report.step_end, model.step_end
-                ),
-            ));
-        }
+    let (_, model) = run_edited(case, "model_agrees", None, |c| c.exec = ExecMode::Model)?;
+    if model.step_end != report.step_end || model.total_time != report.total_time {
+        return Err(fail(
+            "model_agrees",
+            format!(
+                "functional step_end {:?} != model step_end {:?}",
+                report.step_end, model.step_end
+            ),
+        ));
     }
     passed.push("model_agrees");
 
@@ -607,76 +564,60 @@ fn battery_valid(
     // Applies to EVERY valid case, harsh preset included: the fault plan
     // is keyed and deterministic, so the windowed engine must replay the
     // exact same event stream — the PDES determinism contract is
-    // engine-level, not recovery-level.
+    // engine-level, not recovery-level. The case's own `threads` stays;
+    // so does the checkpoint cadence: parking at boundaries is part of
+    // the timeline being compared (ckpt_dir stays None, so nothing is
+    // written and the ckpt oracles are untouched).
+    let (pdes, prep) = run_edited(case, "pdes_bit_identical", None, |c| {
+        c.options.exec_policy = ExecPolicy::Serial;
+        c.options.telemetry = true;
+        c.pdes = true;
+    })?;
+    if bits(&pdes) != ref_bits {
+        return Err(fail(
+            "pdes_bit_identical",
+            "fields diverged under the windowed PDES engine".to_string(),
+        ));
+    }
+    if prep.step_end != report.step_end
+        || prep.total_time != report.total_time
+        || prep.flops.total() != report.flops.total()
+        || prep.messages != report.messages
+        || prep.events != report.events
     {
-        let (level, app, mut cfg) = fresh(ExecMode::Functional);
-        cfg.options.exec_policy = ExecPolicy::Serial;
-        cfg.options.telemetry = true;
-        // Keep the checkpoint cadence: parking at boundaries is part of the
-        // timeline being compared (ckpt_dir stays None, so nothing is
-        // written and the ckpt oracles are untouched).
-        cfg.pdes = true;
-        cfg.threads = case.pdes_threads;
-        let (pdes, prep) = guarded("pdes run", || {
-            let mut sim = Simulation::try_new(level, app, cfg)
-                .unwrap_or_else(|e| panic!("pdes config rejected: {e}"));
-            let report = sim.run();
-            (sim, report)
-        })
-        .map_err(|msg| fail("pdes_bit_identical", msg))?;
-        if bits(&pdes) != ref_bits {
-            return Err(fail(
-                "pdes_bit_identical",
-                "fields diverged under the windowed PDES engine".to_string(),
-            ));
-        }
-        if prep.step_end != report.step_end
-            || prep.total_time != report.total_time
-            || prep.flops.total() != report.flops.total()
-            || prep.messages != report.messages
-            || prep.events != report.events
-        {
-            return Err(fail(
-                "pdes_bit_identical",
-                format!(
-                    "reports diverged: pdes step_end {:?} != serial step_end {:?}",
-                    prep.step_end, report.step_end
-                ),
-            ));
-        }
-        // The PDES run's telemetry must reconcile exactly like the serial
-        // run's (same spans, same phase pass).
-        let psnap = pdes.recorder().snapshot();
-        let pphases = analyze(&psnap);
-        if !reconciles(&pphases, &prep) {
-            return Err(fail(
-                "pdes_bit_identical",
-                "PDES telemetry failed to reconcile against its own report".to_string(),
-            ));
-        }
+        return Err(fail(
+            "pdes_bit_identical",
+            format!(
+                "reports diverged: pdes step_end {:?} != serial step_end {:?}",
+                prep.step_end, report.step_end
+            ),
+        ));
+    }
+    // The PDES run's telemetry must reconcile exactly like the serial
+    // run's (same spans, same phase pass).
+    let psnap = pdes.recorder().snapshot();
+    let pphases = analyze(&psnap);
+    if !reconciles(&pphases, &prep) {
+        return Err(fail(
+            "pdes_bit_identical",
+            "PDES telemetry failed to reconcile against its own report".to_string(),
+        ));
     }
     passed.push("pdes_bit_identical");
 
-    // Harsh runs may legitimately diverge bit-wise (recovery is not
-    // guaranteed): the differential identity oracles only apply to the
-    // deterministic presets.
-    if case.faults != FaultPreset::Harsh {
+    // Without guaranteed recovery (the harsh preset) runs may legitimately
+    // diverge bit-wise: the differential identity oracles only apply when
+    // every fault is recovered.
+    if case.recovers() {
         // --- Parallel functional engine: bit identity. ---
-        let threads = if case.exec_threads == 0 {
-            2
-        } else {
-            case.exec_threads
+        let threads = match cfg.options.exec_policy {
+            ExecPolicy::Serial => 2,
+            ExecPolicy::Parallel { threads } => threads,
         };
-        let (level, app, mut cfg) = fresh(ExecMode::Functional);
-        cfg.options.exec_policy = ExecPolicy::Parallel { threads };
-        cfg.ckpt_every = None;
-        let par = guarded("parallel run", || {
-            let mut sim = Simulation::try_new(level, app, cfg)
-                .unwrap_or_else(|e| panic!("parallel config rejected: {e}"));
-            sim.run();
-            sim
-        })
-        .map_err(|msg| fail("parallel_bit_identical", msg))?;
+        let (par, _) = run_edited(case, "parallel_bit_identical", None, |c| {
+            c.options.exec_policy = ExecPolicy::Parallel { threads };
+            c.ckpt_every = None;
+        })?;
         if bits(&par) != ref_bits {
             return Err(fail(
                 "parallel_bit_identical",
@@ -686,28 +627,22 @@ fn battery_valid(
         passed.push("parallel_bit_identical");
 
         // --- SIMD sibling variant: bit identity. ---
-        if case.variant.mode != SchedulerMode::MpeOnly {
+        if cfg.variant.mode != SchedulerMode::MpeOnly {
             let sibling = Variant {
-                simd: !case.variant.simd,
-                ..case.variant
+                simd: !cfg.variant.simd,
+                ..cfg.variant
             };
-            let (level, app, mut cfg) = fresh(ExecMode::Functional);
-            cfg.variant = sibling;
-            cfg.options.exec_policy = ExecPolicy::Serial;
-            cfg.ckpt_every = None;
-            let sib = guarded("simd sibling run", || {
-                let mut sim = Simulation::try_new(level, app, cfg)
-                    .unwrap_or_else(|e| panic!("sibling config rejected: {e}"));
-                sim.run();
-                sim
-            })
-            .map_err(|msg| fail("simd_sibling_bit_identical", msg))?;
+            let (sib, _) = run_edited(case, "simd_sibling_bit_identical", None, |c| {
+                c.variant = sibling;
+                c.options.exec_policy = ExecPolicy::Serial;
+                c.ckpt_every = None;
+            })?;
             if bits(&sib) != ref_bits {
                 return Err(fail(
                     "simd_sibling_bit_identical",
                     format!(
                         "{} and {} diverged bit-wise",
-                        case.variant.name(),
+                        cfg.variant.name(),
                         sibling.name()
                     ),
                 ));
@@ -717,8 +652,8 @@ fn battery_valid(
     }
 
     // --- Checkpoint-cadence oracles (the reference run wrote them). ---
-    if let Some(every) = case.ckpt_every {
-        if every > case.steps {
+    if let Some(every) = cfg.ckpt_every {
+        if every > cfg.steps {
             // The run never reaches a boundary: nothing may be on disk.
             let n = std::fs::read_dir(scratch).map(|d| d.count()).unwrap_or(0);
             if n != 0 {
@@ -726,38 +661,25 @@ fn battery_valid(
                     "ckpt_noop",
                     format!(
                         "cadence {every} > {} steps but {n} file(s) written",
-                        case.steps
+                        cfg.steps
                     ),
                 ));
             }
             passed.push("ckpt_noop");
         } else {
-            let boundary = (case.steps / every) * every;
+            let boundary = (cfg.steps / every) * every;
             let path = scratch.join(format!("step{boundary:05}.ckpt"));
-            let restore = guarded("ckpt restart", || {
-                let ckpt = Checkpoint::read_from(&path)
-                    .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-                let (level, app, mut cfg) = fresh(ExecMode::Functional);
-                cfg.options.exec_policy = ExecPolicy::Serial;
-                cfg.ckpt_every = None;
-                let mut sim = Simulation::try_new(level, app, cfg)
-                    .unwrap_or_else(|e| panic!("restore config rejected: {e}"));
-                sim.restore_from(ckpt);
-                let report = sim.run();
-                (sim, report)
-            })
-            .map_err(|msg| fail("ckpt_restart", msg))?;
-            let (restored, rep) = restore;
-            if rep.steps != case.steps {
+            let (restored, rep) = run_edited(case, "ckpt_restart", Some(&path), |c| {
+                c.options.exec_policy = ExecPolicy::Serial;
+                c.ckpt_every = None;
+            })?;
+            if rep.steps != cfg.steps {
                 return Err(fail(
                     "ckpt_restart",
-                    format!(
-                        "restored run reported {} of {} steps",
-                        rep.steps, case.steps
-                    ),
+                    format!("restored run reported {} of {} steps", rep.steps, cfg.steps),
                 ));
             }
-            if case.faults != FaultPreset::Harsh && bits(&restored) != ref_bits {
+            if case.recovers() && bits(&restored) != ref_bits {
                 return Err(fail(
                     "ckpt_restart",
                     format!("restore from step {boundary} diverged from the uninterrupted run"),
@@ -773,27 +695,22 @@ fn battery_valid(
     // fields, stats, and checkpoint bytes under the serial and parallel
     // execution policies. Faults stay off: this oracle proves the regrid
     // machinery, not recovery — and so it applies to harsh cases too.
-    if case.amr {
-        let run = |exec: ExecPolicy| {
-            let (level, _) = case.build();
+    if let Some(policy) = &case.amr {
+        let run = |exec_policy: ExecPolicy| {
             let app: Arc<dyn AmrApplication> = Arc::new(BurgersAmr::new(ExpKind::Fast));
-            let mut cfg = AmrConfig::basic(case.variant, case.n_ranks);
-            cfg.steps = case.steps;
-            cfg.lb = case.lb;
-            if case.tiny_machine {
-                cfg.machine = MachineConfig::test_tiny();
-            }
-            cfg.options.cpe_groups = case.cpe_groups;
-            cfg.options.exec_policy = exec;
-            cfg.policy = RegridPolicy {
-                max_levels: 2,
-                ratio: 2,
-                flag_threshold: case.amr_threshold,
-                regrid_every: case.amr_regrid_every,
-                regrid_frac: 0.25,
-                seed: case.amr_seed,
+            let amr_cfg = AmrConfig {
+                machine: cfg.machine.clone(),
+                options: SchedulerOptions {
+                    exec_policy,
+                    faults: None,
+                    ..cfg.options
+                },
+                lb: cfg.lb,
+                steps: cfg.steps,
+                policy: policy.clone(),
+                ..AmrConfig::basic(cfg.variant, cfg.n_ranks)
             };
-            let mut amr = AmrSimulation::new(level, app, cfg);
+            let mut amr = AmrSimulation::new(case.level(), app, amr_cfg);
             let stats = amr.run();
             (amr.solution_bits(), amr.checkpoint().to_bytes(), stats)
         };
@@ -853,32 +770,28 @@ pub fn shrink(case: &TortureCase, fails: &mut dyn FnMut(&TortureCase) -> bool) -
     /// applied to fixpoint (halving an axis repeats until the axis is 1 or
     /// the battery stops failing) before moving to the next.
     const TRANSFORMS: &[fn(&mut TortureCase)] = &[
-        |c| c.faults = FaultPreset::NoFaults,
-        |c| c.amr = false,
-        |c| c.ckpt_every = None,
+        |c| c.cfg.options.faults = None,
+        |c| c.amr = None,
+        |c| c.cfg.ckpt_every = None,
         |c| {
-            c.pdes = false;
-            c.pdes_threads = None;
+            c.cfg.pdes = false;
+            c.cfg.threads = None;
         },
-        |c| c.exec_threads = 0,
-        |c| c.cpe_groups = 1,
-        |c| c.tiny_machine = false,
-        |c| c.lb = LoadBalancer::Block,
+        |c| c.cfg.options.exec_policy = ExecPolicy::Serial,
+        |c| c.cfg.options.cpe_groups = 1,
+        |c| c.cfg.machine = MachineConfig::sw26010(),
+        |c| c.cfg.lb = LoadBalancer::Block,
         |c| {
-            c.steps = 1;
-            if let Some(k) = c.ckpt_every {
-                c.ckpt_every = Some(k.min(1));
+            c.cfg.steps = 1;
+            c.cfg.ckpt_every = c.cfg.ckpt_every.map(|k| k.min(1));
+        },
+        |c| {
+            if c.cfg.steps > 1 {
+                c.cfg.steps -= 1;
+                c.cfg.ckpt_every = c.cfg.ckpt_every.map(|k| k.min(c.cfg.steps));
             }
         },
-        |c| {
-            if c.steps > 1 {
-                c.steps -= 1;
-                if let Some(k) = c.ckpt_every {
-                    c.ckpt_every = Some(k.min(c.steps));
-                }
-            }
-        },
-        |c| c.n_ranks = 1,
+        |c| c.cfg.n_ranks = 1,
         |c| c.layout.2 = 1,
         |c| c.layout.1 = 1,
         |c| c.layout.0 = 1,
@@ -894,9 +807,14 @@ pub fn shrink(case: &TortureCase, fails: &mut dyn FnMut(&TortureCase) -> bool) -
             loop {
                 let mut cand = cur.clone();
                 t(&mut cand);
-                // Keep ranks consistent with a shrunk layout.
-                cand.n_ranks = cand.n_ranks.min(cand.patches());
-                if cand == cur {
+                // Keep ranks consistent with a shrunk layout, and the
+                // corruption in place over whatever the step changed.
+                cand.cfg.n_ranks = cand.cfg.n_ranks.min(cand.patches());
+                if let Some(kind) = cand.corrupt {
+                    cand = cand.corrupted(kind);
+                }
+                // By the line, not `==`: NaN noise is unequal to itself.
+                if cand.summary() == cur.summary() {
                     break;
                 }
                 if budget == 0 {
@@ -916,6 +834,19 @@ pub fn shrink(case: &TortureCase, fails: &mut dyn FnMut(&TortureCase) -> bool) -
     }
 }
 
+/// Shrink `case`, which failed `oracle` under `battery`, keeping a step only
+/// if the same oracle still fails: a step that swapped it for another
+/// would report one bug and reproduce a different one.
+fn minimize(
+    case: &TortureCase,
+    oracle: &str,
+    battery: &dyn Fn(&TortureCase) -> BatteryVerdict,
+) -> TortureCase {
+    shrink(case, &mut |c| {
+        battery(c).failure.is_some_and(|f| f.oracle == oracle)
+    })
+}
+
 /// One recorded oracle failure, with its minimized reproduction.
 #[derive(Clone, Debug)]
 pub struct TortureFailure {
@@ -927,7 +858,7 @@ pub struct TortureFailure {
     pub oracle: &'static str,
     /// Failure detail.
     pub detail: String,
-    /// Summary of the shrunk config (still failing the same battery).
+    /// Summary of the shrunk config (still failing the same oracle).
     pub minimized: String,
     /// Ready-to-paste regression test for the shrunk config.
     pub regression_test: String,
@@ -1105,8 +1036,7 @@ pub fn run_torture(seed: u64, cases: u64) -> TortureOutcome {
             *outcome.oracle_passes.entry(o).or_insert(0) += 1;
         }
         if let Some(failure) = verdict.failure {
-            // Shrink toward a minimal config that fails the same way.
-            let min = shrink(&case, &mut |c| run_battery(c).failure.is_some());
+            let min = minimize(&case, failure.oracle, &run_battery);
             outcome.failures.push(TortureFailure {
                 case: id,
                 config: case.summary(),
@@ -1135,34 +1065,57 @@ mod tests {
 
     #[test]
     fn generator_is_deterministic_and_covers_the_grammar() {
-        let a: Vec<TortureCase> = (0..64).map(|i| TortureCase::generate(9, i)).collect();
-        let b: Vec<TortureCase> = (0..64).map(|i| TortureCase::generate(9, i)).collect();
-        assert_eq!(a, b, "same seed must regenerate identical cases");
-        let c: Vec<TortureCase> = (0..64).map(|i| TortureCase::generate(10, i)).collect();
-        assert_ne!(a, c, "different seeds must change the corpus");
+        let corpus = |seed: u64| -> Vec<TortureCase> {
+            (0..64).map(|i| TortureCase::generate(seed, i)).collect()
+        };
+        let lines = |cases: &[TortureCase]| -> Vec<String> {
+            cases.iter().map(TortureCase::summary).collect()
+        };
+        // Compared by line: a NaN-noise case is unequal to itself by `==`.
+        let a = corpus(9);
+        assert_eq!(
+            lines(&a),
+            lines(&corpus(9)),
+            "same seed must regenerate identical cases"
+        );
+        assert_ne!(
+            lines(&a),
+            lines(&corpus(10)),
+            "different seeds must change the corpus"
+        );
         // Grammar coverage in a modest corpus.
+        let faults = |x: &TortureCase| x.cfg.options.faults.is_some();
+        let (steps, ckpt) = (
+            |x: &TortureCase| x.cfg.steps,
+            |x: &TortureCase| x.cfg.ckpt_every,
+        );
         assert!(a.iter().any(|x| x.corrupt.is_some()));
-        assert!(a.iter().any(|x| x.faults == FaultPreset::Harsh));
-        assert!(a.iter().any(|x| x.faults == FaultPreset::Standard));
-        assert!(a.iter().any(|x| x.ckpt_every.is_some_and(|k| k > x.steps)));
-        assert!(a.iter().any(|x| x.ckpt_every.is_some_and(|k| k == x.steps)));
-        assert!(a.iter().any(|x| x.exec_threads > 0));
-        assert!(a.iter().any(|x| x.tiny_machine));
-        assert!(a.iter().any(|x| x.cpe_groups == 2));
-        assert!(a.iter().any(|x| x.pdes) && a.iter().any(|x| !x.pdes));
-        assert!(a.iter().any(|x| x.pdes_threads.is_none()));
-        assert!(a.iter().any(|x| x.pdes_threads.is_some()));
-        assert!(a.iter().any(|x| x.amr) && a.iter().any(|x| !x.amr));
+        assert!(a.iter().any(|x| !x.recovers()));
+        assert!(a.iter().any(|x| faults(x) && x.recovers()));
+        assert!(a.iter().any(|x| ckpt(x).is_some_and(|k| k > steps(x))));
+        assert!(a.iter().any(|x| ckpt(x).is_some_and(|k| k == steps(x))));
+        assert!(a
+            .iter()
+            .any(|x| x.cfg.options.exec_policy != ExecPolicy::Serial));
+        assert!(a
+            .iter()
+            .any(|x| x.cfg.machine == MachineConfig::test_tiny()));
+        assert!(a.iter().any(|x| x.cfg.options.cpe_groups == 2));
+        assert!(a.iter().any(|x| x.cfg.pdes) && a.iter().any(|x| !x.cfg.pdes));
+        assert!(a.iter().any(|x| x.cfg.threads.is_none()));
+        assert!(a.iter().any(|x| x.cfg.threads.is_some()));
+        assert!(a.iter().any(|x| x.amr.is_some()) && a.iter().any(|x| x.amr.is_none()));
+        let threshold = |x: &TortureCase| x.amr.as_ref().map(|p| p.flag_threshold);
         assert!(
-            a.iter().any(|x| x.amr_threshold == 0.0)
-                && a.iter().any(|x| x.amr_threshold.is_infinite()),
+            a.iter().any(|x| threshold(x) == Some(0.0))
+                && a.iter().any(|x| threshold(x) == Some(f64::INFINITY)),
             "threshold palette must span refine-everything and never-refine"
         );
         assert!(a
             .iter()
             .any(|x| x.patch.0 == 1 || x.patch.1 == 1 || x.patch.2 == 1));
         let variants: std::collections::BTreeSet<&str> =
-            a.iter().map(|x| x.variant.name()).collect();
+            a.iter().map(|x| x.cfg.variant.name()).collect();
         assert_eq!(
             variants.len(),
             5,
@@ -1186,72 +1139,90 @@ mod tests {
         );
     }
 
+    /// A case with every feature on, for the shrinker to strip.
+    fn loaded_case() -> TortureCase {
+        let mut cfg = RunConfig::paper(Variant::ACC_SIMD_ASYNC, ExecMode::Functional, 4);
+        cfg.steps = 4;
+        cfg.lb = LoadBalancer::Hilbert;
+        cfg.options.cpe_groups = 2;
+        cfg.options.exec_policy = ExecPolicy::Parallel { threads: 4 };
+        cfg.options.faults = FaultPreset::Standard.config(1);
+        cfg.ckpt_every = Some(2);
+        cfg.pdes = true;
+        cfg.threads = Some(2);
+        TortureCase {
+            patch: (7, 5, 3),
+            layout: (3, 2, 1),
+            cfg,
+            amr: Some(amr_policy(0.05, 1, 2)),
+            corrupt: None,
+        }
+    }
+
     #[test]
     fn shrinking_finds_a_minimal_case_for_a_synthetic_predicate() {
         // A synthetic "bug" that needs >= 2 steps and a fault plane: the
         // shrinker must strip everything else and keep exactly those.
-        let case = TortureCase {
-            patch: (7, 5, 3),
-            layout: (3, 2, 1),
-            variant: Variant::ACC_SIMD_ASYNC,
-            exec_threads: 4,
-            faults: FaultPreset::Standard,
-            fault_seed: 1,
-            ckpt_every: Some(2),
-            steps: 4,
-            n_ranks: 4,
-            cpe_groups: 2,
-            lb: LoadBalancer::Hilbert,
-            tiny_machine: false,
-            pdes: true,
-            pdes_threads: Some(2),
-            amr: true,
-            amr_regrid_every: 1,
-            amr_threshold: 0.05,
-            amr_seed: 2,
-            corrupt: None,
-        };
         let mut evals = 0;
-        let min = shrink(&case, &mut |c| {
+        let min = shrink(&loaded_case(), &mut |c| {
             evals += 1;
-            c.steps >= 2 && c.faults != FaultPreset::NoFaults
+            c.cfg.steps >= 2 && c.cfg.options.faults.is_some()
         });
         assert!(evals <= 60, "shrink budget exceeded: {evals}");
-        assert_eq!(min.steps, 2);
-        assert_ne!(min.faults, FaultPreset::NoFaults);
-        assert!(!min.amr);
-        assert_eq!(min.ckpt_every, None);
-        assert_eq!(min.exec_threads, 0);
-        assert_eq!(min.cpe_groups, 1);
-        assert_eq!(min.n_ranks, 1);
+        assert_eq!(min.cfg.steps, 2);
+        assert!(min.cfg.options.faults.is_some());
+        assert!(min.amr.is_none());
+        assert_eq!(min.cfg.ckpt_every, None);
+        assert_eq!(min.cfg.options.exec_policy, ExecPolicy::Serial);
+        assert_eq!(min.cfg.options.cpe_groups, 1);
+        assert_eq!(min.cfg.n_ranks, 1);
         assert_eq!((min.patch, min.layout), ((1, 1, 1), (1, 1, 1)));
-        // The emitted regression test is paste-ready Rust.
+        // The emitted regression test is paste-ready Rust whose config is
+        // the case's canonical line.
         let t = min.regression_test(0, 0, "synthetic");
         assert!(t.contains("bench::torture::TortureCase {"));
         assert!(t.contains("assert_eq!(bench::torture::check(&case), Ok(()));"));
-        assert!(t.contains("faults: sw_resilience::FaultPreset::Standard,"));
-        let consts = [
-            "HOST_SYNC",
-            "ACC_SYNC",
-            "ACC_SIMD_SYNC",
-            "ACC_ASYNC",
-            "ACC_SIMD_ASYNC",
-        ];
-        for (variant, name) in Variant::TABLE_IV.into_iter().zip(consts) {
-            let t = TortureCase {
-                variant,
-                ..min.clone()
-            }
-            .regression_test(0, 0, "synthetic");
-            assert!(t.contains(&format!("variant: uintah_core::Variant::{name},")));
-        }
+        let line = format!("{:?}", min.cfg.to_string());
+        assert!(t.contains(&format!(
+            "cfg: {line}.parse::<uintah_core::RunConfig>().unwrap(),"
+        )));
+        assert!(t.contains("amr: None,"));
+        let t = loaded_case().regression_test(0, 0, "synthetic");
+        assert!(t.contains("amr: Some(bench::torture::amr_policy(0.05, 1, 0x2)),"));
+        let never = TortureCase {
+            amr: Some(amr_policy(f64::INFINITY, 2, 0)),
+            ..min
+        };
+        assert!(never
+            .regression_test(0, 0, "synthetic")
+            .contains("amr_policy(f64::INFINITY, 2, 0x0)"));
+    }
+
+    #[test]
+    fn shrinking_keeps_the_reported_oracle() {
+        // A synthetic battery with two bugs: `model_agrees` fails from 3
+        // steps up, `completes` below. Shrinking a `model_agrees` failure
+        // must stop at 3 steps rather than slide into the other bug.
+        let battery = |c: &TortureCase| BatteryVerdict {
+            passed: Vec::new(),
+            failure: Some(OracleFailure {
+                oracle: if c.cfg.steps >= 3 {
+                    "model_agrees"
+                } else {
+                    "completes"
+                },
+                detail: String::new(),
+            }),
+        };
+        let min = minimize(&loaded_case(), "model_agrees", &battery);
+        assert_eq!(min.cfg.steps, 3);
+        assert_eq!((min.patch, min.layout), ((1, 1, 1), (1, 1, 1)));
     }
 
     #[test]
     fn corrupted_cases_are_rejected_not_crashed() {
         for kind in 0..N_CORRUPTIONS {
-            let mut case = TortureCase::generate(3, 0);
-            case.corrupt = Some(kind);
+            let case = TortureCase::generate(3, 0).corrupted(kind);
             let v = run_battery(&case);
             assert!(
                 v.failure.is_none(),
@@ -1260,6 +1231,9 @@ mod tests {
                 v.failure
             );
             assert_eq!(v.passed, vec!["rejects_without_panicking"]);
+            // The shrinker re-applies the corruption after every step.
+            let again = case.clone().corrupted(kind);
+            assert_eq!(again.summary(), case.summary(), "not idempotent");
         }
     }
 

@@ -8,7 +8,10 @@
 //! generator's full seed-0 corpus — the same 200 cases the `repro
 //! torture` differential campaign fuzzes with — which covers every
 //! variant, balancer, machine preset, fault preset, checkpoint cadence,
-//! and PDES engine combination the generator can draw.
+//! and PDES engine combination the generator can draw, and (every
+//! corrupted case is a config too) the out-of-domain values the rejection
+//! oracle feeds `Simulation::try_new`: NaN noise, zero groups, threads and
+//! checkpoint interval, a 64-byte LDM.
 
 use std::collections::BTreeMap;
 
@@ -18,30 +21,41 @@ use uintah_core::{canonical_job, fnv128, RunConfig};
 const SEED: u64 = 0;
 const CASES: u64 = 200;
 
+/// `a == b`, except that the noise fraction is compared by its bit pattern:
+/// the `nan_noise` corruption makes `==` deny that a config equals itself.
+fn same(a: &RunConfig, b: &RunConfig) -> bool {
+    let quiet = |c: &RunConfig| RunConfig {
+        noise_frac: 0.0,
+        ..c.clone()
+    };
+    a.noise_frac.to_bits() == b.noise_frac.to_bits() && quiet(a) == quiet(b)
+}
+
 #[test]
 fn display_fromstr_round_trips_over_the_torture_corpus() {
-    let mut checked = 0u64;
+    let (mut checked, mut corrupted) = (0u64, 0u64);
     for id in 0..CASES {
         let case = TortureCase::generate(SEED, id);
-        if case.corrupt.is_some() {
-            continue; // deliberately-invalid configs are the rejection
-                      // oracle's business, not the cache's
-        }
-        let (_level, cfg) = case.build();
+        corrupted += u64::from(case.corrupt.is_some());
+        let cfg = case.cfg;
         let line = cfg.to_string();
         let parsed: RunConfig = line
             .parse()
             .unwrap_or_else(|e| panic!("case {id}: `{line}` failed to parse: {e}"));
-        assert_eq!(parsed, cfg, "case {id}: round-trip changed the config");
+        assert!(
+            same(&parsed, &cfg),
+            "case {id}: round-trip changed the config"
+        );
         // Re-rendering the parsed config reproduces the exact bytes.
         assert_eq!(parsed.to_string(), line, "case {id}: unstable rendering");
         checked += 1;
     }
     // The corpus split is pinned by the seed; if the generator changes,
-    // this count changes with it and the assertion documents the new one.
+    // these counts change with it and the assertions document the new ones.
+    assert_eq!(checked, 200, "every seed-0 line must round-trip");
     assert_eq!(
-        checked, 171,
-        "valid-case count drifted from the seed-0 corpus"
+        corrupted, 29,
+        "corrupted-case count drifted from the seed-0 corpus"
     );
 }
 
@@ -60,9 +74,8 @@ fn amr_augmented_corpus_round_trips_and_stays_injective() {
         if case.corrupt.is_some() {
             continue;
         }
-        let (_level, base) = case.build();
-        let base_line = base.to_string();
-        let mut cfg = base.clone();
+        let base_line = case.cfg.to_string();
+        let mut cfg = case.cfg.clone();
         let patches = case.patches();
         cfg.assignment_override = Some(std::sync::Arc::new(
             (0..patches).map(|p| p % cfg.n_ranks).collect(),
@@ -93,18 +106,14 @@ fn canonical_lines_are_injective_over_the_corpus() {
     let mut by_key: BTreeMap<u128, String> = BTreeMap::new();
     for id in 0..CASES {
         let case = TortureCase::generate(SEED, id);
-        if case.corrupt.is_some() {
-            continue;
-        }
-        let (level, cfg) = case.build();
-        let line = canonical_job(&level, "burgers", &cfg);
+        let line = canonical_job(&case.level(), "burgers", &case.cfg);
         if let Some((prev_id, prev_cfg)) = by_line.get(&line) {
-            assert_eq!(
-                *prev_cfg, cfg,
+            assert!(
+                same(prev_cfg, &case.cfg),
                 "cases {prev_id} and {id} share a canonical line but differ"
             );
         } else {
-            by_line.insert(line.clone(), (id, cfg));
+            by_line.insert(line.clone(), (id, case.cfg));
         }
         // Distinct canonical lines must map to distinct 128-bit keys —
         // a collision here is exactly what the store's hard error guards.
@@ -127,8 +136,7 @@ fn canonical_lines_are_injective_over_the_corpus() {
 
 #[test]
 fn non_canonical_spellings_are_rejected() {
-    let (_level, cfg) = TortureCase::generate(SEED, 0).build();
-    let line = cfg.to_string();
+    let line = TortureCase::generate(SEED, 0).cfg.to_string();
     // A leading zero in any integer token changes the bytes but not the
     // value; the strict parser must refuse it so no two spellings of the
     // same config can reach the cache under different keys.

@@ -72,3 +72,29 @@ fn trace_rejects_unknown_names_with_one_error_line() {
         );
     }
 }
+
+#[test]
+fn bad_or_missing_flag_values_fail_with_one_error_line() {
+    // `--jobs x` used to fall back to the auto-sized pool, `--seed x` to
+    // panic with exit 101, and a value flag at the end of the line to run
+    // with its default.
+    for (args, flag, value) in [
+        (&["table3", "--jobs", "x"][..], "--jobs", "`x`"),
+        (&["table3", "--seed", "x"], "--seed", "`x`"),
+        (&["torture", "--cases"], "--cases", "missing value"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "{args:?} ran something first");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.starts_with(&format!("ERROR: repro {flag}: "))
+                && stderr.contains(value)
+                && stderr.lines().count() == 1,
+            "{args:?}: {stderr}"
+        );
+    }
+}
