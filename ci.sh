@@ -121,6 +121,16 @@ if [[ "${1:-}" != "quick" ]]; then
       || { echo "ci.sh: CAMPAIGN_$other.json records differ from run1"; exit 1; }
   done
 
+  step "repro all: identical output at any pool size (--serial vs --jobs 2)"
+  # README.md and EXPERIMENTS.md promise that `repro all` prints the same
+  # bytes at any --jobs: the pool only fills the runner's cache, keyed by
+  # each cell's canonical line. A failing run stops here through set -e.
+  all_out=$(mktemp -d)
+  repro all --serial > "$all_out/serial.txt"
+  repro all --jobs 2 > "$all_out/jobs2.txt"
+  cmp "$all_out/serial.txt" "$all_out/jobs2.txt" \
+    || { echo "ci.sh: repro all output differs between --serial and --jobs 2"; exit 1; }
+
   step "byte identity of the deterministic artifacts"
   # Everything above except the wall-clock files (BENCH_scale.json, the
   # campaigns' service blocks) must regenerate byte-for-byte as committed.

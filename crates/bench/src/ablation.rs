@@ -4,48 +4,15 @@
 //! These go beyond the paper's evaluation: each isolates one mechanism of
 //! the scheduler or machine model and reports its contribution.
 
-use std::sync::Arc;
-
-use burgers::BurgersApp;
 use sw_math::ExpKind;
-use uintah_core::{
-    ExecMode, Level, LoadBalancer, MachineConfig, RunConfig, RunReport, SchedulerOptions,
-    Simulation, Variant,
-};
+use uintah_core::{LoadBalancer, SchedulerOptions, SimDur, Variant};
 
-use crate::problems::{ProblemSpec, MEDIUM, SMALL};
+use crate::problems::{MEDIUM, SMALL};
+use crate::runner::{paper_cell, Runner};
 use crate::table::{pct, secs, TextTable};
 
-fn run(
-    p: &ProblemSpec,
-    variant: Variant,
-    n_cgs: usize,
-    machine: MachineConfig,
-    options: SchedulerOptions,
-    lb: LoadBalancer,
-) -> RunReport {
-    let level: Level = p.level();
-    let app = Arc::new(BurgersApp::new(&level, variant.exp));
-    let mut cfg = RunConfig::paper(variant, ExecMode::Model, n_cgs);
-    cfg.lb = lb;
-    cfg.machine = machine;
-    cfg.options = options;
-    Simulation::new(level, app, cfg).run()
-}
-
-fn base(p: &ProblemSpec, variant: Variant, n_cgs: usize) -> RunReport {
-    run(
-        p,
-        variant,
-        n_cgs,
-        MachineConfig::sw26010(),
-        SchedulerOptions::default(),
-        LoadBalancer::Block,
-    )
-}
-
 /// §IX extensions: double-buffered DMA, packed tiles, CPE grouping.
-pub fn ablation_extensions() -> TextTable {
+pub fn ablation_extensions(runner: &mut Runner) -> TextTable {
     let mut t = TextTable::new(vec![
         "Configuration",
         "small t/step",
@@ -91,24 +58,15 @@ pub fn ablation_extensions() -> TextTable {
             },
         ),
     ];
-    let base_med = base(MEDIUM, Variant::ACC_SIMD_ASYNC, 8);
+    let base_med = runner
+        .run(&paper_cell(MEDIUM, Variant::ACC_SIMD_ASYNC, 8))
+        .clone();
     for (name, options) in cases {
-        let small = run(
-            SMALL,
-            Variant::ACC_SIMD_ASYNC,
-            8,
-            MachineConfig::sw26010(),
-            options,
-            LoadBalancer::Block,
-        );
-        let med = run(
-            MEDIUM,
-            Variant::ACC_SIMD_ASYNC,
-            8,
-            MachineConfig::sw26010(),
-            options,
-            LoadBalancer::Block,
-        );
+        let [small, med] = [SMALL, MEDIUM].map(|p| {
+            let mut cell = paper_cell(p, Variant::ACC_SIMD_ASYNC, 8);
+            cell.1.options = options;
+            runner.run(&cell).clone()
+        });
         t.row(vec![
             name.to_string(),
             secs(small.time_per_step().as_secs_f64()),
@@ -121,7 +79,7 @@ pub fn ablation_extensions() -> TextTable {
 
 /// The synchronous-spin memory-contention penalty: how much of the async
 /// advantage comes from it vs from genuine overlap.
-pub fn ablation_spin_penalty() -> TextTable {
+pub fn ablation_spin_penalty(runner: &mut Runner) -> TextTable {
     let mut t = TextTable::new(vec![
         "spin penalty",
         "sync t/step",
@@ -129,38 +87,23 @@ pub fn ablation_spin_penalty() -> TextTable {
         "async gain",
     ]);
     for c in [0.0, 0.06, 0.20] {
-        let machine = MachineConfig {
-            sync_spin_slowdown: c,
-            ..MachineConfig::sw26010()
-        };
-        let sync = run(
-            MEDIUM,
-            Variant::ACC_ASYNC,
-            8,
-            machine.clone(),
-            Default::default(),
-            LoadBalancer::Block,
-        );
-        let sync_run = run(
-            MEDIUM,
-            Variant::ACC_SYNC,
-            8,
-            machine,
-            Default::default(),
-            LoadBalancer::Block,
-        );
+        let [sync, asyn] = [Variant::ACC_SYNC, Variant::ACC_ASYNC].map(|v| {
+            let mut cell = paper_cell(MEDIUM, v, 8);
+            cell.1.machine.sync_spin_slowdown = c;
+            runner.run(&cell).clone()
+        });
         t.row(vec![
             format!("{:.0}%", c * 100.0),
-            secs(sync_run.time_per_step().as_secs_f64()),
             secs(sync.time_per_step().as_secs_f64()),
-            pct(sync.improvement_over(&sync_run)),
+            secs(asyn.time_per_step().as_secs_f64()),
+            pct(asyn.improvement_over(&sync)),
         ]);
     }
     t
 }
 
 /// Completion-flag poll granularity: the async scheduler's detection delay.
-pub fn ablation_poll_interval() -> TextTable {
+pub fn ablation_poll_interval(runner: &mut Runner) -> TextTable {
     let mut t = TextTable::new(vec![
         "poll interval",
         "8 CGs t/step",
@@ -168,34 +111,16 @@ pub fn ablation_poll_interval() -> TextTable {
         "128-CG gain vs sync",
     ]);
     for us in [100.0, 900.0, 3000.0] {
-        let machine = MachineConfig {
-            flag_poll_interval: sw_sim::SimDur::from_us(us),
-            ..MachineConfig::sw26010()
-        };
-        let a8 = run(
-            SMALL,
-            Variant::ACC_ASYNC,
-            8,
-            machine.clone(),
-            Default::default(),
-            LoadBalancer::Block,
-        );
-        let a128 = run(
-            SMALL,
-            Variant::ACC_ASYNC,
-            128,
-            machine.clone(),
-            Default::default(),
-            LoadBalancer::Block,
-        );
-        let s128 = run(
-            SMALL,
-            Variant::ACC_SYNC,
-            128,
-            machine,
-            Default::default(),
-            LoadBalancer::Block,
-        );
+        let [a8, a128, s128] = [
+            (Variant::ACC_ASYNC, 8),
+            (Variant::ACC_ASYNC, 128),
+            (Variant::ACC_SYNC, 128),
+        ]
+        .map(|(v, n)| {
+            let mut cell = paper_cell(SMALL, v, n);
+            cell.1.machine.flag_poll_interval = SimDur::from_us(us);
+            runner.run(&cell).clone()
+        });
         t.row(vec![
             format!("{us:.0} us"),
             secs(a8.time_per_step().as_secs_f64()),
@@ -207,21 +132,16 @@ pub fn ablation_poll_interval() -> TextTable {
 }
 
 /// Load balancers: surface locality vs communication volume and time.
-pub fn ablation_load_balancer() -> TextTable {
+pub fn ablation_load_balancer(runner: &mut Runner) -> TextTable {
     let mut t = TextTable::new(vec!["balancer", "messages", "net bytes", "t/step"]);
     for (name, lb) in [
         ("Block", LoadBalancer::Block),
         ("Morton", LoadBalancer::Morton),
         ("RoundRobin", LoadBalancer::RoundRobin),
     ] {
-        let r = run(
-            MEDIUM,
-            Variant::ACC_SIMD_ASYNC,
-            16,
-            MachineConfig::sw26010(),
-            Default::default(),
-            lb,
-        );
+        let mut cell = paper_cell(MEDIUM, Variant::ACC_SIMD_ASYNC, 16);
+        cell.1.lb = lb;
+        let r = runner.run(&cell);
         t.row(vec![
             name.to_string(),
             r.messages.to_string(),
@@ -233,27 +153,18 @@ pub fn ablation_load_balancer() -> TextTable {
 }
 
 /// The two software exp libraries (§VI-C): accuracy vs speed.
-pub fn ablation_exp_library() -> TextTable {
+pub fn ablation_exp_library(runner: &mut Runner) -> TextTable {
     let mut t = TextTable::new(vec!["exp library", "flops/step", "t/step", "Gflop/s"]);
     for (name, exp) in [
         ("fast", ExpKind::Fast),
         ("IEEE (accurate)", ExpKind::Accurate),
     ] {
-        let variant = Variant {
-            exp,
-            ..Variant::ACC_SIMD_ASYNC
-        };
-        let r = run(
-            MEDIUM,
-            variant,
-            8,
-            MachineConfig::sw26010(),
-            Default::default(),
-            LoadBalancer::Block,
-        );
+        let mut cell = paper_cell(MEDIUM, Variant::ACC_SIMD_ASYNC, 8);
+        cell.1.variant.exp = exp;
+        let r = runner.run(&cell);
         t.row(vec![
             name.to_string(),
-            (r.flops.total() / 10).to_string(),
+            (r.flops.total() / u64::from(r.steps)).to_string(),
             secs(r.time_per_step().as_secs_f64()),
             format!("{:.1}", r.gflops()),
         ]);
@@ -270,51 +181,24 @@ mod tests {
         // With the contention knob at zero, the async win must come purely
         // from overlap and still be positive: the mechanism is real, not an
         // artifact of the calibration constant.
-        let machine = MachineConfig {
-            sync_spin_slowdown: 0.0,
-            ..MachineConfig::sw26010()
-        };
-        let a = run(
-            MEDIUM,
-            Variant::ACC_ASYNC,
-            8,
-            machine.clone(),
-            Default::default(),
-            LoadBalancer::Block,
-        );
-        let s = run(
-            MEDIUM,
-            Variant::ACC_SYNC,
-            8,
-            machine,
-            Default::default(),
-            LoadBalancer::Block,
-        );
+        let mut runner = Runner::new();
+        let [a, s] = [Variant::ACC_ASYNC, Variant::ACC_SYNC].map(|v| {
+            let mut cell = paper_cell(MEDIUM, v, 8);
+            cell.1.machine.sync_spin_slowdown = 0.0;
+            runner.run(&cell).clone()
+        });
         let gain = a.improvement_over(&s);
         assert!(gain > 0.05, "pure-overlap gain {gain}");
     }
 
     #[test]
     fn accurate_exp_is_slower_and_does_more_flops() {
-        let fast = run(
-            SMALL,
-            Variant::ACC_SIMD_ASYNC,
-            8,
-            MachineConfig::sw26010(),
-            Default::default(),
-            LoadBalancer::Block,
-        );
-        let acc = run(
-            SMALL,
-            Variant {
-                exp: ExpKind::Accurate,
-                ..Variant::ACC_SIMD_ASYNC
-            },
-            8,
-            MachineConfig::sw26010(),
-            Default::default(),
-            LoadBalancer::Block,
-        );
+        let mut runner = Runner::new();
+        let [fast, acc] = [ExpKind::Fast, ExpKind::Accurate].map(|exp| {
+            let mut cell = paper_cell(SMALL, Variant::ACC_SIMD_ASYNC, 8);
+            cell.1.variant.exp = exp;
+            runner.run(&cell).clone()
+        });
         assert!(acc.total_time > fast.total_time);
         assert!(acc.flops.total() > fast.flops.total());
     }

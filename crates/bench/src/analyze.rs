@@ -15,10 +15,10 @@ use std::path::Path;
 use sw_analyze::AnalysisReport;
 use sw_telemetry::json::{arr, obj, Json, Layout::Compact};
 use uintah_core::grid::Level;
-use uintah_core::task::plan::build_rank_plan;
-use uintah_core::{verify_plans, LoadBalancer, MachineConfig, SchedulerOptions, Variant};
+use uintah_core::{verify_plans, ExecMode, RunConfig, Variant};
 
 use crate::problems::PROBLEMS;
+use crate::runner::{plans, GHOST};
 
 /// One verified configuration.
 pub struct AnalyzeCell {
@@ -32,28 +32,18 @@ pub struct AnalyzeCell {
     pub report: AnalysisReport,
 }
 
-/// Verify one (level, variant, cgs) configuration.
-fn analyze_one(
-    name: &str,
-    level: &Level,
-    variant: Variant,
-    cgs: usize,
-    ghost: i64,
-    stages: usize,
-) -> AnalysisReport {
-    let assignment = LoadBalancer::Block.assign(level, cgs);
-    let plans: Vec<_> = (0..cgs)
-        .map(|r| build_rank_plan(level, &assignment, r, ghost))
-        .collect();
+/// Verify the plans [`burgers`](crate::runner::burgers) compiles for `cfg`
+/// on `level`, a task graph of `stages` stages.
+fn analyze_one(name: &str, level: &Level, cfg: &RunConfig, stages: usize) -> AnalysisReport {
     verify_plans(
         name,
         level,
-        &plans,
-        ghost,
+        &plans(level, cfg),
+        GHOST,
         stages,
-        variant,
-        &SchedulerOptions::default(),
-        &MachineConfig::sw26010(),
+        cfg.variant,
+        &cfg.options,
+        &cfg.machine,
     )
 }
 
@@ -70,11 +60,12 @@ pub fn run_analyze() -> Vec<AnalyzeCell> {
         }
         for variant in Variant::TABLE_IV {
             for &cgs in &cg_counts {
+                let cfg = RunConfig::paper(variant, ExecMode::Model, cgs);
                 cells.push(AnalyzeCell {
                     problem: p.name,
                     cgs,
                     stages: 1,
-                    report: analyze_one(p.name, &level, variant, cgs, 1, 1),
+                    report: analyze_one(p.name, &level, &cfg, 1),
                 });
             }
         }
@@ -85,11 +76,12 @@ pub fn run_analyze() -> Vec<AnalyzeCell> {
     let level = small.level();
     for variant in Variant::TABLE_IV {
         for cgs in [1, 128] {
+            let cfg = RunConfig::paper(variant, ExecMode::Model, cgs);
             cells.push(AnalyzeCell {
                 problem: small.name,
                 cgs,
                 stages: 3,
-                report: analyze_one(small.name, &level, variant, cgs, 1, 3),
+                report: analyze_one(small.name, &level, &cfg, 3),
             });
         }
     }
@@ -180,7 +172,8 @@ mod tests {
         let level = p.level();
         for variant in Variant::TABLE_IV {
             for cgs in [1, 8] {
-                let r = analyze_one(p.name, &level, variant, cgs, 1, 1);
+                let cfg = RunConfig::paper(variant, ExecMode::Model, cgs);
+                let r = analyze_one(p.name, &level, &cfg, 1);
                 assert!(
                     r.is_clean(),
                     "{} cgs {cgs}:\n{}",
@@ -199,7 +192,12 @@ mod tests {
             problem: p.name,
             cgs: 1,
             stages: 1,
-            report: analyze_one(p.name, &p.level(), Variant::HOST_SYNC, 1, 1, 1),
+            report: analyze_one(
+                p.name,
+                &p.level(),
+                &RunConfig::paper(Variant::HOST_SYNC, ExecMode::Model, 1),
+                1,
+            ),
         }];
         let j = analyze_json(&cells);
         assert!(j.contains("\"problem\":\"16x16x512\""), "{j}");
@@ -218,7 +216,7 @@ mod tests {
             bytes: 8,
             label: "ghost(\"p3\"->p4\\XMinus)\n".into(),
         };
-        let net = uintah_core::net_model(&MachineConfig::sw26010());
+        let net = uintah_core::net_model(&uintah_core::MachineConfig::sw26010());
         let (proof, findings) = prove_lookahead(&[channel], &net, u64::MAX / 2);
         assert!(!proof.safe && findings.len() == 1);
         let report = AnalysisReport {

@@ -526,8 +526,8 @@ fn run_trace(args: &[String]) {
         }
     }
     let dir = std::path::Path::new("results");
-    let cases =
-        bench::trace::write_trace_json(dir, p, &variants, cgs, steps).expect("write trace JSON");
+    let cases = bench::trace::write_trace_json(dir, p, &variants, cgs, steps)
+        .unwrap_or_else(|e| bench::cli::fail("trace", &e.to_string()));
     println!(
         "== Telemetry trace: {} on {} CGs, {} steps ==",
         p.name, cgs, steps
@@ -784,7 +784,7 @@ fn main() {
     if want("weak") {
         print_table(
             "Weak scaling (one 32x32x512 patch per CG) — not in the paper",
-            &ex::weak_scaling(),
+            &ex::weak_scaling(&mut runner),
         );
     }
     if want("breakdown") {
@@ -800,33 +800,33 @@ fn main() {
     if want("fidelity") {
         print_table(
             "Fidelity: best-of-N under kernel noise (32x64x512, 8 CGs)",
-            &bench::fidelity::fidelity_best_of_n(5, seed),
+            &bench::fidelity::fidelity_best_of_n(&mut runner, 5, seed),
         );
         print_table(
             "Fidelity: measurement-driven rebalance with one slow CG (16x16x512, 4 CGs)",
-            &bench::fidelity::fidelity_rebalance(),
+            &bench::fidelity::fidelity_rebalance(&mut runner),
         );
     }
     if want("ablation") {
         print_table(
             "Ablation: §IX extensions (double-buffer / packed tiles / CPE groups)",
-            &ablation::ablation_extensions(),
+            &ablation::ablation_extensions(&mut runner),
         );
         print_table(
             "Ablation: sync-spin memory-contention penalty",
-            &ablation::ablation_spin_penalty(),
+            &ablation::ablation_spin_penalty(&mut runner),
         );
         print_table(
             "Ablation: completion-flag poll interval (16x16x512)",
-            &ablation::ablation_poll_interval(),
+            &ablation::ablation_poll_interval(&mut runner),
         );
         print_table(
             "Ablation: load balancer (32x64x512, 16 CGs)",
-            &ablation::ablation_load_balancer(),
+            &ablation::ablation_load_balancer(&mut runner),
         );
         print_table(
             "Ablation: software exp library (32x64x512, 8 CGs)",
-            &ablation::ablation_exp_library(),
+            &ablation::ablation_exp_library(&mut runner),
         );
     }
     warn_serial_fallbacks();

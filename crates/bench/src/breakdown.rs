@@ -2,23 +2,19 @@
 //! core's busy time — the analysis behind the paper's claim that the
 //! asynchronous scheduler "reduces the overall wait time" (§V-C).
 
-use std::sync::Arc;
-
-use burgers::BurgersApp;
-use sw_math::ExpKind;
 use uintah_core::schedule::rank::MpeBreakdown;
-use uintah_core::{ExecMode, RunConfig, Simulation, Variant};
+use uintah_core::{ExecMode, RunConfig, Variant};
 
 use crate::problems::ProblemSpec;
+use crate::runner::burgers;
 use crate::table::{pct, secs, TextTable};
 
 /// Run one case and aggregate the MPE breakdown over all ranks, plus the
-/// run's total MPE-seconds available (ranks x wall time).
+/// run's total MPE-seconds available (ranks x wall time) and its wall time
+/// per step.
 pub fn measure(p: &ProblemSpec, variant: Variant, n_cgs: usize) -> (MpeBreakdown, f64, f64) {
-    let level = p.level();
-    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
     let cfg = RunConfig::paper(variant, ExecMode::Model, n_cgs);
-    let mut sim = Simulation::new(level, app, cfg);
+    let mut sim = burgers(&p.level(), cfg).expect("a valid breakdown case");
     let report = sim.run();
     let mut agg = MpeBreakdown::default();
     for r in 0..n_cgs {
@@ -31,7 +27,7 @@ pub fn measure(p: &ProblemSpec, variant: Variant, n_cgs: usize) -> (MpeBreakdown
         agg.kernel += b.kernel;
     }
     let wall = report.total_time.as_secs_f64();
-    (agg, wall * n_cgs as f64, wall)
+    (agg, wall * n_cgs as f64, wall / f64::from(report.steps))
 }
 
 /// The breakdown table for one problem/CG count across the Table IV
@@ -49,11 +45,11 @@ pub fn breakdown_table(p: &ProblemSpec, n_cgs: usize) -> TextTable {
         "kernel",
     ]);
     for v in Variant::TABLE_IV {
-        let (b, avail, wall) = measure(p, v, n_cgs);
+        let (b, avail, per_step) = measure(p, v, n_cgs);
         let share = |d: sw_sim::SimDur| pct(d.as_secs_f64() / avail);
         t.row(vec![
             v.name().to_string(),
-            secs(wall / 10.0),
+            secs(per_step),
             pct(b.total().as_secs_f64() / avail),
             share(b.task_mgmt),
             share(b.copies),
@@ -76,10 +72,8 @@ mod tests {
         // The categorized totals must equal the MPE clock's busy total for
         // every variant — nothing consumed without a category.
         for v in Variant::TABLE_IV {
-            let level = MEDIUM.level();
-            let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
             let cfg = RunConfig::paper(v, ExecMode::Model, 8);
-            let mut sim = Simulation::new(level, app, cfg);
+            let mut sim = burgers(&MEDIUM.level(), cfg).unwrap();
             let report = sim.run();
             let mut cat_total = 0.0;
             for r in 0..8 {

@@ -25,21 +25,15 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use burgers::BurgersApp;
-use sw_math::ExpKind;
 use sw_sim::{Machine, SimTime, WindowGraph};
 use sw_telemetry::json::{
     arr, obj, Json,
     Layout::{Block, Row},
 };
-use uintah_core::task::build_rank_plan;
-use uintah_core::{
-    iv, prove_lookahead_for_plans, race_check, Application, ExecMode, Level, RunConfig, Simulation,
-    Variant,
-};
+use uintah_core::{iv, prove_lookahead_for_plans, race_check, ExecMode, Level, RunConfig, Variant};
 
 use crate::problems::{PROBLEMS, SMALL};
-use crate::runner::bits;
+use crate::runner::{bits, burgers, plans, STAGES};
 use crate::scale::extension_level;
 
 /// One statically proved (problem, cgs) configuration.
@@ -228,17 +222,6 @@ impl CheckOutcome {
     }
 }
 
-fn plans_for(
-    level: &Level,
-    assignment: &[usize],
-    n_ranks: usize,
-    ghost: i64,
-) -> Vec<uintah_core::task::RankPlan> {
-    (0..n_ranks)
-        .map(|r| build_rank_plan(level, assignment, r, ghost))
-        .collect()
-}
-
 /// Prove every paper problem's channel set safe against the default
 /// lookahead, at its minimum rank count and at the paper's 128 CGs.
 pub fn run_static() -> Vec<StaticCell> {
@@ -251,8 +234,7 @@ pub fn run_static() -> Vec<StaticCell> {
         }
         for cgs in counts {
             let cfg = RunConfig::paper(Variant::ACC_ASYNC, ExecMode::Model, cgs);
-            let assignment = cfg.lb.assign(&level, cgs);
-            let plans = plans_for(&level, &assignment, cgs, 1);
+            let plans = plans(&level, &cfg);
             let lookahead = cfg.machine.net_latency.0;
             let (proof, _) = prove_lookahead_for_plans(&plans, &cfg.machine, lookahead);
             cells.push(StaticCell {
@@ -274,8 +256,7 @@ pub fn run_static() -> Vec<StaticCell> {
 pub fn run_unsafe_demo() -> UnsafeDemo {
     let level = SMALL.level();
     let cfg = RunConfig::paper(Variant::ACC_ASYNC, ExecMode::Model, 2);
-    let assignment = cfg.lb.assign(&level, 2);
-    let plans = plans_for(&level, &assignment, 2, 1);
+    let plans = plans(&level, &cfg);
     let machine = &cfg.machine;
     let (base, _) = prove_lookahead_for_plans(&plans, machine, 0);
     let min = base.min_latency_ps;
@@ -315,15 +296,15 @@ pub fn run_unsafe_demo() -> UnsafeDemo {
 
 /// Race-check one instrumented run.
 fn dyn_case(level: Level, variant: Variant, cgs: usize, steps: u32) -> DynCell {
-    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-    let mut cfg = RunConfig::paper(variant, ExecMode::Model, cgs);
-    cfg.steps = steps;
+    let mut cfg = RunConfig {
+        steps,
+        ..RunConfig::paper(variant, ExecMode::Model, cgs)
+    };
     cfg.options.telemetry = true;
-    let mut sim = Simulation::new(level, app.clone(), cfg);
+    let plans = plans(&level, &cfg);
+    let mut sim = burgers(&level, cfg).expect("a valid race-check run");
     sim.run();
-    let snap = sim.recorder().snapshot();
-    let plans = plans_for(sim.level(), sim.assignment(), cgs, app.ghost());
-    let rep = race_check(&snap, sim.level(), &plans, app.stages());
+    let rep = race_check(&sim.recorder().snapshot(), &level, &plans, STAGES);
     DynCell {
         variant: variant.name(),
         cgs,
@@ -372,21 +353,23 @@ struct DporConfig {
     budget: usize,
 }
 
-fn dpor_run_config(c: &DporConfig) -> RunConfig {
-    let mut cfg = RunConfig::paper(Variant::HOST_SYNC, ExecMode::Functional, c.ranks);
-    cfg.steps = c.steps;
-    cfg
-}
-
 /// Explore one configuration: baseline serial run with the merge log on,
 /// then one replay per non-identity drain-order class per message window
 /// (up to the budget), each asserted bit-identical to the baseline.
 fn dpor_explore(c: &DporConfig) -> DporCell {
     let level = Level::new(c.extent, c.layout);
-    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-    let mut cfg = dpor_run_config(c);
-    cfg.window_log = true;
-    let mut sim = Simulation::new(level.clone(), app.clone(), cfg);
+    let cfg = RunConfig {
+        steps: c.steps,
+        ..RunConfig::paper(Variant::HOST_SYNC, ExecMode::Functional, c.ranks)
+    };
+    let mut sim = burgers(
+        &level,
+        RunConfig {
+            window_log: true,
+            ..cfg.clone()
+        },
+    )
+    .expect("a valid DPOR baseline");
     let base_report = sim.run();
     let base_bits = bits(&sim);
     let base_steps: Vec<u64> = base_report.step_end.iter().map(|t| t.0).collect();
@@ -412,9 +395,11 @@ fn dpor_explore(c: &DporConfig) -> DporCell {
             }
             let mut orders = vec![ascending.clone(); w];
             orders.push(order);
-            let mut cfg2 = dpor_run_config(c);
-            cfg2.pdes_order = Some(Arc::new(orders));
-            let mut sim2 = Simulation::new(level.clone(), app.clone(), cfg2);
+            let forced = RunConfig {
+                pdes_order: Some(Arc::new(orders)),
+                ..cfg.clone()
+            };
+            let mut sim2 = burgers(&level, forced).expect("a valid DPOR replay");
             let rep2 = sim2.run();
             let steps2: Vec<u64> = rep2.step_end.iter().map(|t| t.0).collect();
             identical &= bits(&sim2) == base_bits && steps2 == base_steps;
@@ -601,8 +586,7 @@ mod tests {
     fn small_problems_prove_safe_at_the_default_lookahead() {
         let level = SMALL.level();
         let cfg = RunConfig::paper(Variant::ACC_ASYNC, ExecMode::Model, 4);
-        let assignment = cfg.lb.assign(&level, 4);
-        let plans = plans_for(&level, &assignment, 4, 1);
+        let plans = plans(&level, &cfg);
         let (proof, findings) =
             prove_lookahead_for_plans(&plans, &cfg.machine, cfg.machine.net_latency.0);
         assert!(proof.safe, "{proof:?}");

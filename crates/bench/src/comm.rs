@@ -25,22 +25,16 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
-use burgers::BurgersApp;
-use sw_math::ExpKind;
 use sw_telemetry::json::{
     arr, fixed, obj,
     Layout::{Block, Row},
 };
 use sw_telemetry::{analyze, Event};
-use uintah_core::task::build_rank_plan;
-use uintah_core::{
-    prove_lookahead_for_plans_with, CommConfig, ExecMode, RunConfig, Simulation, Variant,
-};
+use uintah_core::{prove_lookahead_for_plans_with, CommConfig, ExecMode, RunConfig, Variant};
 
 use crate::problems::{ProblemSpec, SMALL};
-use crate::runner::bits;
+use crate::runner::{bits, burgers, plans};
 use crate::trace::reconciles;
 
 /// Endpoint counts swept.
@@ -228,23 +222,18 @@ impl CommOutcome {
     }
 }
 
-fn base_config(mode: ExecMode) -> RunConfig {
-    let mut cfg = RunConfig::paper(Variant::ACC_ASYNC, mode, CGS);
-    cfg.steps = STEPS;
-    cfg
-}
-
 /// Functional run under `comm`; returns the final warehouse bits.
 ///
 /// Deliberately *not* the virtual step clocks: the comm knobs change when
 /// packets move (that is the performance effect the model cells measure),
 /// the byte-identity contract is about what the packets carry.
 fn functional_bits(p: &ProblemSpec, comm: CommConfig) -> Vec<Vec<u64>> {
-    let level = p.level();
-    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-    let mut cfg = base_config(ExecMode::Functional);
-    cfg.comm = comm;
-    let mut sim = Simulation::new(level, app, cfg);
+    let cfg = RunConfig {
+        steps: STEPS,
+        comm,
+        ..RunConfig::paper(Variant::ACC_ASYNC, ExecMode::Functional, CGS)
+    };
+    let mut sim = burgers(&p.level(), cfg).expect("a valid comm cell");
     sim.run();
     bits(&sim)
 }
@@ -252,13 +241,13 @@ fn functional_bits(p: &ProblemSpec, comm: CommConfig) -> Vec<Vec<u64>> {
 /// Instrumented model run under `comm` (any Table IV variant); returns
 /// `(overlap_efficiency, reconciled, agg_staged, agg_flushes)`.
 fn model_overlap(p: &ProblemSpec, variant: Variant, comm: CommConfig) -> (f64, bool, usize, usize) {
-    let level = p.level();
-    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-    let mut cfg = RunConfig::paper(variant, ExecMode::Model, CGS);
-    cfg.steps = STEPS;
+    let mut cfg = RunConfig {
+        steps: STEPS,
+        comm,
+        ..RunConfig::paper(variant, ExecMode::Model, CGS)
+    };
     cfg.options.telemetry = true;
-    cfg.comm = comm;
-    let mut sim = Simulation::new(level, app, cfg);
+    let mut sim = burgers(&p.level(), cfg).expect("a valid comm cell");
     let report = sim.run();
     let snap = sim.recorder().snapshot();
     let phases = analyze(&snap);
@@ -277,14 +266,13 @@ fn model_overlap(p: &ProblemSpec, variant: Variant, comm: CommConfig) -> (f64, b
 
 /// Prove the cell's (coalesced) channel set safe at the default lookahead.
 fn cell_proof(p: &ProblemSpec, comm: &CommConfig) -> (usize, u64, bool) {
-    let level = p.level();
-    let cfg = base_config(ExecMode::Model);
-    let assignment = cfg.lb.assign(&level, CGS);
-    let plans: Vec<_> = (0..CGS)
-        .map(|r| build_rank_plan(&level, &assignment, r, 1))
-        .collect();
-    let (proof, _) =
-        prove_lookahead_for_plans_with(&plans, &cfg.machine, comm, cfg.machine.net_latency.0);
+    let cfg = RunConfig::paper(Variant::ACC_ASYNC, ExecMode::Model, CGS);
+    let (proof, _) = prove_lookahead_for_plans_with(
+        &plans(&p.level(), &cfg),
+        &cfg.machine,
+        comm,
+        cfg.machine.net_latency.0,
+    );
     (proof.channels.len(), proof.min_latency_ps, proof.safe)
 }
 
@@ -431,13 +419,8 @@ mod tests {
         // eager and rendezvous across these, the bytes must not move.
         let base = functional_bits(TINY, CommConfig::default());
         let payload = {
-            let level = TINY.level();
-            let cfg = base_config(ExecMode::Model);
-            let assignment = cfg.lb.assign(&level, CGS);
-            let plans: Vec<_> = (0..CGS)
-                .map(|r| build_rank_plan(&level, &assignment, r, 1))
-                .collect();
-            plans
+            let cfg = RunConfig::paper(Variant::ACC_ASYNC, ExecMode::Model, CGS);
+            plans(&TINY.level(), &cfg)
                 .iter()
                 .flat_map(|p| p.sends.iter().map(|s| s.window.cells() * 8))
                 .max()

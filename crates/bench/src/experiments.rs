@@ -7,10 +7,11 @@
 use burgers::kernel::{cell_exp_flops, cell_flops};
 use burgers::phi::exact_u_flops;
 use sw_math::ExpKind;
-use uintah_core::{MachineConfig, Variant};
+use uintah_core::grid::{iv, Level};
+use uintah_core::{ExecMode, MachineConfig, RunConfig, Variant};
 
 use crate::problems::{ProblemSpec, ALL_CG_COUNTS, LARGE, MEDIUM, PROBLEMS, SMALL};
-use crate::runner::{Runner, SweepCell};
+use crate::runner::{paper_cell, Runner, SweepCell};
 use crate::table::{pct, secs, TextTable};
 
 /// The four offloading variants of the scaling study (host.sync is excluded
@@ -31,14 +32,14 @@ pub fn sweep_cells_for(experiment: &str) -> Vec<SweepCell> {
     match experiment {
         "table1" => {
             for p in &PROBLEMS {
-                cells.push((p, Variant::ACC_SIMD_ASYNC, p.min_cgs));
+                cells.push(paper_cell(p, Variant::ACC_SIMD_ASYNC, p.min_cgs));
             }
         }
         "fig5" => {
             for p in &PROBLEMS {
                 for n in p.cg_counts() {
                     for v in SCALING_VARIANTS {
-                        cells.push((p, v, n));
+                        cells.push(paper_cell(p, v, n));
                     }
                 }
             }
@@ -46,8 +47,8 @@ pub fn sweep_cells_for(experiment: &str) -> Vec<SweepCell> {
         "table5" => {
             for p in &PROBLEMS {
                 for v in SCALING_VARIANTS {
-                    cells.push((p, v, p.min_cgs));
-                    cells.push((p, v, 128));
+                    cells.push(paper_cell(p, v, p.min_cgs));
+                    cells.push(paper_cell(p, v, 128));
                 }
             }
         }
@@ -60,8 +61,8 @@ pub fn sweep_cells_for(experiment: &str) -> Vec<SweepCell> {
             for p in &PROBLEMS {
                 for &n in &ALL_CG_COUNTS {
                     if n >= p.min_cgs {
-                        cells.push((p, vs, n));
-                        cells.push((p, va, n));
+                        cells.push(paper_cell(p, vs, n));
+                        cells.push(paper_cell(p, va, n));
                     }
                 }
             }
@@ -78,7 +79,7 @@ pub fn sweep_cells_for(experiment: &str) -> Vec<SweepCell> {
                     Variant::ACC_ASYNC,
                     Variant::ACC_SIMD_ASYNC,
                 ] {
-                    cells.push((p, v, n));
+                    cells.push(paper_cell(p, v, n));
                 }
             }
         }
@@ -86,7 +87,7 @@ pub fn sweep_cells_for(experiment: &str) -> Vec<SweepCell> {
             for p in &PROBLEMS {
                 for &n in &ALL_CG_COUNTS {
                     if n >= p.min_cgs {
-                        cells.push((p, Variant::ACC_SIMD_ASYNC, n));
+                        cells.push(paper_cell(p, Variant::ACC_SIMD_ASYNC, n));
                     }
                 }
             }
@@ -106,8 +107,8 @@ pub fn table1(runner: &mut Runner) -> TextTable {
         "Exp share",
     ]);
     for p in &PROBLEMS {
-        let steps = 10u64;
-        let report = runner.run(p, Variant::ACC_SIMD_ASYNC, p.min_cgs).clone();
+        let report = runner.run(&paper_cell(p, Variant::ACC_SIMD_ASYNC, p.min_cgs));
+        let steps = u64::from(report.steps);
         let flops_per_step = report.flops.total() / steps;
         let exp_per_step = report.flops.get(sw_sim::FlopCategory::Exp) / steps;
         // The paper normalizes by the ghosted grid volume (its "Total Cells"
@@ -216,7 +217,7 @@ pub fn fig5(runner: &mut Runner) -> Vec<(String, TextTable)> {
         for n in p.cg_counts() {
             let mut row = vec![n.to_string()];
             for v in SCALING_VARIANTS {
-                let r = runner.run(p, v, n);
+                let r = runner.run(&paper_cell(p, v, n));
                 row.push(secs(r.time_per_step().as_secs_f64()));
             }
             t.row(row);
@@ -238,8 +239,8 @@ pub fn table5(runner: &mut Runner) -> TextTable {
     for p in &PROBLEMS {
         let mut row = vec![p.name.to_string()];
         for v in SCALING_VARIANTS {
-            let base = runner.run(p, v, p.min_cgs).clone();
-            let top = runner.run(p, v, 128);
+            let base = runner.run(&paper_cell(p, v, p.min_cgs)).clone();
+            let top = runner.run(&paper_cell(p, v, 128));
             row.push(pct(top.scaling_efficiency(&base)));
         }
         t.row(row);
@@ -265,8 +266,8 @@ pub fn table6or7(runner: &mut Runner, simd: bool) -> TextTable {
                 row.push("-".to_string());
                 continue;
             }
-            let sync = runner.run(p, vs, n).clone();
-            let asyn = runner.run(p, va, n);
+            let sync = runner.run(&paper_cell(p, vs, n)).clone();
+            let asyn = runner.run(&paper_cell(p, va, n));
             row.push(pct(asyn.improvement_over(&sync)));
         }
         t.row(row);
@@ -290,9 +291,11 @@ pub fn fig678(runner: &mut Runner, which: usize) -> (String, TextTable) {
         "acc_simd.async boost",
     ]);
     for n in p.cg_counts() {
-        let host = runner.run(p, Variant::HOST_SYNC, n).clone();
-        let acc = runner.run(p, Variant::ACC_ASYNC, n).clone();
-        let simd = runner.run(p, Variant::ACC_SIMD_ASYNC, n).clone();
+        let host = runner.run(&paper_cell(p, Variant::HOST_SYNC, n)).clone();
+        let acc = runner.run(&paper_cell(p, Variant::ACC_ASYNC, n)).clone();
+        let simd = runner
+            .run(&paper_cell(p, Variant::ACC_SIMD_ASYNC, n))
+            .clone();
         t.row(vec![
             n.to_string(),
             secs(host.time_per_step().as_secs_f64()),
@@ -326,7 +329,7 @@ pub fn fig9(runner: &mut Runner) -> TextTable {
                 row.push("-".to_string());
                 continue;
             }
-            let r = runner.run(p, Variant::ACC_SIMD_ASYNC, n);
+            let r = runner.run(&paper_cell(p, Variant::ACC_SIMD_ASYNC, n));
             row.push(format!("{:.1}", r.gflops()));
         }
         t.row(row);
@@ -339,7 +342,6 @@ pub fn fig10(runner: &mut Runner) -> TextTable {
     let mut header = vec!["Problem".to_string()];
     header.extend(ALL_CG_COUNTS.iter().map(|n| format!("{n} CGs")));
     let mut t = TextTable::new(header);
-    let cfg = runner.machine().clone();
     for p in &PROBLEMS {
         let mut row = vec![p.name.to_string()];
         for &n in &ALL_CG_COUNTS {
@@ -347,8 +349,9 @@ pub fn fig10(runner: &mut Runner) -> TextTable {
                 row.push("-".to_string());
                 continue;
             }
-            let r = runner.run(p, Variant::ACC_SIMD_ASYNC, n);
-            row.push(format!("{:.2}%", r.fp_efficiency(&cfg) * 100.0));
+            let cell = paper_cell(p, Variant::ACC_SIMD_ASYNC, n);
+            let r = runner.run(&cell);
+            row.push(format!("{:.2}%", r.fp_efficiency(&cell.1.machine) * 100.0));
         }
         t.row(row);
     }
@@ -359,12 +362,7 @@ pub fn fig10(runner: &mut Runner) -> TextTable {
 /// patch per CG, growing the machine 1 -> 128 CGs. Perfect weak scaling
 /// keeps the time per step flat; the deviation is the communication and
 /// reduction cost growing with the machine.
-pub fn weak_scaling() -> TextTable {
-    use burgers::BurgersApp;
-    use std::sync::Arc;
-    use uintah_core::grid::{iv, Level};
-    use uintah_core::{ExecMode, RunConfig, Simulation};
-
+pub fn weak_scaling(runner: &mut Runner) -> TextTable {
     let layouts: [(usize, (i64, i64, i64)); 8] = [
         (1, (1, 1, 1)),
         (2, (2, 1, 1)),
@@ -385,22 +383,18 @@ pub fn weak_scaling() -> TextTable {
     let mut base: Option<f64> = None;
     for (n, l) in layouts {
         let level = Level::new(iv(32, 32, 512), iv(l.0, l.1, l.2));
-        let run = |variant: Variant| {
-            let app = Arc::new(BurgersApp::new(&level, sw_math::ExpKind::Fast));
-            let cfg = RunConfig::paper(variant, ExecMode::Model, n);
-            Simulation::new(level.clone(), app, cfg).run()
-        };
-        let sync = run(Variant::ACC_SIMD_SYNC);
-        let asyn = run(Variant::ACC_SIMD_ASYNC);
-        let ta = asyn.time_per_step().as_secs_f64();
-        let b = *base.get_or_insert(ta);
+        let [sync, asyn] = [Variant::ACC_SIMD_SYNC, Variant::ACC_SIMD_ASYNC].map(|variant| {
+            let cell = (level.clone(), RunConfig::paper(variant, ExecMode::Model, n));
+            runner.run(&cell).time_per_step().as_secs_f64()
+        });
+        let b = *base.get_or_insert(asyn);
         let g = level.grid().extent();
         t.row(vec![
             n.to_string(),
             format!("{}x{}x{}", g.x, g.y, g.z),
-            secs(sync.time_per_step().as_secs_f64()),
-            secs(ta),
-            pct(b / ta),
+            secs(sync),
+            secs(asyn),
+            pct(b / asyn),
         ]);
     }
     t
@@ -450,8 +444,12 @@ mod tests {
         // One problem is enough for a unit test; the full sweep runs in the
         // repro binary.
         let mut runner = Runner::new();
-        let sync = runner.run(&PROBLEMS[2], Variant::ACC_SYNC, 4).clone();
-        let asyn = runner.run(&PROBLEMS[2], Variant::ACC_ASYNC, 4).clone();
+        let sync = runner
+            .run(&paper_cell(&PROBLEMS[2], Variant::ACC_SYNC, 4))
+            .clone();
+        let asyn = runner
+            .run(&paper_cell(&PROBLEMS[2], Variant::ACC_ASYNC, 4))
+            .clone();
         let gain = asyn.improvement_over(&sync);
         assert!(
             gain > 0.0,

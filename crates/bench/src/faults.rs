@@ -20,10 +20,7 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
-use burgers::BurgersApp;
-use sw_math::ExpKind;
 use sw_resilience::{Checkpoint, FaultConfig, FaultCounts, FaultPreset};
 use sw_telemetry::json::{
     arr, fixed, lit, obj, Json,
@@ -33,7 +30,7 @@ use uintah_core::grid::iv;
 use uintah_core::{ExecMode, Level, RunConfig, RunReport, Simulation, Variant};
 
 use crate::problems::SMALL;
-use crate::runner::bits;
+use crate::runner::{bits, burgers};
 
 /// The functional proof problem: small enough to run every variant twice
 /// (clean + faulted) with real data in well under a second.
@@ -41,23 +38,9 @@ fn proof_level() -> Level {
     Level::new(iv(8, 8, 8), iv(2, 2, 2))
 }
 
-fn functional_run(
-    variant: Variant,
-    steps: u32,
-    n_ranks: usize,
-    faults: Option<FaultConfig>,
-    ckpt: Option<(u32, &Path)>,
-) -> (Simulation, RunReport) {
-    let level = proof_level();
-    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-    let mut cfg = RunConfig::paper(variant, ExecMode::Functional, n_ranks);
-    cfg.steps = steps;
-    cfg.options.faults = faults;
-    if let Some((every, dir)) = ckpt {
-        cfg.ckpt_every = Some(every);
-        cfg.ckpt_dir = Some(dir.to_path_buf());
-    }
-    let mut sim = Simulation::new(level, app, cfg);
+/// Construct and run `cfg` on the proof level.
+fn proof_run(cfg: RunConfig) -> (Simulation, RunReport) {
+    let mut sim = burgers(&proof_level(), cfg).expect("a valid fault-proof run");
     let report = sim.run();
     (sim, report)
 }
@@ -291,14 +274,14 @@ pub fn run_faults(seed: u64, ckpt_dir: &Path) -> FaultsOutcome {
     let identity: Vec<IdentityCell> = Variant::TABLE_IV
         .iter()
         .map(|&variant| {
-            let (clean, _) = functional_run(variant, STEPS, RANKS, None, None);
-            let (faulted, report) = functional_run(
-                variant,
-                STEPS,
-                RANKS,
-                Some(FaultConfig::standard(seed)),
-                None,
-            );
+            let clean_cfg = RunConfig {
+                steps: STEPS,
+                ..RunConfig::paper(variant, ExecMode::Functional, RANKS)
+            };
+            let mut faulted_cfg = clean_cfg.clone();
+            faulted_cfg.options.faults = Some(FaultConfig::standard(seed));
+            let (clean, _) = proof_run(clean_cfg);
+            let (faulted, report) = proof_run(faulted_cfg);
             IdentityCell {
                 variant: variant.name(),
                 bit_identical: bits(&clean) == bits(&faulted),
@@ -312,26 +295,23 @@ pub fn run_faults(seed: u64, ckpt_dir: &Path) -> FaultsOutcome {
         const TOTAL: u32 = 8;
         const EVERY: u32 = 4;
         std::fs::remove_dir_all(ckpt_dir).ok();
-        let faults = Some(FaultConfig::standard(seed));
-        let (base, _) = functional_run(
-            Variant::ACC_SIMD_ASYNC,
-            TOTAL,
-            RANKS,
-            faults,
-            Some((EVERY, ckpt_dir)),
-        );
+        let mut cfg = RunConfig {
+            steps: TOTAL,
+            ..RunConfig::paper(Variant::ACC_SIMD_ASYNC, ExecMode::Functional, RANKS)
+        };
+        cfg.options.faults = Some(FaultConfig::standard(seed));
+        let (base, _) = proof_run(RunConfig {
+            ckpt_every: Some(EVERY),
+            ckpt_dir: Some(ckpt_dir.to_path_buf()),
+            ..cfg.clone()
+        });
         let path = ckpt_dir.join(format!("step{EVERY:05}.ckpt"));
         let ckpt_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         let ckpt = Checkpoint::read_from(&path).expect("read mid-flight checkpoint");
         let resumed_step = ckpt.step;
         // "Kill": the first process is gone; this fresh simulation is the
         // restarted one, beginning from the on-disk state alone.
-        let level = proof_level();
-        let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-        let mut cfg = RunConfig::paper(Variant::ACC_SIMD_ASYNC, ExecMode::Functional, RANKS);
-        cfg.steps = TOTAL;
-        cfg.options.faults = faults;
-        let mut restored = Simulation::new(level, app, cfg);
+        let mut restored = burgers(&proof_level(), cfg).expect("a valid restart run");
         restored.restore_from(ckpt);
         let report = restored.run();
         RestartProof {
@@ -344,13 +324,12 @@ pub fn run_faults(seed: u64, ckpt_dir: &Path) -> FaultsOutcome {
 
     // Proof 3: harsh preset degrades, never crashes.
     let harsh = {
-        let (_, report) = functional_run(
-            Variant::ACC_ASYNC,
-            STEPS,
-            RANKS,
-            Some(FaultConfig::harsh(seed)),
-            None,
-        );
+        let mut cfg = RunConfig {
+            steps: STEPS,
+            ..RunConfig::paper(Variant::ACC_ASYNC, ExecMode::Functional, RANKS)
+        };
+        cfg.options.faults = Some(FaultConfig::harsh(seed));
+        let (_, report) = proof_run(cfg);
         HarshProof {
             completed: report.steps == STEPS,
             quiescent: report.leaked_handles.is_empty(),
@@ -367,11 +346,10 @@ pub fn run_faults(seed: u64, ckpt_dir: &Path) -> FaultsOutcome {
     .iter()
     .map(|&variant| {
         let run = |faults: Option<FaultConfig>| {
-            let level = SMALL.level();
-            let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
             let mut cfg = RunConfig::paper(variant, ExecMode::Model, RANKS);
             cfg.options.faults = faults;
-            Simulation::new(level, app, cfg).run()
+            let mut sim = burgers(&SMALL.level(), cfg).expect("a valid overhead run");
+            sim.run()
         };
         let clean = run(None);
         let faulted = run(Some(FaultConfig::standard(seed)));

@@ -6,37 +6,16 @@
 //! simulator's seeded noise the same methodology can be studied
 //! quantitatively.
 
-use std::sync::Arc;
+use uintah_core::Variant;
 
-use burgers::BurgersApp;
-use sw_math::ExpKind;
-use uintah_core::{ExecMode, RunConfig, RunReport, Simulation, Variant};
-
-use crate::problems::{ProblemSpec, MEDIUM, SMALL};
+use crate::problems::{MEDIUM, SMALL};
+use crate::runner::{paper_cell, Runner};
 use crate::table::{pct, secs, TextTable};
-
-fn run_with(
-    p: &ProblemSpec,
-    n_cgs: usize,
-    noise: f64,
-    seed: u64,
-    cg_speeds: Option<Vec<f64>>,
-    rebalance_every: Option<u32>,
-) -> RunReport {
-    let level = p.level();
-    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-    let mut cfg = RunConfig::paper(Variant::ACC_SIMD_ASYNC, ExecMode::Model, n_cgs);
-    cfg.noise_frac = noise;
-    cfg.noise_seed = seed;
-    cfg.cg_speeds = cg_speeds;
-    cfg.rebalance_every = rebalance_every;
-    Simulation::new(level, app, cfg).run()
-}
 
 /// Best-of-N under kernel noise: how many repeats the paper's methodology
 /// needs to approach the noise floor. `base_seed` offsets the per-repeat
 /// noise seeds (the top-level `repro --seed N` plumbs through here).
-pub fn fidelity_best_of_n(repeats: u64, base_seed: u64) -> TextTable {
+pub fn fidelity_best_of_n(runner: &mut Runner, repeats: u64, base_seed: u64) -> TextTable {
     let mut t = TextTable::new(vec![
         "noise",
         "clean t/step",
@@ -45,14 +24,15 @@ pub fn fidelity_best_of_n(repeats: u64, base_seed: u64) -> TextTable {
         &format!("best of {repeats}"),
         "best excess",
     ]);
-    let clean = run_with(MEDIUM, 8, 0.0, 0, None, None);
-    let base = clean.time_per_step().as_secs_f64();
+    let clean = paper_cell(MEDIUM, Variant::ACC_SIMD_ASYNC, 8);
+    let base = runner.run(&clean).time_per_step().as_secs_f64();
     for noise in [0.05, 0.15, 0.30] {
         let runs: Vec<f64> = (1..=repeats)
             .map(|s| {
-                run_with(MEDIUM, 8, noise, base_seed.wrapping_add(s), None, None)
-                    .time_per_step()
-                    .as_secs_f64()
+                let mut cell = clean.clone();
+                cell.1.noise_frac = noise;
+                cell.1.noise_seed = base_seed.wrapping_add(s);
+                runner.run(&cell).time_per_step().as_secs_f64()
             })
             .collect();
         let best = runs.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -71,7 +51,7 @@ pub fn fidelity_best_of_n(repeats: u64, base_seed: u64) -> TextTable {
 }
 
 /// Measurement-driven rebalancing on a machine with one slow CG.
-pub fn fidelity_rebalance() -> TextTable {
+pub fn fidelity_rebalance(runner: &mut Runner) -> TextTable {
     let mut t = TextTable::new(vec![
         "slow CG speed",
         "static t/step",
@@ -79,9 +59,11 @@ pub fn fidelity_rebalance() -> TextTable {
         "recovered",
     ]);
     for speed in [0.8, 0.5, 0.3] {
-        let speeds = Some(vec![speed, 1.0, 1.0, 1.0]);
-        let stat = run_with(SMALL, 4, 0.0, 0, speeds.clone(), None);
-        let reb = run_with(SMALL, 4, 0.0, 0, speeds, Some(2));
+        let mut cell = paper_cell(SMALL, Variant::ACC_SIMD_ASYNC, 4);
+        cell.1.cg_speeds = Some(vec![speed, 1.0, 1.0, 1.0]);
+        let stat = runner.run(&cell).clone();
+        cell.1.rebalance_every = Some(2);
+        let reb = runner.run(&cell).clone();
         t.row(vec![
             format!("{:.0}%", speed * 100.0),
             secs(stat.time_per_step().as_secs_f64()),
@@ -101,15 +83,17 @@ mod tests {
 
     #[test]
     fn best_of_n_approaches_the_clean_run() {
-        let clean = run_with(SMALL, 4, 0.0, 0, None, None)
-            .time_per_step()
-            .as_secs_f64();
+        let mut runner = Runner::new();
+        let paper = paper_cell(SMALL, Variant::ACC_SIMD_ASYNC, 4);
+        let mut tps = |noise: f64, seed: u64| {
+            let mut cell = paper.clone();
+            cell.1.noise_frac = noise;
+            cell.1.noise_seed = seed;
+            runner.run(&cell).time_per_step().as_secs_f64()
+        };
+        let clean = tps(0.0, 0);
         let best = (1..=5u64)
-            .map(|s| {
-                run_with(SMALL, 4, 0.15, s, None, None)
-                    .time_per_step()
-                    .as_secs_f64()
-            })
+            .map(|s| tps(0.15, s))
             .fold(f64::INFINITY, f64::min);
         // Best-of-5 sits within ~12% of the noise floor for 15% noise.
         assert!(best >= clean);

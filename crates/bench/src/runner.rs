@@ -1,55 +1,101 @@
-//! Running and caching evaluation cases, serially or across a worker pool.
+//! The one way `bench` builds a Burgers run, and the cache of model-mode
+//! table cells, serially or across a worker pool.
+//!
+//! A run is a `(Level, RunConfig)` pair: [`burgers`] constructs it, and
+//! its canonical line ([`canonical_job`]) names it — the line is also the
+//! [`Runner`]'s cache key, so two tables asking for the same run share one
+//! simulation.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use burgers::BurgersApp;
-use sw_math::ExpKind;
-use uintah_core::{ExecMode, MachineConfig, RunConfig, RunReport, Simulation, Variant};
+use uintah_core::task::{build_rank_plan, RankPlan};
+use uintah_core::{
+    canonical_job, Application, ConfigError, ExecMode, Level, RunConfig, RunReport, Simulation,
+    Variant,
+};
 
 use crate::problems::ProblemSpec;
 
-/// One independent sweep cell: (problem, variant, CG count).
-pub type SweepCell = (&'static ProblemSpec, Variant, usize);
+/// Ghost layers of the Burgers stencil: the width [`plans`] compiles for.
+pub const GHOST: i64 = 1;
 
-/// Runs evaluation cases in model mode, caching each (problem, variant, CGs)
-/// so tables sharing data (e.g. Fig 5 / Table V) measure once.
-pub struct Runner {
-    machine: MachineConfig,
-    steps: u32,
-    cache: BTreeMap<(String, &'static str, usize), RunReport>,
+/// Dependent kernel stages per Burgers timestep.
+pub const STAGES: usize = 1;
+
+/// The Burgers simulation of `cfg` on `level`. The app evaluates `exp`
+/// with `cfg.variant.exp`, so the canonical line of `(level, cfg)` names
+/// the run completely. An invalid configuration is a typed error.
+pub fn burgers(level: &Level, cfg: RunConfig) -> Result<Simulation, ConfigError> {
+    let app = Arc::new(BurgersApp::new(level, cfg.variant.exp));
+    debug_assert_eq!((app.ghost(), app.stages()), (GHOST, STAGES));
+    Simulation::try_new(level.clone(), app, cfg)
 }
 
-impl Default for Runner {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The per-rank task plans [`burgers`] compiles for `cfg` on `level`: the
+/// same patch assignment (`assignment_override`, else `cfg.lb`) and ghost
+/// width, without constructing a simulation.
+pub fn plans(level: &Level, cfg: &RunConfig) -> Vec<RankPlan> {
+    let assignment = cfg
+        .assignment_override
+        .as_deref()
+        .map_or_else(|| cfg.lb.assign(level, cfg.n_ranks), Vec::clone);
+    (0..cfg.n_ranks)
+        .map(|r| build_rank_plan(level, &assignment, r, GHOST))
+        .collect()
+}
+
+/// One model-mode table cell: a level and the configuration it runs
+/// under, named (and cached) by its canonical line.
+pub type SweepCell = (Level, RunConfig);
+
+/// The paper's cell: problem `p` with `variant` on `n_cgs` CGs under
+/// [`RunConfig::paper`] in model mode.
+pub fn paper_cell(p: &ProblemSpec, variant: Variant, n_cgs: usize) -> SweepCell {
+    (p.level(), RunConfig::paper(variant, ExecMode::Model, n_cgs))
+}
+
+/// Runs sweep cells, caching each report under the cell's canonical line
+/// so tables sharing a run (e.g. Fig 5 / Table V, or an ablation's
+/// baseline) simulate it once.
+#[derive(Default)]
+pub struct Runner {
+    cache: BTreeMap<String, RunReport>,
+    misses: usize,
+}
+
+/// The cache key of a cell: its canonical line.
+fn key((level, cfg): &SweepCell) -> String {
+    canonical_job(level, "burgers", cfg)
+}
+
+/// Simulate one cell from scratch (the uncached work item).
+fn simulate((level, cfg): &SweepCell) -> RunReport {
+    burgers(level, cfg.clone())
+        .expect("a valid sweep cell")
+        .run()
 }
 
 impl Runner {
-    /// The paper's setup: calibrated SW26010, 10 timesteps.
+    /// An empty cache.
     pub fn new() -> Self {
-        Runner {
-            machine: MachineConfig::sw26010(),
-            steps: 10,
-            cache: BTreeMap::new(),
-        }
+        Self::default()
     }
 
-    /// The machine model in use.
-    pub fn machine(&self) -> &MachineConfig {
-        &self.machine
+    /// Simulations run so far: every cache miss, none for a hit.
+    pub fn misses(&self) -> usize {
+        self.misses
     }
 
-    /// Run (or fetch) one case.
-    pub fn run(&mut self, p: &ProblemSpec, variant: Variant, n_cgs: usize) -> &RunReport {
-        let key = (p.name.to_string(), variant.name(), n_cgs);
-        if !self.cache.contains_key(&key) {
-            let report = compute_cell(&self.machine, self.steps, p, variant, n_cgs);
-            self.cache.insert(key.clone(), report);
-        }
-        &self.cache[&key]
+    /// Run (or fetch) one cell.
+    pub fn run(&mut self, cell: &SweepCell) -> &RunReport {
+        let misses = &mut self.misses;
+        self.cache.entry(key(cell)).or_insert_with(|| {
+            *misses += 1;
+            simulate(cell)
+        })
     }
 
     /// Compute every not-yet-cached cell of `cells`, fanning the independent
@@ -58,19 +104,16 @@ impl Runner {
     ///
     /// The result is byte-identical to computing the cells serially: each
     /// cell is an isolated virtual-time simulation whose report cannot
-    /// depend on wall-clock interleaving, and the reports are inserted into
-    /// the cache in deterministic input order. Tables rendered afterwards
-    /// hit the warm cache, so `--jobs N` output equals `--jobs 1` output.
+    /// depend on wall-clock interleaving, and the cache is keyed by the
+    /// cell, not by who computed it. Tables rendered afterwards hit the
+    /// warm cache, so `--jobs N` output equals `--jobs 1` output.
     pub fn prefetch(&mut self, cells: &[SweepCell], jobs: usize) {
         // Dedupe against the cache and within the request, first-seen order.
         let mut seen = BTreeSet::new();
-        let todo: Vec<SweepCell> = cells
+        let todo: Vec<(String, &SweepCell)> = cells
             .iter()
-            .filter(|(p, v, n)| {
-                let key = (p.name.to_string(), v.name(), *n);
-                !self.cache.contains_key(&key) && seen.insert(key)
-            })
-            .copied()
+            .map(|cell| (key(cell), cell))
+            .filter(|(k, _)| !self.cache.contains_key(k) && seen.insert(k.clone()))
             .collect();
         if todo.is_empty() {
             return;
@@ -81,12 +124,10 @@ impl Runner {
             jobs
         }
         .clamp(1, todo.len());
-        let machine = &self.machine;
-        let steps = self.steps;
-        let mut computed: Vec<(usize, RunReport)> = if jobs == 1 {
+        let computed: Vec<(usize, RunReport)> = if jobs == 1 {
             todo.iter()
                 .enumerate()
-                .map(|(i, &(p, v, n))| (i, compute_cell(machine, steps, p, v, n)))
+                .map(|(i, (_, cell))| (i, simulate(cell)))
                 .collect()
         } else {
             let next = AtomicUsize::new(0);
@@ -98,10 +139,10 @@ impl Runner {
                             let mut out = Vec::new();
                             loop {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(&(p, v, n)) = todo.get(i) else {
+                                let Some((_, cell)) = todo.get(i) else {
                                     break;
                                 };
-                                out.push((i, compute_cell(machine, steps, p, v, n)));
+                                out.push((i, simulate(cell)));
                             }
                             out
                         })
@@ -113,12 +154,9 @@ impl Runner {
                     .collect()
             })
         };
-        // Stable result ordering: cache insertion follows the input list no
-        // matter which worker finished first.
-        computed.sort_by_key(|(i, _)| *i);
+        self.misses += computed.len();
         for (i, report) in computed {
-            let (p, v, n) = todo[i];
-            self.cache.insert((p.name.to_string(), v.name(), n), report);
+            self.cache.insert(todo[i].0.clone(), report);
         }
     }
 }
@@ -140,51 +178,58 @@ pub fn bits(sim: &Simulation) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Run one model-mode sweep cell from scratch (the uncached work item).
-fn compute_cell(
-    machine: &MachineConfig,
-    steps: u32,
-    p: &ProblemSpec,
-    variant: Variant,
-    n_cgs: usize,
-) -> RunReport {
-    let level = p.level();
-    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-    let mut cfg = RunConfig::paper(variant, ExecMode::Model, n_cgs);
-    cfg.steps = steps;
-    cfg.machine = machine.clone();
-    Simulation::new(level, app, cfg).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problems::{PROBLEMS, SMALL};
+    use uintah_core::SimDur;
 
     #[test]
     fn prefetch_matches_serial_runs_bit_for_bit() {
+        // An ablation-style cell: the paper cell's problem, variant and CG
+        // count on another machine. Keyed by (problem, variant, CGs) it
+        // would have collided with the paper cell.
+        let mut slow_poll = paper_cell(SMALL, Variant::ACC_ASYNC, 2);
+        slow_poll.1.machine.flag_poll_interval = SimDur::from_us(3000.0);
         let cells: Vec<SweepCell> = vec![
-            (SMALL, Variant::ACC_SYNC, 1),
-            (SMALL, Variant::ACC_ASYNC, 1),
-            (SMALL, Variant::ACC_ASYNC, 2),
-            (&PROBLEMS[1], Variant::ACC_SIMD_ASYNC, 4),
+            paper_cell(SMALL, Variant::ACC_SYNC, 1),
+            paper_cell(SMALL, Variant::ACC_ASYNC, 1),
+            paper_cell(SMALL, Variant::ACC_ASYNC, 2),
+            slow_poll.clone(),
+            paper_cell(&PROBLEMS[1], Variant::ACC_SIMD_ASYNC, 4),
             // Duplicate on purpose: prefetch must dedupe.
-            (SMALL, Variant::ACC_ASYNC, 1),
+            paper_cell(SMALL, Variant::ACC_ASYNC, 1),
         ];
         let mut parallel = Runner::new();
         parallel.prefetch(&cells, 4);
+        assert_eq!(parallel.misses(), 5, "five distinct cells, each run once");
         let mut serial = Runner::new();
-        for &(p, v, n) in &cells {
-            serial.run(p, v, n);
+        for cell in &cells {
+            serial.run(cell);
         }
-        for &(p, v, n) in &cells {
-            let a = parallel.run(p, v, n).clone();
-            let b = serial.run(p, v, n).clone();
-            assert_eq!(a.step_end, b.step_end, "{} {} {}", p.name, v.name(), n);
+        assert_eq!(serial.misses(), 5, "five distinct cells, each run once");
+        for cell in &cells {
+            let a = parallel.run(cell).clone();
+            let b = serial.run(cell).clone();
+            let name = key(cell);
+            assert_eq!(a.step_end, b.step_end, "{name}");
             assert_eq!(a.total_time, b.total_time);
             assert_eq!(a.flops.total(), b.flops.total());
             assert_eq!(a.messages, b.messages);
             assert_eq!(a.events, b.events);
         }
+        assert_eq!(
+            (parallel.misses(), serial.misses()),
+            (5, 5),
+            "a cached cell ran again"
+        );
+        let paper = parallel
+            .run(&paper_cell(SMALL, Variant::ACC_ASYNC, 2))
+            .clone();
+        assert_ne!(
+            parallel.run(&slow_poll).total_time,
+            paper.total_time,
+            "the slow-poll cell was served the paper cell's report"
+        );
     }
 }

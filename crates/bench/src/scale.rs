@@ -22,19 +22,17 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
-use burgers::BurgersApp;
-use sw_math::ExpKind;
 use sw_telemetry::json::{
     arr, fixed, lit, obj,
     Layout::{Block, Row},
 };
 use uintah_core::grid::{iv, Level};
-use uintah_core::{ExecMode, RunConfig, RunReport, Simulation, Variant};
+use uintah_core::{ExecMode, RunConfig, Variant};
 
 use crate::problems::SMALL;
+use crate::runner::burgers;
 
 /// Timesteps per swept run (the paper's evaluation setting).
 pub const STEPS: u32 = 10;
@@ -201,25 +199,25 @@ pub(crate) fn extension_level() -> (String, Level) {
     )
 }
 
-/// Run one cell on one engine, returning the report and wall-clock ms.
-fn run_engine(level: &Level, variant: Variant, cgs: usize, pdes: bool) -> (RunReport, f64) {
-    let app = Arc::new(BurgersApp::new(level, ExpKind::Fast));
-    let mut cfg = RunConfig::paper(variant, ExecMode::Model, cgs);
-    cfg.steps = STEPS;
-    cfg.pdes = pdes;
-    let mut sim = Simulation::new(level.clone(), app, cfg);
-    let t0 = Instant::now();
-    let report = sim.run();
-    (report, t0.elapsed().as_secs_f64() * 1e3)
-}
-
 /// Sweep one problem over `cg_axis` for both variants, appending cells.
 fn sweep_problem(name: &str, level: &Level, cg_axis: &[usize], cells: &mut Vec<ScaleCell>) {
     for variant in VARIANTS {
         let mut base: Option<(usize, u64)> = None;
         for &cgs in cg_axis {
-            let (serial, serial_wall_ms) = run_engine(level, variant, cgs, false);
-            let (pdes, pdes_wall_ms) = run_engine(level, variant, cgs, true);
+            // One engine's run of the cell: the report and its wall-clock ms.
+            let timed = |pdes: bool| {
+                let cfg = RunConfig {
+                    steps: STEPS,
+                    pdes,
+                    ..RunConfig::paper(variant, ExecMode::Model, cgs)
+                };
+                let mut sim = burgers(level, cfg).expect("a valid sweep cell");
+                let t0 = Instant::now();
+                let report = sim.run();
+                (report, t0.elapsed().as_secs_f64() * 1e3)
+            };
+            let (serial, serial_wall_ms) = timed(false);
+            let (pdes, pdes_wall_ms) = timed(true);
             // The PDES engine must replay the serial timeline exactly —
             // every swept config is also a correctness witness.
             let pdes_identical = format!("{serial:?}") == format!("{pdes:?}");

@@ -3,21 +3,33 @@
 //! hidden underneath, versus the synchronous scheduler's serial
 //! prep/kernel/prep/kernel pattern.
 
-use std::sync::Arc;
+use uintah_core::{iv, ExecMode, Level, RunConfig, RunReport, Simulation, Variant};
 
-use burgers::BurgersApp;
-use sw_math::ExpKind;
-use uintah_core::{ExecMode, Level, RunConfig, Simulation, Variant};
+use crate::runner::burgers;
+
+/// Run `steps` steps of `variant` on `n_ranks` CGs over the timeline's
+/// small problem; returns the simulation, its report, and the CPE
+/// clusters' utilization (kernel-busy share of ranks x wall time).
+fn run(variant: Variant, n_ranks: usize, steps: u32) -> (Simulation, RunReport, f64) {
+    let level = Level::new(iv(16, 16, 512), iv(4, 2, 1));
+    let cfg = RunConfig {
+        steps,
+        ..RunConfig::paper(variant, ExecMode::Model, n_ranks)
+    };
+    let mut sim = burgers(&level, cfg).expect("a valid timeline run");
+    let report = sim.run();
+    let busy: f64 = (0..n_ranks)
+        .flat_map(|r| &sim.rank_stats(r).kernel_spans)
+        .map(|&(_, s, e)| e.since(s).as_secs_f64())
+        .sum();
+    let util = busy / (report.total_time.as_secs_f64() * n_ranks as f64);
+    (sim, report, util)
+}
 
 /// Render a per-rank kernel timeline of `steps` steps of the given variant
 /// on a small problem, `width` characters wide.
 pub fn render_timeline(variant: Variant, n_ranks: usize, steps: u32, width: usize) -> String {
-    let level = Level::new(uintah_core::iv(16, 16, 512), uintah_core::iv(4, 2, 1));
-    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-    let mut cfg = RunConfig::paper(variant, ExecMode::Model, n_ranks);
-    cfg.steps = steps;
-    let mut sim = Simulation::new(level, app, cfg);
-    let report = sim.run();
+    let (sim, report, util) = run(variant, n_ranks, steps);
     let total = report.total_time.as_secs_f64();
 
     let mut out = String::new();
@@ -39,34 +51,13 @@ pub fn render_timeline(variant: Variant, n_ranks: usize, steps: u32, width: usiz
         }
         out.push_str(&format!("CG{r:<3} {}\n", row.iter().collect::<String>()));
     }
-    // Utilization summary.
-    let mut busy = 0.0;
-    for r in 0..n_ranks {
-        for &(_, s, e) in &sim.rank_stats(r).kernel_spans {
-            busy += e.since(s).as_secs_f64();
-        }
-    }
-    let util = busy / (total * n_ranks as f64);
     out.push_str(&format!("CPE-cluster utilization: {:.1}%\n", util * 100.0));
     out
 }
 
 /// Utilization of the CPE clusters under a variant (for tests/experiments).
 pub fn cpe_utilization(variant: Variant, n_ranks: usize, steps: u32) -> f64 {
-    let level = Level::new(uintah_core::iv(16, 16, 512), uintah_core::iv(4, 2, 1));
-    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-    let mut cfg = RunConfig::paper(variant, ExecMode::Model, n_ranks);
-    cfg.steps = steps;
-    let mut sim = Simulation::new(level, app, cfg);
-    let report = sim.run();
-    let total = report.total_time.as_secs_f64();
-    let mut busy = 0.0;
-    for r in 0..n_ranks {
-        for &(_, s, e) in &sim.rank_stats(r).kernel_spans {
-            busy += e.since(s).as_secs_f64();
-        }
-    }
-    busy / (total * n_ranks as f64)
+    run(variant, n_ranks, steps).2
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use burgers::{BurgersAmr, BurgersApp};
+use burgers::BurgersAmr;
 use sw_amr::{AmrApplication, AmrConfig, AmrSimulation, RegridPolicy};
 use sw_math::ExpKind;
 use sw_resilience::{fold, splitmix64, Checkpoint, FaultPreset};
@@ -73,7 +73,7 @@ use uintah_core::{
     RunConfig, RunReport, SchedulerMode, SchedulerOptions, Simulation, Variant,
 };
 
-use crate::runner::bits;
+use crate::runner::{bits, burgers};
 use crate::trace::reconciles;
 
 /// Domain discriminant for the torture generator's keyed draws (the
@@ -443,15 +443,14 @@ pub fn run_battery(case: &TortureCase) -> BatteryVerdict {
     }
 }
 
-/// `Simulation::try_new` of `cfg` on the case's level, a panic caught as
+/// [`burgers`] of `cfg` on the case's level, a panic caught as
 /// the outer `Err`.
 fn construct(
     case: &TortureCase,
     cfg: RunConfig,
 ) -> Result<Result<Simulation, ConfigError>, String> {
     let level = case.level();
-    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-    guarded("try_new", || Simulation::try_new(level, app, cfg))
+    guarded("try_new", || burgers(&level, cfg))
 }
 
 /// Construct and run the case's config with `edit` applied, restoring the
@@ -910,7 +909,8 @@ const COVERAGE_CASES: u64 = 100;
 impl TortureOutcome {
     /// Every oracle failure, then every way a clean corpus was vacuous: the
     /// strata not partitioning it or drifting off the every-7th-case
-    /// corruption cadence, an always-on oracle undercounting, the rejection
+    /// corruption cadence, no valid case at all (`--cases 0` included), an
+    /// always-on oracle undercounting, the rejection
     /// oracle disagreeing with the rejected stratum, or (from
     /// [`COVERAGE_CASES`] up) an empty stratum or a conditional oracle that
     /// never ran. Empty = the campaign holds.
@@ -936,6 +936,9 @@ impl TortureOutcome {
                 "rejected stratum {} is off the every-7th-case cadence for {} cases",
                 self.rejected, self.cases
             ));
+        }
+        if self.valid == 0 {
+            v.push("no valid case ran: the oracle battery never executed".to_string());
         }
         if !self.failures.is_empty() {
             // A failing case short-circuits its later oracles; the counts
@@ -1309,6 +1312,29 @@ mod tests {
             &|o| *o.oracle_passes.get_mut("ckpt_restart").unwrap() = 0,
             "oracle ckpt_restart never ran",
         );
+    }
+
+    #[test]
+    fn a_corpus_without_a_valid_case_is_a_violation() {
+        // `repro torture --cases 0` used to print ok=true: every count
+        // check holds trivially at zero.
+        let named = |corrupt: &dyn Fn(&mut TortureOutcome)| {
+            let o = crate::cli::assert_names(
+                TortureOutcome::default(),
+                corrupt,
+                TortureOutcome::violations,
+                "no valid case ran",
+            );
+            assert!(o.to_json().contains("\"ok\": false"));
+        };
+        named(&|_| {});
+        // One corrupted case alone: partitioned, on the cadence, rejected
+        // once, and still nothing went through the battery.
+        named(&|o| {
+            o.cases = 1;
+            o.rejected = 1;
+            o.oracle_passes.insert("rejects_without_panicking", 1);
+        });
     }
 
     #[test]

@@ -19,20 +19,18 @@
 //! visible: each async variant hides strictly more communication than its
 //! sync sibling with the same kernel.
 
-use std::io;
+use std::error::Error;
 use std::path::Path;
-use std::sync::Arc;
 
-use burgers::BurgersApp;
-use sw_math::ExpKind;
 use sw_telemetry::json::{
     arr, fixed, obj, Json,
     Layout::{Block, Row},
 };
 use sw_telemetry::{analyze, perfetto, PhaseReport};
-use uintah_core::{ExecMode, RunConfig, RunReport, Simulation, Variant};
+use uintah_core::{ConfigError, ExecMode, Level, RunConfig, RunReport, Simulation, Variant};
 
 use crate::problems::ProblemSpec;
+use crate::runner::burgers;
 
 /// Outcome of tracing one variant.
 pub struct TraceCase {
@@ -67,20 +65,30 @@ pub fn reconciles(phases: &PhaseReport, report: &RunReport) -> bool {
         && phases.breakdowns.iter().all(|b| b.sum_ps() == b.window_ps)
 }
 
-/// Trace one (problem, variant, cgs, steps) configuration, returning the
-/// case summary and the Perfetto trace-event JSON.
-pub fn trace_case_with_export(
-    p: &ProblemSpec,
+/// The instrumented model run of `variant` on `level` that a trace
+/// records; an invalid `cgs`/`steps` is a typed error.
+fn traced(
+    level: &Level,
     variant: Variant,
     cgs: usize,
     steps: u32,
-) -> (TraceCase, String) {
-    let level = p.level();
-    let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
-    let mut cfg = RunConfig::paper(variant, ExecMode::Model, cgs);
-    cfg.steps = steps;
+) -> Result<Simulation, ConfigError> {
+    let mut cfg = RunConfig {
+        steps,
+        ..RunConfig::paper(variant, ExecMode::Model, cgs)
+    };
     cfg.options.telemetry = true;
-    let mut sim = Simulation::new(level, app, cfg);
+    burgers(level, cfg)
+}
+
+/// Run a [`traced`] simulation of `variant` on problem `p`, returning the
+/// case summary and the Perfetto trace-event JSON.
+fn export(
+    p: &ProblemSpec,
+    variant: Variant,
+    cgs: usize,
+    mut sim: Simulation,
+) -> (TraceCase, String) {
     let report = sim.run();
     let snap = sim.recorder().snapshot();
     let events: usize = snap.iter().map(|b| b.len()).sum();
@@ -111,9 +119,16 @@ pub fn trace_case_with_export(
     )
 }
 
-/// Trace one configuration, discarding the Perfetto JSON (tests, summaries).
-pub fn trace_case(p: &ProblemSpec, variant: Variant, cgs: usize, steps: u32) -> TraceCase {
-    trace_case_with_export(p, variant, cgs, steps).0
+/// Trace one (problem, variant, cgs, steps) configuration, discarding the
+/// Perfetto JSON (tests, summaries).
+pub fn trace_case(
+    p: &ProblemSpec,
+    variant: Variant,
+    cgs: usize,
+    steps: u32,
+) -> Result<TraceCase, ConfigError> {
+    let sim = traced(&p.level(), variant, cgs, steps)?;
+    Ok(export(p, variant, cgs, sim).0)
 }
 
 /// Every way a set of traced cases falls short, one line each: an empty
@@ -237,18 +252,26 @@ pub fn timeline_json(p: &ProblemSpec, cgs: usize, steps: u32, cases: &[TraceCase
 }
 
 /// Run the trace export end-to-end: one Perfetto file per variant plus the
-/// combined `TIMELINE.json`, all under `dir`.
+/// combined `TIMELINE.json`, all under `dir`. Every variant's configuration
+/// is checked before the first file is written, so an invalid `cgs` or
+/// `steps` fails with nothing written.
 pub fn write_trace_json(
     dir: &Path,
     p: &ProblemSpec,
     variants: &[Variant],
     cgs: usize,
     steps: u32,
-) -> io::Result<Vec<TraceCase>> {
+) -> Result<Vec<TraceCase>, Box<dyn Error>> {
+    let level = p.level();
+    let sims = variants
+        .iter()
+        .map(|&v| traced(&level, v, cgs, steps))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("invalid run configuration: {e}"))?;
     std::fs::create_dir_all(dir)?;
     let mut cases = Vec::with_capacity(variants.len());
-    for &v in variants {
-        let (case, json) = trace_case_with_export(p, v, cgs, steps);
+    for (&v, sim) in variants.iter().zip(sims) {
+        let (case, json) = export(p, v, cgs, sim);
         std::fs::write(dir.join(&case.trace_file), json)?;
         cases.push(case);
     }
@@ -266,8 +289,8 @@ mod tests {
 
     #[test]
     fn traced_sync_and_async_reconcile_and_async_hides_more() {
-        let sync = trace_case(SMALL, Variant::ACC_SYNC, 2, 3);
-        let async_ = trace_case(SMALL, Variant::ACC_ASYNC, 2, 3);
+        let sync = trace_case(SMALL, Variant::ACC_SYNC, 2, 3).unwrap();
+        let async_ = trace_case(SMALL, Variant::ACC_ASYNC, 2, 3).unwrap();
         assert!(sync.reconciled, "sync trace must reconcile with RunReport");
         assert!(async_.reconciled, "async trace must reconcile");
         assert!(sync.events > 0 && async_.events > 0);
@@ -291,8 +314,8 @@ mod tests {
     fn violations_name_the_variant_that_stopped_hiding_communication() {
         let cases = || {
             vec![
-                trace_case(SMALL, Variant::ACC_SYNC, 2, 2),
-                trace_case(SMALL, Variant::ACC_ASYNC, 2, 2),
+                trace_case(SMALL, Variant::ACC_SYNC, 2, 2).unwrap(),
+                trace_case(SMALL, Variant::ACC_ASYNC, 2, 2).unwrap(),
             ]
         };
         assert_eq!(violations(&cases()), Vec::<String>::new());

@@ -98,3 +98,41 @@ fn bad_or_missing_flag_values_fail_with_one_error_line() {
         );
     }
 }
+
+#[test]
+fn trace_rejects_an_invalid_run_config_with_one_error_line() {
+    // Each of these used to panic in `Simulation::new` (exit 101, a
+    // backtrace); the constructor's typed error is now the failure line,
+    // and it comes before any trace file is written.
+    for (flag, value, needle) in [
+        ("--cgs", "0", "n_ranks must be >= 1"),
+        ("--steps", "0", "steps must be >= 1"),
+        ("--cgs", "100000", "100000 ranks but only 128 patches"),
+    ] {
+        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("cli_trace_bad_{}_{value}", &flag[2..]));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .current_dir(&dir)
+            .args(["trace", flag, value])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(1), "{flag} {value} must exit 1");
+        assert!(out.stdout.is_empty(), "{flag} {value} ran something first");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.starts_with("ERROR: repro trace: ")
+                && stderr.contains(needle)
+                && stderr.lines().count() == 1,
+            "{flag} {value}: {stderr}"
+        );
+        let written: Vec<_> = std::fs::read_dir(dir.join("results"))
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert!(written.is_empty(), "{flag} {value} wrote {written:?}");
+    }
+}
