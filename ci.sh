@@ -121,6 +121,20 @@ if [[ "${1:-}" != "quick" ]]; then
       || { echo "ci.sh: CAMPAIGN_$other.json records differ from run1"; exit 1; }
   done
 
+  step "campaign service: job lines on stdin (repro serve --stdin)"
+  # The demo jobs above never pass through the job-line parser. These
+  # lines set every job key at least once, with values that validate, and
+  # include the three line shapes of swbench's campaign-mixed batch (tiny
+  # machine; 16x16x16 under the standard fault preset; the 16x16x512
+  # model run on the PDES engine). serve exits non-zero on a line it
+  # cannot parse or a job that fails.
+  repro serve --stdin --demo 0 --no-cache --workers 2 --out "$(mktemp -d)/jobs.json" <<'JOBS'
+{"patch": "3x4x2", "layout": "2x1x1", "variant": "acc.sync", "lb": "rr", "steps": 2, "ranks": 1, "machine": "tiny"}
+{"patch": "16x16x16", "layout": "2x2x1", "variant": "acc_simd.async", "lb": "morton", "steps": 2, "ranks": 4, "machine": "sw26010", "faults": "standard", "fault_seed": 1001}
+{"patch": "16x16x512", "layout": "8x8x2", "variant": "acc_simd.async", "exec": "model", "lb": "hilbert", "steps": 10, "ranks": 8, "machine": "sw26010", "pdes": true, "pdes_threads": 1}
+{"variant": "acc_simd.async", "exec": "functional", "exec_threads": 2, "cpe_groups": 2, "ckpt_every": 1, "faults": "none"}
+JOBS
+
   step "repro all: identical output at any pool size (--serial vs --jobs 2)"
   # README.md and EXPERIMENTS.md promise that `repro all` prints the same
   # bytes at any --jobs: the pool only fills the runner's cache, keyed by

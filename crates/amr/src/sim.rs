@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use sw_resilience::{AmrLevelRecord, AmrSection, Checkpoint, PatchRecord};
 use uintah_core::grid::{iv, IntVec, Level, Region};
-use uintah_core::task::plan::{build_rank_plan, RankPlan};
+use uintah_core::task::plan::{build_rank_plans, RankPlan};
 use uintah_core::task::Application;
 use uintah_core::var::CcVar;
 use uintah_core::{
@@ -224,6 +224,19 @@ impl AmrSimulation {
         app: Arc<dyn AmrApplication>,
         cfg: AmrConfig,
     ) -> Result<AmrSimulation, ConfigError> {
+        // What a level-step's `RunConfig` would reject, rejected here too:
+        // the driver's own cadences and rank count never reach one.
+        if cfg.n_ranks == 0 {
+            return Err(ConfigError::ZeroRanks);
+        }
+        for (which, every) in [
+            ("ckpt_every", cfg.ckpt_every),
+            ("rebalance_every", cfg.rebalance_every),
+        ] {
+            if every == Some(0) {
+                return Err(ConfigError::ZeroInterval { which });
+            }
+        }
         let g = app.ghost();
         let pol = cfg.policy.clone();
         assert!(
@@ -317,7 +330,7 @@ impl AmrSimulation {
 
     /// Rank count a level actually runs on (clamped to its patch count).
     fn effective_ranks(&self, level: &Level) -> usize {
-        self.cfg.n_ranks.min(level.n_patches()).max(1)
+        self.cfg.n_ranks.min(level.n_patches())
     }
 
     /// The one-step `RunConfig` of level `l` starting at absolute time `t`.
@@ -346,9 +359,7 @@ impl AmrSimulation {
     fn level_plans(&self, l: usize) -> Vec<RankPlan> {
         let level = &self.grid.levels[l].level;
         let nr = self.effective_ranks(level);
-        (0..nr)
-            .map(|r| build_rank_plan(level, &self.assignments[l], r, self.app.ghost()))
-            .collect()
+        build_rank_plans(level, &self.assignments[l], nr, self.app.ghost())
     }
 
     /// Verify every level's compiled task graph: hazard analysis plus the
@@ -1012,5 +1023,28 @@ mod tests {
         for r in 0..4 {
             assert!(after.contains(&r), "rank {r} lost all patches: {after:?}");
         }
+    }
+
+    #[test]
+    fn try_new_rejects_what_a_run_config_rejects() {
+        let reject = |edit: fn(&mut AmrConfig)| {
+            let mut cfg = AmrConfig::basic(Variant::ACC_ASYNC, 4);
+            edit(&mut cfg);
+            AmrSimulation::try_new(root(), heat(), cfg).err()
+        };
+        assert_eq!(reject(|c| c.n_ranks = 0), Some(ConfigError::ZeroRanks));
+        assert_eq!(
+            reject(|c| c.rebalance_every = Some(0)),
+            Some(ConfigError::ZeroInterval {
+                which: "rebalance_every"
+            })
+        );
+        assert_eq!(
+            reject(|c| c.ckpt_every = Some(0)),
+            Some(ConfigError::ZeroInterval {
+                which: "ckpt_every"
+            })
+        );
+        assert_eq!(reject(|c| c.rebalance_every = Some(1)), None);
     }
 }

@@ -430,21 +430,24 @@ fn run_serve(args: &[String], seed: u64) {
     let d = bench::serve::ServeArgs::default();
     let path = |name| flag(args, name).map(std::path::PathBuf::from);
     let serve_args = bench::serve::ServeArgs {
-        seed,
-        worker_faults,
+        campaign: sw_campaign::CampaignConfig {
+            seed,
+            worker_faults,
+            workers: num_flag(args, "--workers", d.campaign.workers),
+            oracle_ppm: num_flag(args, "--oracle-ppm", d.campaign.oracle_ppm),
+            stream_every: num_flag(args, "--stream", d.campaign.stream_every),
+            cache_dir: if args.iter().any(|a| a == "--no-cache") {
+                None
+            } else {
+                path("--cache").or(d.campaign.cache_dir)
+            },
+            perfetto_dir: path("--perfetto").or(d.campaign.perfetto_dir),
+            app_name: d.campaign.app_name,
+        },
         read_stdin: args.iter().any(|a| a == "--stdin"),
         demo: num_flag(args, "--demo", d.demo),
-        workers: num_flag(args, "--workers", d.workers),
-        oracle_ppm: num_flag(args, "--oracle-ppm", d.oracle_ppm),
-        stream_every: num_flag(args, "--stream", d.stream_every),
-        cache: if args.iter().any(|a| a == "--no-cache") {
-            None
-        } else {
-            path("--cache").or(d.cache)
-        },
         jobs_file: path("--jobs-file").or(d.jobs_file),
         out: path("--out").unwrap_or(d.out),
-        perfetto: path("--perfetto").or(d.perfetto),
     };
     let summary = match bench::serve::run_serve(&serve_args) {
         Ok(s) => s,

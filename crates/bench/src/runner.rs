@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use burgers::BurgersApp;
-use uintah_core::task::{build_rank_plan, RankPlan};
+use uintah_core::task::{build_rank_plans, resolve_assignment, RankPlan};
 use uintah_core::{
     canonical_job, Application, ConfigError, ExecMode, Level, RunConfig, RunReport, Simulation,
     Variant,
@@ -34,17 +34,10 @@ pub fn burgers(level: &Level, cfg: RunConfig) -> Result<Simulation, ConfigError>
     Simulation::try_new(level.clone(), app, cfg)
 }
 
-/// The per-rank task plans [`burgers`] compiles for `cfg` on `level`: the
-/// same patch assignment (`assignment_override`, else `cfg.lb`) and ghost
-/// width, without constructing a simulation.
+/// The per-rank task plans [`burgers`] compiles for `cfg` on `level`,
+/// without constructing a simulation.
 pub fn plans(level: &Level, cfg: &RunConfig) -> Vec<RankPlan> {
-    let assignment = cfg
-        .assignment_override
-        .as_deref()
-        .map_or_else(|| cfg.lb.assign(level, cfg.n_ranks), Vec::clone);
-    (0..cfg.n_ranks)
-        .map(|r| build_rank_plan(level, &assignment, r, GHOST))
-        .collect()
+    build_rank_plans(level, &resolve_assignment(level, cfg), cfg.n_ranks, GHOST)
 }
 
 /// One model-mode table cell: a level and the configuration it runs

@@ -17,49 +17,33 @@ use std::sync::Arc;
 use burgers::BurgersApp;
 use sw_campaign::{demo_jobs, AppFactory, CampaignConfig, CampaignOutcome, JobSpec, Service};
 use sw_math::ExpKind;
-use sw_resilience::FaultConfig;
 use uintah_core::Application;
 
 /// Parsed `repro serve` arguments (defaults match the CI campaign stage).
 pub struct ServeArgs {
+    /// The service's configuration; its seed also seeds the demo jobs.
+    pub campaign: CampaignConfig,
     /// Seeded demo jobs to enqueue (0 = none).
     pub demo: usize,
-    /// Worker threads (0 = run everything inline).
-    pub workers: usize,
-    /// Service seed: demo generation, shard routing, oracle sampling.
-    pub seed: u64,
-    /// Cache directory (`None` = in-memory only).
-    pub cache: Option<PathBuf>,
-    /// Worker-pool fault preset.
-    pub worker_faults: Option<FaultConfig>,
-    /// Oracle sampling rate, ppm of cache hits.
-    pub oracle_ppm: u32,
     /// JSONL job file.
     pub jobs_file: Option<PathBuf>,
     /// Also read JSONL jobs from stdin.
     pub read_stdin: bool,
     /// Output JSON path.
     pub out: PathBuf,
-    /// Per-job Perfetto trace directory.
-    pub perfetto: Option<PathBuf>,
-    /// Stream a telemetry line every N completions (0 = quiet).
-    pub stream_every: usize,
 }
 
 impl Default for ServeArgs {
     fn default() -> Self {
         ServeArgs {
+            campaign: CampaignConfig {
+                cache_dir: Some(PathBuf::from("results/cache")),
+                ..CampaignConfig::default()
+            },
             demo: 64,
-            workers: 4,
-            seed: 42,
-            cache: Some(PathBuf::from("results/cache")),
-            worker_faults: None,
-            oracle_ppm: 250_000,
             jobs_file: None,
             read_stdin: false,
             out: PathBuf::from("results/CAMPAIGN.json"),
-            perfetto: None,
-            stream_every: 0,
         }
     }
 }
@@ -106,17 +90,7 @@ fn submit_line(svc: &mut Service, bad: &mut Vec<String>, origin: &str, n: usize,
 
 /// Run a campaign from the parsed arguments and write the outcome JSON.
 pub fn run_serve(a: &ServeArgs) -> io::Result<ServeSummary> {
-    let cfg = CampaignConfig {
-        workers: a.workers,
-        seed: a.seed,
-        cache_dir: a.cache.clone(),
-        worker_faults: a.worker_faults,
-        oracle_ppm: a.oracle_ppm,
-        stream_every: a.stream_every,
-        perfetto_dir: a.perfetto.clone(),
-        app_name: "burgers".to_string(),
-    };
-    let mut svc = Service::new(cfg, burgers_factory())
+    let mut svc = Service::new(a.campaign.clone(), burgers_factory())
         .map_err(|e| io::Error::other(format!("campaign service: {e}")))?;
     let mut bad_lines = Vec::new();
     if let Some(path) = &a.jobs_file {
@@ -137,7 +111,7 @@ pub fn run_serve(a: &ServeArgs) -> io::Result<ServeSummary> {
             submit_line(&mut svc, &mut bad_lines, "<stdin>", n + 1, &line?);
         }
     }
-    for (level, run) in demo_jobs(a.seed, a.demo) {
+    for (level, run) in demo_jobs(a.campaign.seed, a.demo) {
         svc.submit(level, run);
     }
     let outcome = svc
@@ -166,10 +140,13 @@ mod tests {
         let out = tmp("out.json");
         std::fs::remove_dir_all(&cache).ok();
         let args = ServeArgs {
+            campaign: CampaignConfig {
+                workers: 2,
+                seed: 3,
+                cache_dir: Some(cache.clone()),
+                ..CampaignConfig::default()
+            },
             demo: 8,
-            workers: 2,
-            seed: 3,
-            cache: Some(cache.clone()),
             out: out.clone(),
             ..ServeArgs::default()
         };
@@ -204,9 +181,11 @@ mod tests {
         )
         .unwrap();
         let args = ServeArgs {
+            campaign: CampaignConfig {
+                workers: 1,
+                ..CampaignConfig::default()
+            },
             demo: 0,
-            workers: 1,
-            cache: None,
             jobs_file: Some(jobs.clone()),
             out: out.clone(),
             ..ServeArgs::default()

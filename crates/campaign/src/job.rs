@@ -1,14 +1,15 @@
 //! Job specifications: the typed boundary between the outside world and
 //! the campaign queue.
 //!
-//! A [`JobSpec`] is a flat, human-writable description of one run — patch
-//! geometry, variant, balancer, fault preset — parsed from a single JSONL
-//! line (the workspace serde is a no-op shim, so the parser is a small
-//! hand-rolled flat-object reader: string, integer, and boolean values
-//! only, which is exactly the vocabulary a job needs). [`JobSpec::build`]
-//! turns a spec into a `(Level, RunConfig)` pair or a typed rejection;
-//! everything downstream of that boundary works with validated configs
-//! only.
+//! A job line is a flat, human-writable description of one run — patch
+//! geometry, variant, balancer, fault preset — in a single JSONL line (the
+//! workspace serde is a no-op shim, so the parser is a small hand-rolled
+//! flat-object reader: string, integer, and boolean values only, which is
+//! exactly the vocabulary a job needs). [`JobSpec::parse`] reads each key
+//! straight into the `(Level, RunConfig)` pair the line names, or rejects
+//! the line with a message naming the bad key or value; [`JobSpec::build`]
+//! hands the pair out. Everything downstream of that boundary works with
+//! configs only.
 //!
 //! [`demo_jobs`] generates a seeded batch for the `repro serve --demo`
 //! path and the CI campaign stage, using the resilience crate's keyed-draw
@@ -20,7 +21,7 @@ use std::collections::BTreeMap;
 
 use sw_athread::ExecPolicy;
 use sw_resilience::{fold, splitmix64, FaultConfig, FaultPreset};
-use uintah_core::grid::iv;
+use uintah_core::grid::{iv, IntVec};
 use uintah_core::{ExecMode, Level, LoadBalancer, MachineConfig, RunConfig, Variant};
 
 /// Domain discriminant for demo-job keyed draws (torture uses 0x7081,
@@ -145,8 +146,43 @@ fn parse_flat_json(line: &str) -> Result<BTreeMap<String, JsonVal>, String> {
     Ok(map)
 }
 
+impl JsonVal {
+    /// The value of `key` as a string.
+    fn text(&self, key: &str) -> Result<&str, String> {
+        match self {
+            JsonVal::Str(s) => Ok(s),
+            other => Err(format!("key `{key}` wants a string, got {other:?}")),
+        }
+    }
+
+    /// The value of `key` as a non-negative integer that fits `T`.
+    fn uint<T: TryFrom<i64>>(&self, key: &str) -> Result<T, String> {
+        match self {
+            JsonVal::Int(n) if *n >= 0 => {
+                T::try_from(*n).map_err(|_| format!("key `{key}` = {n} is out of range"))
+            }
+            other => Err(format!(
+                "key `{key}` wants a non-negative int, got {other:?}"
+            )),
+        }
+    }
+
+    /// The value of `key` as a boolean.
+    fn flag(&self, key: &str) -> Result<bool, String> {
+        match self {
+            JsonVal::Bool(b) => Ok(*b),
+            other => Err(format!("key `{key}` wants a bool, got {other:?}")),
+        }
+    }
+}
+
+/// Look `name` up with `lookup`, or reject it as an unknown `what`.
+fn named<T>(name: &str, what: &str, lookup: fn(&str) -> Option<T>) -> Result<T, String> {
+    lookup(name).ok_or_else(|| format!("unknown {what} `{name}`"))
+}
+
 /// Parse an `AxBxC` extent triple of positive integers.
-fn parse_triple(s: &str, what: &str) -> Result<(i64, i64, i64), String> {
+fn parse_triple(s: &str, what: &str) -> Result<IntVec, String> {
     let parts: Vec<&str> = s.split('x').collect();
     if parts.len() != 3 {
         return Err(format!("{what} must be AxBxC, got `{s}`"));
@@ -160,148 +196,73 @@ fn parse_triple(s: &str, what: &str) -> Result<(i64, i64, i64), String> {
             return Err(format!("{what} axis `{p}` must be positive"));
         }
     }
-    Ok((vals[0], vals[1], vals[2]))
+    Ok(iv(vals[0], vals[1], vals[2]))
 }
 
-/// One job as submitted: flat strings and integers, defaults filled in.
-/// `build` is where it becomes (or fails to become) a validated config.
-#[derive(Clone, Debug, PartialEq)]
+/// One job as submitted, parsed straight into the run it names: the
+/// default job — patch `4x4x4`, layout `2x1x1`, `acc.async`, functional,
+/// 2 steps on 2 ranks, block balancer, the tiny machine, no faults (fault
+/// seed 1) — with every key of the line applied. Config validation runs
+/// in the service.
+#[derive(Clone, Debug)]
 pub struct JobSpec {
-    /// Patch extent, `AxBxC` cells.
-    pub patch: String,
-    /// Patch layout, `AxBxC` patches.
-    pub layout: String,
-    /// Variant name: any [`Variant::name`], e.g. `acc_simd.async`.
-    pub variant: String,
-    /// Execution mode: `functional` or `model`.
-    pub exec: String,
-    /// Timesteps.
-    pub steps: u32,
-    /// Simulated CGs (MPI ranks).
-    pub ranks: usize,
-    /// Balancer: `block`, `rr`, `morton`, or `hilbert`.
-    pub lb: String,
-    /// Machine preset: `tiny` or `sw26010`.
-    pub machine: String,
-    /// Host threads for functional kernels: 0 = serial engine.
-    pub exec_threads: usize,
-    /// CPE groups (>1 requires an async variant).
-    pub cpe_groups: usize,
-    /// Simulation-level fault preset: `none`, `standard`, or `harsh`.
-    pub faults: String,
-    /// Seed for the fault preset.
-    pub fault_seed: u64,
-    /// Checkpoint interval (0 = no checkpointing).
-    pub ckpt_every: u32,
-    /// Drive ranks through the parallel PDES core.
-    pub pdes: bool,
-    /// PDES worker threads (0 = default).
-    pub pdes_threads: usize,
-}
-
-impl Default for JobSpec {
-    fn default() -> Self {
-        JobSpec {
-            patch: "4x4x4".to_string(),
-            layout: "2x1x1".to_string(),
-            variant: Variant::ACC_ASYNC.name().to_string(),
-            exec: ExecMode::Functional.name().to_string(),
-            steps: 2,
-            ranks: 2,
-            lb: LoadBalancer::Block.name().to_string(),
-            machine: "tiny".to_string(),
-            exec_threads: 0,
-            cpe_groups: 1,
-            faults: FaultPreset::NoFaults.name().to_string(),
-            fault_seed: 1,
-            ckpt_every: 0,
-            pdes: false,
-            pdes_threads: 0,
-        }
-    }
+    level: Level,
+    cfg: RunConfig,
 }
 
 impl JobSpec {
-    /// Parse one JSONL job line. Unknown keys are rejected (a typo must
-    /// not silently run the default job).
+    /// Parse one JSONL job line. Unknown keys, unknown names and integers
+    /// that do not fit their field are rejected with a message naming the
+    /// key or value (a typo must not silently run the default job).
     pub fn parse(line: &str) -> Result<JobSpec, String> {
         let map = parse_flat_json(line)?;
-        let mut spec = JobSpec::default();
+        let (mut patch, mut layout) = (iv(4, 4, 4), iv(2, 1, 1));
+        let (mut faults, mut fault_seed) = (FaultPreset::NoFaults, 1);
+        let mut cfg = RunConfig {
+            steps: 2,
+            machine: MachineConfig::test_tiny(),
+            ..RunConfig::paper(Variant::ACC_ASYNC, ExecMode::Functional, 2)
+        };
         for (key, val) in &map {
-            let want_str = || match val {
-                JsonVal::Str(s) => Ok(s.clone()),
-                other => Err(format!("key `{key}` wants a string, got {other:?}")),
-            };
-            let want_uint = || match val {
-                JsonVal::Int(n) if *n >= 0 => Ok(*n as u64),
-                other => Err(format!(
-                    "key `{key}` wants a non-negative int, got {other:?}"
-                )),
-            };
-            let want_bool = || match val {
-                JsonVal::Bool(b) => Ok(*b),
-                other => Err(format!("key `{key}` wants a bool, got {other:?}")),
-            };
-            match key.as_str() {
-                "patch" => spec.patch = want_str()?,
-                "layout" => spec.layout = want_str()?,
-                "variant" => spec.variant = want_str()?,
-                "exec" => spec.exec = want_str()?,
-                "steps" => spec.steps = want_uint()? as u32,
-                "ranks" => spec.ranks = want_uint()? as usize,
-                "lb" => spec.lb = want_str()?,
-                "machine" => spec.machine = want_str()?,
-                "exec_threads" => spec.exec_threads = want_uint()? as usize,
-                "cpe_groups" => spec.cpe_groups = want_uint()? as usize,
-                "faults" => spec.faults = want_str()?,
-                "fault_seed" => spec.fault_seed = want_uint()?,
-                "ckpt_every" => spec.ckpt_every = want_uint()? as u32,
-                "pdes" => spec.pdes = want_bool()?,
-                "pdes_threads" => spec.pdes_threads = want_uint()? as usize,
+            let k = key.as_str();
+            match k {
+                "patch" => patch = parse_triple(val.text(k)?, "patch")?,
+                "layout" => layout = parse_triple(val.text(k)?, "layout")?,
+                "variant" => cfg.variant = named(val.text(k)?, "variant", Variant::from_name)?,
+                "exec" => cfg.exec = named(val.text(k)?, "exec mode", ExecMode::from_name)?,
+                "steps" => cfg.steps = val.uint(k)?,
+                "ranks" => cfg.n_ranks = val.uint(k)?,
+                "lb" => cfg.lb = named(val.text(k)?, "balancer", LoadBalancer::from_name)?,
+                "machine" => {
+                    cfg.machine = named(val.text(k)?, "machine", |m| match m {
+                        "tiny" => Some(MachineConfig::test_tiny()),
+                        "sw26010" => Some(MachineConfig::sw26010()),
+                        _ => None,
+                    })?;
+                }
+                "exec_threads" => {
+                    cfg.options.exec_policy = match val.uint(k)? {
+                        0 => ExecPolicy::Serial,
+                        threads => ExecPolicy::Parallel { threads },
+                    };
+                }
+                "cpe_groups" => cfg.options.cpe_groups = val.uint(k)?,
+                "faults" => faults = named(val.text(k)?, "fault preset", FaultPreset::from_name)?,
+                "fault_seed" => fault_seed = val.uint(k)?,
+                "ckpt_every" => cfg.ckpt_every = Some(val.uint(k)?).filter(|&n| n > 0),
+                "pdes" => cfg.pdes = val.flag(k)?,
+                "pdes_threads" => cfg.threads = Some(val.uint(k)?).filter(|&n| n > 0),
                 other => return Err(format!("unknown job key `{other}`")),
             }
         }
-        Ok(spec)
+        cfg.options.faults = faults.config(fault_seed);
+        let level = Level::try_new(patch, layout).map_err(|e| format!("level: {e}"))?;
+        Ok(JobSpec { level, cfg })
     }
 
-    /// Resolve the spec into a level and run configuration, or a typed
-    /// rejection string naming the bad field.
+    /// The level and run configuration the job names.
     pub fn build(&self) -> Result<(Level, RunConfig), String> {
-        let (px, py, pz) = parse_triple(&self.patch, "patch")?;
-        let (lx, ly, lz) = parse_triple(&self.layout, "layout")?;
-        let level =
-            Level::try_new(iv(px, py, pz), iv(lx, ly, lz)).map_err(|e| format!("level: {e}"))?;
-        let variant = Variant::from_name(&self.variant)
-            .ok_or_else(|| format!("unknown variant `{}`", self.variant))?;
-        let exec = ExecMode::from_name(&self.exec)
-            .ok_or_else(|| format!("unknown exec mode `{}`", self.exec))?;
-        let lb = LoadBalancer::from_name(&self.lb)
-            .ok_or_else(|| format!("unknown balancer `{}`", self.lb))?;
-        let machine = match self.machine.as_str() {
-            "tiny" => MachineConfig::test_tiny(),
-            "sw26010" => MachineConfig::sw26010(),
-            other => return Err(format!("unknown machine `{other}`")),
-        };
-        let faults = FaultPreset::from_name(&self.faults)
-            .ok_or_else(|| format!("unknown fault preset `{}`", self.faults))?
-            .config(self.fault_seed);
-        let mut cfg = RunConfig::paper(variant, exec, self.ranks);
-        cfg.steps = self.steps;
-        cfg.lb = lb;
-        cfg.machine = machine;
-        cfg.options.cpe_groups = self.cpe_groups.max(1);
-        cfg.options.exec_policy = if self.exec_threads == 0 {
-            ExecPolicy::Serial
-        } else {
-            ExecPolicy::Parallel {
-                threads: self.exec_threads,
-            }
-        };
-        cfg.options.faults = faults;
-        cfg.ckpt_every = (self.ckpt_every > 0).then_some(self.ckpt_every);
-        cfg.pdes = self.pdes;
-        cfg.threads = (self.pdes_threads > 0).then_some(self.pdes_threads);
-        Ok((level, cfg))
+        Ok((self.level.clone(), self.cfg.clone()))
     }
 }
 
@@ -383,43 +344,116 @@ mod tests {
         }
     }
 
+    /// A job line through both calls, as `serve` and the benchmark chain
+    /// them.
+    fn job(line: &str) -> Result<(Level, RunConfig), String> {
+        JobSpec::parse(line).and_then(|spec| spec.build())
+    }
+
+    /// The canonical line of a job line's run.
+    fn canon(line: &str) -> String {
+        let (level, cfg) = job(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        uintah_core::canonical_job(&level, "burgers", &cfg)
+    }
+
     #[test]
     fn spec_defaults_and_overrides() {
-        let spec = JobSpec::parse(r#"{"variant": "acc.sync", "steps": 3, "pdes": true}"#).unwrap();
-        assert_eq!(spec.variant, "acc.sync");
-        assert_eq!(spec.steps, 3);
-        assert!(spec.pdes);
-        assert_eq!(spec.patch, "4x4x4"); // default survives
-        let (_level, cfg) = spec.build().unwrap();
+        let (level, cfg) = job(r#"{"variant": "acc.sync", "steps": 3, "pdes": true}"#).unwrap();
+        assert_eq!(cfg.variant, Variant::ACC_SYNC);
         assert_eq!(cfg.steps, 3);
         assert!(cfg.pdes);
+        // Defaults survive.
+        assert_eq!(
+            (level.patch_extent(), level.layout()),
+            (iv(4, 4, 4), iv(2, 1, 1))
+        );
+        let (level, cfg) = job("{}").unwrap();
+        let mut want = RunConfig::paper(Variant::ACC_ASYNC, ExecMode::Functional, 2);
+        want.steps = 2;
+        want.machine = MachineConfig::test_tiny();
+        assert_eq!(cfg, want);
+        assert_eq!(
+            (level.patch_extent(), level.layout()),
+            (iv(4, 4, 4), iv(2, 1, 1))
+        );
+    }
+
+    #[test]
+    fn every_job_key_reaches_the_run() {
+        let default = canon("{}");
+        for line in [
+            r#"{"patch": "3x4x4"}"#,
+            r#"{"layout": "1x2x1"}"#,
+            r#"{"variant": "acc_simd.async"}"#,
+            r#"{"exec": "model"}"#,
+            r#"{"steps": 5}"#,
+            r#"{"ranks": 1}"#,
+            r#"{"lb": "hilbert"}"#,
+            r#"{"machine": "sw26010"}"#,
+            r#"{"exec_threads": 2}"#,
+            r#"{"cpe_groups": 2}"#,
+            r#"{"faults": "harsh"}"#,
+            r#"{"fault_seed": 9, "faults": "standard"}"#,
+            r#"{"ckpt_every": 1}"#,
+            r#"{"pdes": true}"#,
+            r#"{"pdes_threads": 2}"#,
+        ] {
+            assert_ne!(
+                canon(line),
+                default,
+                "{line} left the default job unchanged"
+            );
+        }
+        // The seed is a key of its own, not only the preset's.
+        assert_ne!(
+            canon(r#"{"fault_seed": 9, "faults": "standard"}"#),
+            canon(r#"{"faults": "standard"}"#)
+        );
     }
 
     #[test]
     fn spec_rejects_unknown_keys_and_bad_fields() {
-        assert!(JobSpec::parse(r#"{"varint": "acc.sync"}"#).is_err());
-        let bad_variant = JobSpec::parse(r#"{"variant": "warp.sync"}"#).unwrap();
-        assert!(bad_variant.build().is_err());
+        for bad in [
+            r#"{"varint": "acc.sync"}"#,
+            r#"{"variant": "warp.sync"}"#,
+            r#"{"exec": "fast"}"#,
+            r#"{"lb": "zigzag"}"#,
+            r#"{"machine": "taihu"}"#,
+            r#"{"faults": "some"}"#,
+            r#"{"patch": "4x4"}"#,
+            r#"{"steps": -1}"#,
+            r#"{"pdes": 1}"#,
+        ] {
+            assert!(job(bad).is_err(), "accepted: {bad}");
+        }
         // Every name `Variant::name` produces parses, not only Table IV's.
-        let host_simd = JobSpec::parse(r#"{"variant": "host_simd.sync"}"#).unwrap();
         assert_eq!(
-            host_simd.build().unwrap().1.variant.name(),
+            job(r#"{"variant": "host_simd.sync"}"#)
+                .unwrap()
+                .1
+                .variant
+                .name(),
             "host_simd.sync"
         );
-        let bad_patch = JobSpec::parse(r#"{"patch": "4x4"}"#).unwrap();
-        assert!(bad_patch.build().is_err());
-        // Typed-validation boundary: more ranks than patches is rejected
-        // at build time, not deep inside a worker.
-        let bad_ranks = JobSpec::parse(r#"{"layout": "1x1x1", "ranks": 8}"#).unwrap();
-        assert!(
-            bad_ranks.build().is_err() || {
-                // build() itself only resolves names; config validation runs in
-                // the service. Either rejection point satisfies the boundary.
-                use uintah_core::validate_config;
-                let (level, cfg) = bad_ranks.build().unwrap();
-                validate_config(&level, 1, &cfg).is_err()
-            }
+        // An integer that does not fit its field is an error naming the
+        // key, never a wrapped or coerced value.
+        for (bad, key) in [
+            (r#"{"steps": 4294967297}"#, "`steps`"),
+            (r#"{"ckpt_every": 4294967296}"#, "`ckpt_every`"),
+        ] {
+            let e = job(bad).expect_err(bad);
+            assert!(e.contains(key), "{bad}: {e}");
+        }
+        // Config validation runs in the service: a zero `cpe_groups` or
+        // more ranks than patches reaches it unchanged, and it rejects them.
+        let (level, cfg) = job(r#"{"cpe_groups": 0}"#).unwrap();
+        assert_eq!(cfg.options.cpe_groups, 0);
+        assert_eq!(
+            uintah_core::validate_config(&level, 1, &cfg),
+            Err(uintah_core::ConfigError::ZeroCpeGroups)
         );
+        let (level, cfg) = job(r#"{"layout": "1x1x1", "ranks": 8}"#).unwrap();
+        assert!(uintah_core::validate_config(&level, 1, &cfg).is_err());
     }
 
     #[test]

@@ -36,7 +36,8 @@ use sw_sim::{FlopCategory, MachineConfig, MachineCtx, SimDur, SimTime};
 use sw_telemetry::{Event, Lane, Recorder};
 
 use crate::grid::{Level, PatchId};
-use crate::schedule::variant::{ExecMode, SchedulerMode, SchedulerOptions, Variant};
+use crate::schedule::variant::{ExecMode, SchedulerMode};
+use crate::sim::controller::RunConfig;
 use crate::task::app::Application;
 use crate::task::plan::{ghost_tag, RankPlan};
 use crate::var::{CcVar, DwPair};
@@ -219,9 +220,10 @@ impl RankStats {
 /// The MPE task scheduler for one rank.
 pub struct RankSched {
     rank: usize,
-    variant: Variant,
-    exec: ExecMode,
-    options: SchedulerOptions,
+    /// The run's configuration, shared with the controller: the scheduler
+    /// reads its variant, exec mode, options, step count, clock start,
+    /// forced dt and boundary cadences from here.
+    cfg: Arc<RunConfig>,
     plan: RankPlan,
     n_patches_total: usize,
     athread: AthreadGroup,
@@ -235,13 +237,8 @@ pub struct RankSched {
     stages: usize,
     // --- per-step state ---
     step: u32,
-    total_steps: u32,
     t: f64,
-    /// Physical time of step 0 (non-zero for AMR mid-run segments).
-    t0: f64,
     dt: f64,
-    /// Forced timestep (AMR global dt); `None` = the application's stable dt.
-    dt_override: Option<f64>,
     patch_state: BTreeMap<PatchId, PatchRun>,
     /// This step's receives in post order (stage-major over `plan.recvs`),
     /// which is ascending handle order: a completion's position here names
@@ -263,8 +260,6 @@ pub struct RankSched {
     contributed: bool,
     done: bool,
     wake_at: Option<SimTime>,
-    /// Rebalance every N steps (paper §V-C step 4); `None` = never.
-    rebalance_every: Option<u32>,
     /// Set when the rank reached a rebalance boundary and waits for the
     /// controller to recompile the task graph.
     holding: Option<SimTime>,
@@ -283,8 +278,6 @@ pub struct RankSched {
     retry: Vec<(SimTime, PatchId)>,
     /// Deadline misses per CPE slot; two strikes blacklist the slot.
     slot_strikes: BTreeMap<usize, u32>,
-    /// Park at a checkpoint boundary every N steps (`None` = never).
-    ckpt_every: Option<u32>,
     /// Restart state staged by the controller before `init_run`: resume at
     /// this step with these solution variables.
     restore: Option<(u32, Vec<(PatchId, CcVar)>)>,
@@ -297,41 +290,52 @@ pub struct RankSched {
 }
 
 impl RankSched {
-    /// Build the scheduler for `rank`.
-    #[allow(clippy::too_many_arguments)]
+    /// Build the scheduler for `rank` of the run `cfg` on `level`, with its
+    /// compiled `plan`, the run's telemetry recorder (threaded through the
+    /// athread group's DMA events too) and its fault plan. A fault plan
+    /// activates keyed spawns through the athread group, MPE deadline
+    /// detection, bounded retry with backoff, slot blacklisting and serial
+    /// degradation.
     pub fn new(
+        cfg: Arc<RunConfig>,
         rank: usize,
-        variant: Variant,
-        exec: ExecMode,
-        options: SchedulerOptions,
         plan: RankPlan,
         level: &Level,
-        cpes: usize,
-        total_steps: u32,
+        rec: Recorder,
+        faults: Option<Arc<FaultPlan>>,
     ) -> Self {
         assert!(
-            options.cpe_groups == 1 || variant.mode == SchedulerMode::AsyncCpe,
+            cfg.options.cpe_groups == 1 || cfg.variant.mode == SchedulerMode::AsyncCpe,
             "CPE grouping requires the asynchronous scheduler (a spinning MPE \
              cannot feed multiple groups)"
         );
+        assert!(
+            cfg.rebalance_every != Some(0),
+            "rebalance interval must be positive"
+        );
+        assert!(
+            cfg.ckpt_every != Some(0),
+            "checkpoint interval must be positive"
+        );
+        let mut athread =
+            AthreadGroup::with_groups(rank, cfg.machine.cpes_per_cg, cfg.options.cpe_groups);
+        athread.set_recorder(rec.clone());
+        if let Some(plan) = &faults {
+            athread.set_fault_plan(Arc::clone(plan));
+        }
         RankSched {
             rank,
-            variant,
-            exec,
-            options,
+            cfg,
             plan,
             n_patches_total: level.n_patches(),
-            athread: AthreadGroup::with_groups(rank, cpes, options.cpe_groups),
+            athread,
             dws: DwPair::new(),
             kernel_cache: BTreeMap::new(),
             mpe_plan_cache: BTreeMap::new(),
             stages: 1,
             step: 0,
-            total_steps,
             t: 0.0,
-            t0: 0.0,
             dt: 0.0,
-            dt_override: None,
             patch_state: BTreeMap::new(),
             step_recvs: Vec::new(),
             open_recvs: 0,
@@ -343,68 +347,23 @@ impl RankSched {
             contributed: false,
             done: false,
             wake_at: None,
-            rebalance_every: None,
             holding: None,
             patch_cost: BTreeMap::new(),
-            rec: Recorder::off(),
-            faults: None,
+            rec,
+            faults,
             attempts: BTreeMap::new(),
             retry: Vec::new(),
             slot_strikes: BTreeMap::new(),
-            ckpt_every: None,
             restore: None,
             scratch: Vec::new(),
             stats: RankStats::default(),
         }
     }
 
-    /// Install the shared fault plan: keyed spawns through the athread
-    /// group, MPE deadline detection, bounded retry with backoff, slot
-    /// blacklisting, and serial degradation all activate.
-    pub fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
-        self.athread.set_fault_plan(Arc::clone(&plan));
-        self.faults = Some(plan);
-    }
-
-    /// Force the timestep instead of deriving it from the application's
-    /// stable dt (AMR runs advance every level with one global dt chosen for
-    /// the finest level; see `RunConfig::dt_override`).
-    pub fn set_dt_override(&mut self, dt: Option<f64>) {
-        self.dt_override = dt;
-    }
-
-    /// Start the physical clock at `t0` instead of zero, so boundary fills
-    /// and time-dependent kernel coefficients see absolute time when a run
-    /// is a mid-simulation segment (see `RunConfig::t0`).
-    pub fn set_t0(&mut self, t0: f64) {
-        self.t0 = t0;
-    }
-
-    /// Park at a checkpoint boundary every `n` steps (the controller writes
-    /// the warehouse snapshot while every rank holds).
-    pub fn set_ckpt_every(&mut self, n: Option<u32>) {
-        assert!(n != Some(0), "checkpoint interval must be positive");
-        self.ckpt_every = n;
-    }
-
     /// Stage a restart: `init_run` will overwrite the initial conditions
     /// with `vars` and resume at `step` instead of step 0.
     pub fn prime_restore(&mut self, step: u32, vars: Vec<(PatchId, CcVar)>) {
         self.restore = Some((step, vars));
-    }
-
-    /// Thread a telemetry recorder through this scheduler (and its athread
-    /// group's DMA events).
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.athread.set_recorder(rec.clone());
-        self.rec = rec;
-    }
-
-    /// Enable task-graph recompilation with load rebalancing every `n`
-    /// steps.
-    pub fn set_rebalance_every(&mut self, n: Option<u32>) {
-        assert!(n != Some(0), "rebalance interval must be positive");
-        self.rebalance_every = n;
     }
 
     /// Whether the rank is parked at a rebalance boundary, and since when.
@@ -464,12 +423,13 @@ impl RankSched {
     /// controller at virtual time zero.
     pub fn init_run(&mut self, ctx: &mut StepCtx<'_>) {
         self.dt = self
+            .cfg
             .dt_override
             .unwrap_or_else(|| ctx.app.stable_dt(ctx.level));
-        self.t = self.t0;
+        self.t = self.cfg.t0;
         self.stages = ctx.app.stages();
         assert!(self.stages >= 1, "an application needs at least one stage");
-        if self.exec == ExecMode::Functional {
+        if self.cfg.exec == ExecMode::Functional {
             let g = ctx.app.ghost();
             for &p in &self.plan.patches {
                 let region = ctx.level.patch(p).region.grow(g);
@@ -487,11 +447,11 @@ impl RankSched {
         // not about the (shorter) restarted timeline.
         if let Some((step, vars)) = self.restore.take() {
             self.step = step;
-            self.t = self.t0 + f64::from(step) * self.dt;
+            self.t = self.cfg.t0 + f64::from(step) * self.dt;
             for (p, v) in vars {
                 self.dws.old.put(LABEL_U, p, v);
             }
-            if self.step >= self.total_steps {
+            if self.step >= self.cfg.steps {
                 self.done = true;
                 return;
             }
@@ -600,7 +560,7 @@ impl RankSched {
         cursor = self
             .stats
             .charge(&mut ctx.machine, cursor, call, |b| &mut b.mpi);
-        let payload = (self.exec == ExecMode::Functional).then(|| {
+        let payload = (self.cfg.exec == ExecMode::Functional).then(|| {
             let input = match stage {
                 0 => self.dws.old.get(LABEL_U, s.src_patch),
                 _ => self.dws.new.get(stage_label(stage - 1), s.src_patch),
@@ -725,7 +685,7 @@ impl RankSched {
             // running — the overlap the scheduler exists for; the other
             // modes have a blocked MPE during kernels, so preparation only
             // proceeds when the cluster is idle.
-            let may_prep = match self.variant.mode {
+            let may_prep = match self.cfg.variant.mode {
                 SchedulerMode::AsyncCpe => true,
                 _ => !self.athread.any_busy() && self.prepped.is_empty(),
             };
@@ -766,7 +726,7 @@ impl RankSched {
     /// asynchronous one checks "at times", so a completion at T is only
     /// observable from T + poll onwards.
     fn observable_now(&self, ctx: &StepCtx<'_>, cursor: SimTime) -> SimTime {
-        match self.variant.mode {
+        match self.cfg.variant.mode {
             SchedulerMode::AsyncCpe => {
                 let poll = ctx.machine.cfg().flag_poll_interval;
                 SimTime(cursor.0.saturating_sub(poll.0))
@@ -797,7 +757,7 @@ impl RankSched {
             cursor = self
                 .stats
                 .charge(&mut ctx.machine, cursor, copy, |b| &mut b.copies);
-            if self.exec == ExecMode::Functional {
+            if self.cfg.exec == ExecMode::Functional {
                 let payload = payload.expect("functional ghost message lost its payload");
                 if stage == 0 {
                     self.dws
@@ -876,7 +836,7 @@ impl RankSched {
                         .charge(&mut ctx.machine, cursor, cfg.mpe_copy_time(bytes), |b| {
                             &mut b.copies
                         });
-                if self.exec == ExecMode::Functional {
+                if self.cfg.exec == ExecMode::Functional {
                     let src = self
                         .dws
                         .old
@@ -902,7 +862,7 @@ impl RankSched {
                 .cg_mut(self.rank)
                 .counters
                 .add(FlopCategory::Boundary, flops);
-            if self.exec == ExecMode::Functional {
+            if self.cfg.exec == ExecMode::Functional {
                 let var = if stage == 0 {
                     self.dws.old.get_mut(LABEL_U, p)
                 } else {
@@ -932,27 +892,27 @@ impl RankSched {
         let region = ctx.level.patch(p).region;
         let dims = region.dims();
         let stage = self.patch_state[&p].stage;
-        match self.variant.mode {
+        match self.cfg.variant.mode {
             SchedulerMode::MpeOnly => {
                 cursor = self.run_patch_on_mpe(ctx, cursor, p, stage);
                 cursor = self.finish_patch(ctx, cursor, p);
             }
             SchedulerMode::SyncCpe | SchedulerMode::AsyncCpe => {
-                let spin = self.variant.mode == SchedulerMode::SyncCpe;
+                let spin = self.cfg.variant.mode == SchedulerMode::SyncCpe;
                 cursor = self
                     .stats
                     .charge(&mut ctx.machine, cursor, cfg.offload_spawn, |b| {
                         &mut b.kernel
                     });
                 self.ensure_kernel_cached(ctx, dims, stage);
-                if self.exec == ExecMode::Functional {
-                    let ck = &self.kernel_cache[&(dims, self.variant.simd, stage)];
+                if self.cfg.exec == ExecMode::Functional {
+                    let ck = &self.kernel_cache[&(dims, self.cfg.variant.simd, stage)];
                     // Cheap refcount bump — the tile lists themselves are
                     // shared, not copied, per offload.
                     let assignment = Arc::clone(&ck.assignment);
                     self.exec_kernel(ctx, p, stage, &assignment, cfg.ldm_bytes);
                 }
-                let timing = self.kernel_cache[&(dims, self.variant.simd, stage)]
+                let timing = self.kernel_cache[&(dims, self.cfg.variant.simd, stage)]
                     .timing
                     .clone();
                 // Record the offload hand-off *before* spawning: spawn
@@ -1098,7 +1058,7 @@ impl RankSched {
         let counters = &mut ctx.machine.cg_mut(self.rank).counters;
         counters.add(FlopCategory::Exp, exp_flops);
         counters.add(FlopCategory::Stencil, flops - exp_flops);
-        if self.exec == ExecMode::Functional {
+        if self.cfg.exec == ExecMode::Functional {
             // Whole patch as one "tile" with an unlimited scratchpad:
             // the MPE computes directly on main memory.
             let one = Arc::clone(self.mpe_plan_cache.entry(dims).or_insert_with(|| {
@@ -1266,7 +1226,7 @@ impl RankSched {
     /// Compute (once per patch shape and stage) the tile assignment and
     /// kernel timing.
     fn ensure_kernel_cached(&mut self, ctx: &StepCtx<'_>, dims: Dims3, stage: usize) {
-        let key = (dims, self.variant.simd, stage);
+        let key = (dims, self.cfg.variant.simd, stage);
         if self.kernel_cache.contains_key(&key) {
             return;
         }
@@ -1274,21 +1234,21 @@ impl RankSched {
         let fp = InOutFootprint {
             ghost: ctx.app.ghost() as usize,
         };
-        let cpes = cfg.cpes_per_cg / self.options.cpe_groups;
+        let cpes = cfg.cpes_per_cg / self.cfg.options.cpe_groups;
         let shape = choose_tile_shape(dims, &fp, cfg.ldm_bytes, cpes)
             .unwrap_or_else(|| panic!("no tile of patch {dims:?} fits the LDM"));
         let tiles = tiles_of(dims, shape);
         let assignment = assign_tiles(&tiles, cpes);
-        let mut rate = match (self.variant.simd, self.variant.exp) {
+        let mut rate = match (self.cfg.variant.simd, self.cfg.variant.exp) {
             (false, ExpKind::Fast) => KernelRate::scalar(cfg),
             (true, ExpKind::Fast) => KernelRate::simd(cfg),
             (false, ExpKind::Accurate) => KernelRate::scalar(cfg).with_accurate_exp(cfg),
             (true, ExpKind::Accurate) => KernelRate::simd(cfg).with_accurate_exp(cfg),
         };
-        if self.options.double_buffer {
+        if self.cfg.options.double_buffer {
             rate = rate.with_double_buffer();
         }
-        if self.options.packed_tiles {
+        if self.cfg.options.packed_tiles {
             rate = rate.with_packed_tiles();
         }
         let timing = kernel_timing(cfg, &assignment, ctx.app.stage_cost(stage), rate);
@@ -1321,7 +1281,7 @@ impl RankSched {
             self.dt,
             stage as f64,
         ];
-        let kernel = ctx.app.stage_kernel(stage, self.variant.simd);
+        let kernel = ctx.app.stage_kernel(stage, self.cfg.variant.simd);
         {
             let input_var = if stage == 0 {
                 self.dws.old.get(LABEL_U, p)
@@ -1329,7 +1289,7 @@ impl RankSched {
                 self.dws.new.get(stage_label(stage - 1), p)
             };
             run_patch_functional_with(
-                self.options.exec_policy,
+                self.cfg.options.exec_policy,
                 kernel,
                 Field3 {
                     data: input_var.data(),
@@ -1378,7 +1338,7 @@ impl RankSched {
                         .charge(&mut ctx.machine, cursor, cfg.mpe_copy_time(bytes), |b| {
                             &mut b.copies
                         });
-                if self.exec == ExecMode::Functional {
+                if self.cfg.exec == ExecMode::Functional {
                     let src = self
                         .dws
                         .new
@@ -1397,7 +1357,7 @@ impl RankSched {
                     .local_by_stage[stage + 1] -= 1;
             }
         } else {
-            let val = if self.exec == ExecMode::Functional {
+            let val = if self.cfg.exec == ExecMode::Functional {
                 ctx.app.reduce(self.dws.new.get(stage_label(stage), p))
             } else {
                 ctx.app.model_reduction_value()
@@ -1479,7 +1439,7 @@ impl RankSched {
     /// Advance the data warehouses and either finish the run or begin the
     /// next step.
     fn end_step(&mut self, ctx: &mut StepCtx<'_>, cursor: SimTime) -> SimTime {
-        if self.exec == ExecMode::Functional {
+        if self.cfg.exec == ExecMode::Functional {
             // The new DW becomes the old DW: the final stage's interiors
             // replace the solution; ghost layers are refilled next step.
             let last = stage_label(self.stages - 1);
@@ -1508,14 +1468,14 @@ impl RankSched {
         self.stats.step_end.push(cursor);
         self.t += self.dt;
         self.step += 1;
-        if self.step >= self.total_steps {
+        if self.step >= self.cfg.steps {
             self.done = true;
             return cursor;
         }
         // §V-C step 4: "check to see if recompilation of task graph, load
         // balancing or regridding is needed" — park at the boundary and let
         // the controller recompile and/or write a warehouse checkpoint.
-        let boundary = [self.rebalance_every, self.ckpt_every]
+        let boundary = [self.cfg.rebalance_every, self.cfg.ckpt_every]
             .into_iter()
             .flatten()
             .any(|every| self.step.is_multiple_of(every));
@@ -1547,7 +1507,7 @@ impl RankSched {
             });
         };
         if let Some(h) = self.athread.next_completion() {
-            let poll = match self.variant.mode {
+            let poll = match self.cfg.variant.mode {
                 SchedulerMode::AsyncCpe => ctx.machine.cfg().flag_poll_interval,
                 _ => sw_sim::SimDur::ZERO,
             };

@@ -501,13 +501,11 @@ mod tests {
     use super::*;
     use crate::grid::iv;
     use crate::lb::LoadBalancer;
-    use crate::task::plan::build_rank_plan;
+    use crate::task::plan::build_rank_plans;
 
     fn plans_for(level: &Level, n_ranks: usize, ghost: i64) -> Vec<RankPlan> {
         let a = LoadBalancer::Block.assign(level, n_ranks);
-        (0..n_ranks)
-            .map(|r| build_rank_plan(level, &a, r, ghost))
-            .collect()
+        build_rank_plans(level, &a, n_ranks, ghost)
     }
 
     fn check_clean(level: &Level, n_ranks: usize, stages: usize, variant: Variant) {

@@ -23,7 +23,7 @@ use crate::schedule::rank::{RankSched, ReduceCtx, StepCtx, LABEL_U};
 use crate::schedule::variant::{ExecMode, SchedulerOptions, Variant};
 use crate::sim::report::RunReport;
 use crate::task::app::Application;
-use crate::task::plan::build_rank_plan;
+use crate::task::plan::{build_rank_plans, resolve_assignment};
 use crate::var::CcVar;
 
 /// Configuration of one run.
@@ -221,7 +221,8 @@ impl RunConfig {
 pub struct Simulation {
     level: Level,
     app: Arc<dyn Application>,
-    cfg: RunConfig,
+    /// The run's configuration, shared with every rank's scheduler.
+    cfg: Arc<RunConfig>,
     assignment: Vec<usize>,
     machine: Machine,
     mpi: SharedMpi,
@@ -277,10 +278,8 @@ impl Simulation {
         cfg: RunConfig,
     ) -> Result<Self, crate::ConfigError> {
         crate::config::validate_config(&level, app.ghost(), &cfg)?;
-        let assignment = match &cfg.assignment_override {
-            Some(a) => a.as_ref().clone(),
-            None => cfg.lb.assign(&level, cfg.n_ranks),
-        };
+        let cfg = Arc::new(cfg);
+        let assignment = resolve_assignment(&level, &cfg);
         let mut machine = Machine::new(cfg.machine.clone(), cfg.n_ranks);
         machine.set_noise(cfg.noise_frac, cfg.noise_seed);
         if let Some(speeds) = &cfg.cg_speeds {
@@ -310,9 +309,7 @@ impl Simulation {
             machine.set_fault_plan(Arc::clone(plan));
             mpi.set_fault_plan(Arc::clone(plan));
         }
-        let plans: Vec<_> = (0..cfg.n_ranks)
-            .map(|r| build_rank_plan(&level, &assignment, r, app.ghost()))
-            .collect();
+        let plans = build_rank_plans(&level, &assignment, cfg.n_ranks, app.ghost());
         if cfg.options.verify {
             Self::verify_or_panic(&level, &plans, &*app, &cfg);
         }
@@ -320,25 +317,14 @@ impl Simulation {
             .into_iter()
             .enumerate()
             .map(|(r, plan)| {
-                let mut sched = RankSched::new(
+                RankSched::new(
+                    Arc::clone(&cfg),
                     r,
-                    cfg.variant,
-                    cfg.exec,
-                    cfg.options,
                     plan,
                     &level,
-                    cfg.machine.cpes_per_cg,
-                    cfg.steps,
-                );
-                sched.set_rebalance_every(cfg.rebalance_every);
-                sched.set_ckpt_every(cfg.ckpt_every);
-                sched.set_dt_override(cfg.dt_override);
-                sched.set_t0(cfg.t0);
-                sched.set_recorder(recorder.clone());
-                if let Some(plan) = &faults {
-                    sched.set_fault_plan(Arc::clone(plan));
-                }
-                sched
+                    recorder.clone(),
+                    faults.clone(),
+                )
             })
             .collect();
         let reduce_out = vec![Vec::new(); cfg.n_ranks];
@@ -950,14 +936,11 @@ impl Simulation {
         *assignment = new_assignment;
         // The recompiled task graph must satisfy the same static guarantees
         // as the initial one.
+        let plans = build_rank_plans(level, assignment, n_ranks, g);
         if cfg.options.verify {
-            let plans: Vec<_> = (0..n_ranks)
-                .map(|r| build_rank_plan(level, assignment, r, g))
-                .collect();
             Self::verify_or_panic(level, &plans, &**app, cfg);
         }
-        for (r, rank) in ranks.iter_mut().enumerate() {
-            let plan = build_rank_plan(level, assignment, r, g);
+        for ((r, rank), plan) in ranks.iter_mut().enumerate().zip(plans) {
             let vars = std::mem::take(&mut migrated[r]);
             let mut ctx = StepCtx {
                 machine: machine.ctx(r),

@@ -416,7 +416,7 @@ mod tests {
     use super::*;
     use crate::grid::iv;
     use crate::lb::LoadBalancer;
-    use crate::task::plan::{build_rank_plan, ghost_tag};
+    use crate::task::plan::{build_rank_plans, ghost_tag};
 
     fn rec(lane: Lane, event: Event) -> EventRecord {
         EventRecord {
@@ -434,7 +434,7 @@ mod tests {
 
     fn plans2(level: &Level) -> Vec<RankPlan> {
         let a = LoadBalancer::Block.assign(level, 2);
-        (0..2).map(|r| build_rank_plan(level, &a, r, 1)).collect()
+        build_rank_plans(level, &a, 2, 1)
     }
 
     /// A well-formed two-rank step: rank 0 preps, sends its ghost, runs its

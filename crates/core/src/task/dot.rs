@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 
 use crate::grid::Level;
-use crate::task::plan::build_rank_plan;
+use crate::task::plan::build_rank_plans;
 
 /// Render the task graph of one timestep as DOT.
 ///
@@ -46,8 +46,7 @@ pub fn task_graph_dot(level: &Level, assignment: &[usize], stages: usize) -> Str
     // Ghost dependencies: neighbor stage s-1 output feeds stage s (stage 0
     // reads the previous step's data, drawn as dotted self-level inputs is
     // omitted — only intra-step edges are interesting).
-    for r in 0..n_ranks {
-        let plan = build_rank_plan(level, assignment, r, 1);
+    for plan in build_rank_plans(level, assignment, n_ranks, 1) {
         for s in 1..stages {
             for prep in plan.prep.values() {
                 for lc in &prep.local_copies {

@@ -6,4 +6,7 @@ pub mod plan;
 
 pub use app::Application;
 pub use dot::task_graph_dot;
-pub use plan::{build_rank_plan, ghost_tag, GhostRecv, GhostSend, LocalCopy, PatchPrep, RankPlan};
+pub use plan::{
+    build_rank_plan, build_rank_plans, ghost_tag, resolve_assignment, GhostRecv, GhostSend,
+    LocalCopy, PatchPrep, RankPlan,
+};

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 
 use crate::grid::region::{Face, FACES};
 use crate::grid::{Level, PatchId, Region};
+use crate::sim::controller::RunConfig;
 
 /// A face slab this rank must send to a remote rank each step.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -210,6 +211,28 @@ pub fn build_rank_plan(level: &Level, assignment: &[usize], rank: usize, ghost: 
     }
 }
 
+/// The patch-to-rank assignment `cfg` runs `level` under: its
+/// `assignment_override`, else its balancer's.
+pub fn resolve_assignment(level: &Level, cfg: &RunConfig) -> Vec<usize> {
+    match &cfg.assignment_override {
+        Some(a) => a.as_ref().clone(),
+        None => cfg.lb.assign(level, cfg.n_ranks),
+    }
+}
+
+/// Compile every rank's plan (rank order) under `assignment` — with
+/// [`resolve_assignment`], the compile step of a run.
+pub fn build_rank_plans(
+    level: &Level,
+    assignment: &[usize],
+    n_ranks: usize,
+    ghost: i64,
+) -> Vec<RankPlan> {
+    (0..n_ranks)
+        .map(|r| build_rank_plan(level, assignment, r, ghost))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +241,82 @@ mod tests {
 
     fn level() -> Level {
         Level::new(iv(8, 8, 8), iv(4, 4, 2)) // 32 patches
+    }
+
+    #[test]
+    fn an_assignment_override_wins_over_the_balancer() {
+        use std::sync::Arc;
+
+        use sw_athread::{CpeTileKernel, Dims3, TileCostModel, TileCtx};
+
+        use crate::schedule::variant::{ExecMode, Variant};
+        use crate::sim::controller::Simulation;
+        use crate::task::app::Application;
+        use crate::var::CcVar;
+
+        /// Construction only reads the ghost width; nothing here runs.
+        struct Idle;
+        impl CpeTileKernel for Idle {
+            fn ghost(&self) -> usize {
+                1
+            }
+            fn compute(&self, _ctx: &mut TileCtx<'_>) {}
+        }
+        impl TileCostModel for Idle {
+            fn ghost(&self) -> usize {
+                1
+            }
+            fn flops(&self, _d: Dims3) -> u64 {
+                0
+            }
+            fn exp_flops(&self, _d: Dims3) -> u64 {
+                0
+            }
+            fn exp_calls(&self, _d: Dims3) -> u64 {
+                0
+            }
+        }
+        impl Application for Idle {
+            fn name(&self) -> &str {
+                "idle"
+            }
+            fn ghost(&self) -> i64 {
+                1
+            }
+            fn cost(&self) -> &dyn TileCostModel {
+                self
+            }
+            fn kernel(&self, _simd: bool) -> &dyn CpeTileKernel {
+                self
+            }
+            fn bc_flops_per_cell(&self) -> u64 {
+                0
+            }
+            fn stable_dt(&self, _level: &Level) -> f64 {
+                1.0
+            }
+            fn init(&self, _l: &Level, _region: &Region, _var: &mut CcVar) {}
+            fn fill_boundary(&self, _l: &Level, _r: &Region, _v: &mut CcVar, _t: f64) {}
+        }
+
+        let l = level();
+        let mut cfg = RunConfig::paper(Variant::ACC_ASYNC, ExecMode::Model, 4);
+        assert_eq!(
+            resolve_assignment(&l, &cfg),
+            LoadBalancer::Block.assign(&l, 4)
+        );
+        let pinned: Vec<usize> = (0..l.n_patches()).map(|p| (p * 7 + 3) % 4).collect();
+        assert_ne!(pinned, LoadBalancer::Block.assign(&l, 4));
+        cfg.lb = LoadBalancer::Hilbert;
+        cfg.assignment_override = Some(Arc::new(pinned.clone()));
+        assert_eq!(resolve_assignment(&l, &cfg), pinned);
+        let plans = build_rank_plans(&l, &pinned, 4, 1);
+        for (r, plan) in plans.iter().enumerate() {
+            assert_eq!(plan.rank, r);
+            assert!(plan.patches.iter().all(|&p| pinned[p] == r));
+        }
+        let sim = Simulation::new(l, Arc::new(Idle), cfg);
+        assert_eq!(sim.assignment(), pinned.as_slice());
     }
 
     #[test]

@@ -28,15 +28,17 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sw_athread::{cells, CpeTileKernel, Dims3, TileCostModel, TileCtx};
 use sw_mpi::{MpiWorld, SharedMpi};
 use sw_sim::{EventQueue, Machine, MachineConfig, MachineEvent, SimDur, SimTime};
+use sw_telemetry::Recorder;
 use uintah_core::schedule::rank::{ReduceCtx, StepCtx};
 use uintah_core::schedule::RankSched;
 use uintah_core::task::build_rank_plan;
 use uintah_core::{
-    iv, Application, CcVar, DataWarehouse, ExecMode, Level, LoadBalancer, Region, SchedulerOptions,
+    iv, Application, CcVar, DataWarehouse, ExecMode, Level, LoadBalancer, Region, RunConfig,
     Variant,
 };
 
@@ -314,16 +316,11 @@ fn warm_on_wake_with_nothing_arrived_is_zero_alloc() {
     let mut machine = Machine::new(cfg.clone(), 2);
     let mpi = SharedMpi::new(MpiWorld::new(2));
     let (merged, mut outbox) = (BTreeMap::new(), Vec::new());
-    let mut sched = RankSched::new(
-        0,
-        Variant::ACC_ASYNC,
-        ExecMode::Model,
-        SchedulerOptions::default(),
-        plan,
-        &level,
-        cfg.cpes_per_cg,
-        2,
-    );
+    let run = RunConfig {
+        steps: 2,
+        ..RunConfig::paper(Variant::ACC_ASYNC, ExecMode::Model, 2)
+    };
+    let mut sched = RankSched::new(Arc::new(run), 0, plan, &level, Recorder::off(), None);
     let mut ctx = StepCtx {
         machine: machine.ctx(0),
         mpi: &mpi,
