@@ -9,7 +9,7 @@
 //! cargo run --release -p bench --bin repro -- faults --seed 42
 //! cargo run --release -p bench --bin repro -- amr --seed 42
 //! cargo run --release -p bench --bin repro -- torture --seed 0 --cases 200
-//! cargo run --release -p bench --bin repro -- scale [--quick | --full]
+//! cargo run --release -p bench --bin repro -- scale
 //! cargo run --release -p bench --bin repro -- check
 //! cargo run --release -p bench --bin repro -- comm
 //! cargo run --release -p bench --bin repro -- serve --demo 64 --workers 4
@@ -48,8 +48,9 @@ const VALUE_FLAGS: [&str; 17] = [
     "--stream",
 ];
 
-/// The flags that take no value.
-const SWITCHES: [&str; 5] = ["--serial", "--quick", "--full", "--stdin", "--no-cache"];
+/// The flags that take no value. Any other word starting with `--` is
+/// rejected before anything runs.
+const SWITCHES: [&str; 3] = ["--serial", "--stdin", "--no-cache"];
 
 /// The values given to the value flag `name`, in order (`--variant` may
 /// repeat). A flag with nothing after it exits through `bench::cli::fail`.
@@ -349,27 +350,18 @@ fn run_comm() {
 
 /// `scale` subcommand: strong-scaling sweeps on serial vs PDES engines.
 /// The paper's axis (1..128 CGs on 16x16x512) plus a beyond-paper
-/// 1024-patch extension at 256 CGs (512/1024 with `--full`; `--quick`
-/// stops at 16 CGs for the ci.sh stage). Every cell asserts PDES-vs-serial
-/// bit identity; writes `results/BENCH_scale.json` (`--quick`:
-/// `results/BENCH_scale.quick.json`); exits non-zero if any
-/// cell diverged, a speedup curve collapsed, or async lost to sync on the
-/// paper problem while ranks still held patches to overlap.
-fn run_scale(quick: bool, full: bool) {
+/// 1024-patch extension at 64..1024 CGs. Every cell asserts PDES-vs-serial
+/// bit identity; writes `results/BENCH_scale.json` (the engines' wall
+/// clocks are printed here, not written); exits non-zero if any cell
+/// diverged, a speedup curve collapsed, or async lost to sync on the paper
+/// problem while ranks still held patches to overlap.
+fn run_scale() {
     let dir = std::path::Path::new("results");
-    let file = dir.join(bench::scale::scale_file(quick));
-    let outcome = bench::scale::write_scale_json(dir, quick, full).expect("write the sweep");
-    let mode = if quick {
-        "quick"
-    } else if full {
-        "full"
-    } else {
-        "default"
-    };
+    let outcome = bench::scale::write_scale_json(dir).expect("write the sweep");
+    let host_threads = bench::scale::host_threads();
     println!(
-        "== Strong scaling: serial vs conservative-PDES engine ({mode}, {} steps, host_threads {}) ==",
+        "== Strong scaling: serial vs conservative-PDES engine ({} steps, host_threads {host_threads}) ==",
         bench::scale::STEPS,
-        outcome.host_threads
     );
     for c in &outcome.cells {
         println!(
@@ -386,7 +378,7 @@ fn run_scale(quick: bool, full: bool) {
             c.pdes_identical
         );
     }
-    if outcome.host_threads <= 1 {
+    if host_threads <= 1 {
         eprintln!(
             "WARNING: single-core host — the PDES engine ran its rank workers \
              sequentially, so the engine wall clocks compare window-protocol \
@@ -396,7 +388,7 @@ fn run_scale(quick: bool, full: bool) {
     println!(
         "max swept CGs {}; wrote {}",
         outcome.max_cgs(),
-        file.display()
+        dir.join("BENCH_scale.json").display()
     );
     bench::cli::gate("scale", &outcome.violations());
 }
@@ -603,6 +595,19 @@ fn main() {
     for name in VALUE_FLAGS {
         flag_values(&args, name).for_each(drop);
     }
+    let positional: Vec<&String> = args
+        .iter()
+        .enumerate()
+        .filter(|&(i, a)| {
+            let is_value = i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str());
+            !is_value && !SWITCHES.contains(&a.as_str()) && !VALUE_FLAGS.contains(&a.as_str())
+        })
+        .map(|(_, a)| a)
+        .collect();
+    // So does a flag that is neither: it is not a subcommand either.
+    if let Some(unknown) = positional.iter().find(|a| a.starts_with("--")) {
+        bench::cli::fail(unknown, "unknown flag");
+    }
     // Master seed for everything stochastic in the harness: the fault plans
     // of `faults` and the kernel-noise streams of `fidelity`.
     let seed: u64 = num_flag(&args, "--seed", 42);
@@ -616,18 +621,6 @@ fn main() {
         jobs
     };
     let csv = flag(&args, "--csv").map(std::path::PathBuf::from);
-    if let Some(dir) = &csv {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-    }
-    let positional: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| {
-            let is_value = i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str());
-            !is_value && !SWITCHES.contains(&a.as_str()) && !VALUE_FLAGS.contains(&a.as_str())
-        })
-        .map(|(_, a)| a)
-        .collect();
     // The campaigns: explicit only (each writes its artifact under results/
     // and exits non-zero through `bench::cli` on a failed proof; none is a
     // paper table, so `all` does not include them). Requested campaigns run
@@ -640,12 +633,7 @@ fn main() {
         ("torture", &|| run_torture(seed, cases)),
         ("check", &run_check),
         ("comm", &run_comm),
-        ("scale", &|| {
-            run_scale(
-                args.iter().any(|a| a == "--quick"),
-                args.iter().any(|a| a == "--full"),
-            )
-        }),
+        ("scale", &run_scale),
         ("analyze", &run_analyze),
     ];
     let is_campaign = |a: &str| campaigns.iter().any(|(name, _)| *name == a);
@@ -661,6 +649,9 @@ fn main() {
                 bench::cli::EXPERIMENTS.join(" ")
             ),
         );
+    }
+    if let Some(dir) = &csv {
+        std::fs::create_dir_all(dir).expect("create csv dir");
     }
     for (name, run) in campaigns {
         if positional.iter().any(|a| *a == name) {

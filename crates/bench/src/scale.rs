@@ -2,30 +2,28 @@
 //!
 //! The paper's evaluation stops at 128 CGs (Table V / §VII). This sweep
 //! reproduces that axis on the smallest Table III problem and then pushes
-//! past the paper — 256, and with `--full` 512 and 1024 simulated CGs on a
-//! 1024-patch extension problem — which is exactly the regime the
-//! conservative-PDES engine (DESIGN.md §14) exists for: the serial event
-//! engine advances one simulated rank at a time, while the PDES engine
-//! advances every rank concurrently inside lookahead windows.
+//! past the paper — 256, 512 and 1024 simulated CGs on a 1024-patch
+//! extension problem — which is exactly the regime the conservative-PDES
+//! engine (DESIGN.md §14) exists for: the serial event engine advances one
+//! simulated rank at a time, while the PDES engine advances every rank
+//! concurrently inside lookahead windows.
 //!
 //! Every swept cell runs **both** engines and asserts the reports are
-//! bit-identical — the sweep doubles as a correctness gate. Wall-clock
-//! times of both engines are recorded per cell; on a single-core host the
-//! PDES numbers are the honest degenerate (the window protocol without
-//! parallelism) and the JSON says so instead of reporting a fake speedup.
+//! bit-identical — the sweep doubles as a correctness gate. The engines'
+//! wall-clock times are host measurements: `repro scale` prints them, and
+//! `results/BENCH_scale.json` holds only the deterministic fields, so it
+//! regenerates byte for byte on any host.
 //!
-//! `repro scale` writes `results/BENCH_scale.json` (`--quick`:
-//! `results/BENCH_scale.quick.json`, not committed) and exits non-zero on
-//! any of [`ScaleOutcome::violations`]: engine divergence, a collapsed
-//! strong-scaling curve, or async losing to sync on the paper problem
-//! while ranks still hold patches to overlap.
+//! `repro scale` exits non-zero on any of [`ScaleOutcome::violations`]:
+//! engine divergence, a collapsed strong-scaling curve, or async losing to
+//! sync on the paper problem while ranks still hold patches to overlap.
 
 use std::io;
 use std::path::Path;
 use std::time::Instant;
 
 use sw_telemetry::json::{
-    arr, fixed, lit, obj,
+    arr, fixed, obj,
     Layout::{Block, Row},
 };
 use uintah_core::grid::{iv, Level};
@@ -65,8 +63,6 @@ pub struct ScaleCell {
 /// Whole-sweep outcome.
 #[derive(Clone, Debug, Default)]
 pub struct ScaleOutcome {
-    /// Actual host parallelism (see [`host_threads`]).
-    pub host_threads: usize,
     /// Swept cells, axis order within each (problem, variant) group.
     pub cells: Vec<ScaleCell>,
 }
@@ -75,13 +71,10 @@ pub struct ScaleOutcome {
 /// the curve between adjacent CG counts, but never collapse it.
 const MONOTONE_SLACK: f64 = 0.98;
 
-/// The warning every cell carries on a single-core host.
-const DEGENERATE_WARNING: &str = "single-core host: the PDES engine ran its rank workers \
-     sequentially, so engine wall clocks compare window-protocol overhead, not parallelism";
-
 /// Actual host parallelism, straight from the OS, NOT the pool size. On a
 /// single-core host a "parallel" run is the serial path with extra
-/// scheduling overhead, and the sweep reports that instead of a speedup.
+/// scheduling overhead, and `repro scale` says so instead of implying a
+/// speedup.
 pub fn host_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -241,64 +234,41 @@ fn sweep_problem(name: &str, level: &Level, cg_axis: &[usize], cells: &mut Vec<S
     }
 }
 
-/// Run the sweep. `quick` stops at 16 CGs on the paper problem (the ci.sh
-/// stage); the default pushes to 256 on the extension problem; `full` adds
-/// 512 and 1024.
-pub fn run_scale(quick: bool, full: bool) -> ScaleOutcome {
+/// The CG counts swept on the paper problem and on the extension problem.
+const PAPER_AXIS: [usize; 5] = [1, 4, 16, 64, 128];
+const EXTENSION_AXIS: [usize; 4] = [64, 256, 512, 1024];
+
+/// Run the sweep over `paper_axis` on the paper problem and `ext_axis` on
+/// the extension problem.
+fn run_scale(paper_axis: &[usize], ext_axis: &[usize]) -> ScaleOutcome {
     let mut cells = Vec::new();
-    let paper_axis: &[usize] = if quick {
-        &[1, 4, 16]
-    } else {
-        &[1, 4, 16, 64, 128]
-    };
     sweep_problem(SMALL.name, &SMALL.level(), paper_axis, &mut cells);
-    if !quick {
-        let (name, level) = extension_level();
-        let ext_axis: &[usize] = if full {
-            &[64, 256, 512, 1024]
-        } else {
-            &[64, 256]
-        };
-        sweep_problem(&name, &level, ext_axis, &mut cells);
-    }
-    ScaleOutcome {
-        host_threads: host_threads(),
-        cells,
-    }
+    let (name, level) = extension_level();
+    sweep_problem(&name, &level, ext_axis, &mut cells);
+    ScaleOutcome { cells }
 }
 
-/// Render the sweep as the `BENCH_scale.json` document.
+/// Render the sweep as the `BENCH_scale.json` document: the deterministic
+/// fields only, so the file is a function of the code.
 pub fn scale_json(outcome: &ScaleOutcome) -> String {
-    let degenerate = outcome.host_threads <= 1;
     let cells = outcome.cells.iter().map(|c| {
-        let mut row = vec![
-            ("problem", c.problem.as_str().into()),
-            ("patches", c.patches.into()),
-            ("variant", c.variant.into()),
-            ("cgs", c.cgs.into()),
-            ("virtual_time_ps", c.virtual_time_ps.into()),
-            ("speedup", fixed(c.speedup, 4)),
-            ("efficiency", fixed(c.efficiency, 4)),
-            ("serial_wall_ms", fixed(c.serial_wall_ms, 3)),
-            ("pdes_wall_ms", fixed(c.pdes_wall_ms, 3)),
-        ];
-        if degenerate {
-            row.push(("pdes_wall_speedup", lit("null")));
-            row.push(("warning", DEGENERATE_WARNING.into()));
-        } else {
-            row.push((
-                "pdes_wall_speedup",
-                fixed(c.serial_wall_ms / c.pdes_wall_ms, 3),
-            ));
-        }
-        row.push(("pdes_identical", c.pdes_identical.into()));
-        obj(Row, row)
+        obj(
+            Row,
+            [
+                ("problem", c.problem.as_str().into()),
+                ("patches", c.patches.into()),
+                ("variant", c.variant.into()),
+                ("cgs", c.cgs.into()),
+                ("virtual_time_ps", c.virtual_time_ps.into()),
+                ("speedup", fixed(c.speedup, 4)),
+                ("efficiency", fixed(c.efficiency, 4)),
+                ("pdes_identical", c.pdes_identical.into()),
+            ],
+        )
     });
     let doc = obj(
         Block,
         [
-            ("host_threads", outcome.host_threads.into()),
-            ("degenerate_host", degenerate.into()),
             ("steps", STEPS.into()),
             ("max_cgs", outcome.max_cgs().into()),
             ("all_identical", outcome.all_identical().into()),
@@ -308,21 +278,11 @@ pub fn scale_json(outcome: &ScaleOutcome) -> String {
     doc.render() + "\n"
 }
 
-/// The artifact's file name: the quick axis (the ci.sh stage) has a file
-/// of its own, git-ignored, so it never overwrites the committed sweep.
-pub fn scale_file(quick: bool) -> &'static str {
-    if quick {
-        "BENCH_scale.quick.json"
-    } else {
-        "BENCH_scale.json"
-    }
-}
-
-/// Run the sweep and write it to [`scale_file`] under `dir`.
-pub fn write_scale_json(dir: &Path, quick: bool, full: bool) -> io::Result<ScaleOutcome> {
-    let outcome = run_scale(quick, full);
+/// Run the sweep and write it to `BENCH_scale.json` under `dir`.
+pub fn write_scale_json(dir: &Path) -> io::Result<ScaleOutcome> {
+    let outcome = run_scale(&PAPER_AXIS, &EXTENSION_AXIS);
     std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join(scale_file(quick)), scale_json(&outcome))?;
+    std::fs::write(dir.join("BENCH_scale.json"), scale_json(&outcome))?;
     Ok(outcome)
 }
 
@@ -332,7 +292,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_is_identical_and_shaped() {
-        let o = run_scale(true, false);
+        let o = run_scale(&[1, 4, 16], &[]);
         assert_eq!(o.cells.len(), 2 * 3, "two variants x three CG counts");
         assert!(
             o.all_identical(),
@@ -342,12 +302,14 @@ mod tests {
         // Strong scaling, baseline 1.0 and async no later than sync on a
         // common baseline are all `violations()` clauses.
         assert_eq!(o.violations(), Vec::<String>::new());
+        // The artifact holds no host clock: a second sweep writes the same
+        // bytes.
+        assert_eq!(scale_json(&o), scale_json(&run_scale(&[1, 4, 16], &[])));
     }
 
     #[test]
     fn json_document_shape() {
         let o = ScaleOutcome {
-            host_threads: 4,
             cells: vec![ScaleCell {
                 problem: "p".into(),
                 patches: 128,
@@ -362,20 +324,20 @@ mod tests {
             }],
         };
         let j = scale_json(&o);
-        assert!(j.contains("\"degenerate_host\": false"));
-        assert!(j.contains("\"pdes_wall_speedup\": 2.000"));
+        assert!(j.contains("\"speedup\": 3.5000"));
         assert!(j.contains("\"all_identical\": true"));
         assert!(j.contains("\"max_cgs\": 4"));
-        assert!(!j.contains("\"warning\""));
-        // Single-core host: the wall-clock ratio cell becomes a warning.
-        let o1 = ScaleOutcome {
-            host_threads: 1,
-            ..o
-        };
-        let j1 = scale_json(&o1);
-        assert!(j1.contains("\"degenerate_host\": true"));
-        assert!(j1.contains("\"pdes_wall_speedup\": null"));
-        assert!(j1.contains("\"warning\": \"single-core host"));
+        // Host measurements are printed by `repro scale`, never written.
+        for host in [
+            "host_threads",
+            "degenerate_host",
+            "serial_wall_ms",
+            "pdes_wall_ms",
+            "pdes_wall_speedup",
+            "warning",
+        ] {
+            assert!(!j.contains(host), "{host} is in the artifact");
+        }
     }
 
     #[test]
@@ -395,7 +357,6 @@ mod tests {
             pdes_identical: true,
         };
         let passing = || ScaleOutcome {
-            host_threads: 2,
             cells: vec![
                 cell("acc.sync", 1, 1200, 1200),
                 cell("acc.sync", 4, 310, 1200),

@@ -24,6 +24,58 @@ fn a_misspelt_subcommand_is_rejected_not_silently_skipped() {
 }
 
 #[test]
+fn a_stray_flag_is_rejected_before_anything_runs() {
+    // `repro all --frobnicate` used to report the flag as an unknown
+    // subcommand, and `repro table3 --quick` ran and ignored it. `scale`
+    // has one sweep now, so its old axis switches are stray flags too.
+    for args in [
+        &["scale", "--quick"][..],
+        &["scale", "--full"],
+        &["all", "--frobnicate"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "{args:?} ran something first");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(
+            stderr,
+            format!("ERROR: repro {}: unknown flag\n", args[1]),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn ci_sh_runs_every_campaign_and_the_paper() {
+    // Each campaign writes an artifact under results/, and ci.sh gates the
+    // artifacts by regenerating them: a campaign without a stage there
+    // leaves its committed file unchecked.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("nosuchthing")
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let campaigns = stderr
+        .split("campaigns: ")
+        .nth(1)
+        .and_then(|rest| rest.split(';').next())
+        .unwrap_or_else(|| panic!("no campaign list in {stderr:?}"));
+    let ci = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci.sh"))
+        .expect("read ci.sh");
+    let stages: Vec<&str> = ci
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("repro "))
+        .filter_map(|rest| rest.split_whitespace().next())
+        .collect();
+    for name in campaigns.split(' ').chain(["all"]) {
+        assert!(stages.contains(&name), "ci.sh has no `repro {name}` stage");
+    }
+}
+
+#[test]
 fn a_known_subcommand_still_runs() {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("table3")

@@ -168,14 +168,15 @@ pub struct CampaignOutcome {
     pub lost: u64,
     /// Record slots completed more than once. Must be 0.
     pub duplicated: u64,
-    /// p50 job latency, microseconds (log2 bucket lower bound).
+    /// p50 job latency, microseconds (log2 bucket lower bound). A host
+    /// clock: printed by `repro serve`, never written by [`Self::to_json`].
     pub p50_latency_us: u64,
-    /// p99 job latency, microseconds (log2 bucket lower bound).
+    /// p99 job latency, microseconds (log2 bucket lower bound); host clock.
     pub p99_latency_us: u64,
     /// Worker-pool fault counters (injected/detected/retried/recovered/
     /// blacklisted live in the campaign rows of [`FaultCounts`]).
     pub fault_counts: FaultCounts,
-    /// Wall-clock duration of the drain, milliseconds.
+    /// Wall-clock duration of the drain, milliseconds; host clock.
     pub wall_ms: u64,
 }
 
@@ -228,8 +229,9 @@ impl CampaignOutcome {
         v
     }
 
-    /// Render `results/CAMPAIGN.json`: a `records` array of deterministic
-    /// per-job objects followed by a `service` summary object.
+    /// Render `results/CAMPAIGN.json`: a `records` array of per-job objects
+    /// followed by a `service` summary object. Both are deterministic for
+    /// one invocation; the host clocks (latencies, `wall_ms`) are left out.
     pub fn to_json(&self) -> String {
         let records = self.records.iter().map(|r| {
             let (field, body) = match &r.result {
@@ -268,9 +270,6 @@ impl CampaignOutcome {
                 ("oracle_passes", self.oracle_passes.into()),
                 ("lost", self.lost.into()),
                 ("duplicated", self.duplicated.into()),
-                ("p50_latency_us", self.p50_latency_us.into()),
-                ("p99_latency_us", self.p99_latency_us.into()),
-                ("wall_ms", self.wall_ms.into()),
                 ("faults", obj(Layout::Row, faults)),
             ],
         );

@@ -167,6 +167,30 @@ fn campaign_json_contains_records_and_service_sections() {
 }
 
 #[test]
+fn identical_campaigns_render_byte_identical_json() {
+    // The artifact holds no host clock (latencies and the drain's wall time
+    // are stdout only), so one invocation always writes the same bytes. The
+    // faulted case is ci.sh's `--worker-faults standard` demo campaign:
+    // deaths, retries and blacklisted workers included.
+    for worker_faults in [None, Some(FaultConfig::standard(42))] {
+        let render = || {
+            let cfg = CampaignConfig {
+                workers: 4,
+                seed: 42,
+                worker_faults,
+                ..CampaignConfig::default()
+            };
+            run_campaign(cfg, 42, 64).to_json()
+        };
+        let json = render();
+        assert_eq!(json, render());
+        for clock in ["p50_latency_us", "p99_latency_us", "wall_ms"] {
+            assert!(!json.contains(clock), "{clock} is in the artifact");
+        }
+    }
+}
+
+#[test]
 fn violations_name_the_broken_invariant() {
     let good = run_campaign(
         CampaignConfig {
