@@ -52,6 +52,9 @@ const VALUE_FLAGS: [&str; 17] = [
 /// rejected before anything runs.
 const SWITCHES: [&str; 3] = ["--serial", "--stdin", "--no-cache"];
 
+/// A campaign subcommand: its name, the flags it reads, and its runner.
+type Campaign<'a> = (&'a str, &'a [&'a str], &'a dyn Fn());
+
 /// The values given to the value flag `name`, in order (`--variant` may
 /// repeat). A flag with nothing after it exits through `bench::cli::fail`.
 fn flag_values<'a>(args: &'a [String], name: &'a str) -> impl Iterator<Item = &'a str> {
@@ -595,15 +598,13 @@ fn main() {
     for name in VALUE_FLAGS {
         flag_values(&args, name).for_each(drop);
     }
-    let positional: Vec<&String> = args
+    // The flag words and the positional words; a flag's value is neither.
+    let (flags, positional): (Vec<&str>, Vec<&str>) = args
         .iter()
         .enumerate()
-        .filter(|&(i, a)| {
-            let is_value = i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str());
-            !is_value && !SWITCHES.contains(&a.as_str()) && !VALUE_FLAGS.contains(&a.as_str())
-        })
-        .map(|(_, a)| a)
-        .collect();
+        .filter(|&(i, _)| i == 0 || !VALUE_FLAGS.contains(&args[i - 1].as_str()))
+        .map(|(_, a)| a.as_str())
+        .partition(|a| VALUE_FLAGS.contains(a) || SWITCHES.contains(a));
     // So does a flag that is neither: it is not a subcommand either.
     if let Some(unknown) = positional.iter().find(|a| a.starts_with("--")) {
         bench::cli::fail(unknown, "unknown flag");
@@ -621,44 +622,81 @@ fn main() {
         jobs
     };
     let csv = flag(&args, "--csv").map(std::path::PathBuf::from);
-    // The campaigns: explicit only (each writes its artifact under results/
-    // and exits non-zero through `bench::cli` on a failed proof; none is a
-    // paper table, so `all` does not include them). Requested campaigns run
-    // in this order; tables and figures follow only if any were asked for.
-    let campaigns: [(&str, &dyn Fn()); 9] = [
-        ("trace", &|| run_trace(&args)),
-        ("serve", &|| run_serve(&args, seed)),
-        ("faults", &|| run_faults(seed)),
-        ("amr", &|| run_amr(seed)),
-        ("torture", &|| run_torture(seed, cases)),
-        ("check", &run_check),
-        ("comm", &run_comm),
-        ("scale", &run_scale),
-        ("analyze", &run_analyze),
+    // The campaigns and the flags each reads: explicit only (each writes
+    // its artifact under results/ and exits non-zero through `bench::cli`
+    // on a failed proof; none is a paper table, so `all` does not include
+    // them). Requested campaigns run in this order; tables and figures
+    // follow only if any were asked for.
+    let campaigns: [Campaign; 9] = [
+        (
+            "trace",
+            &["--problem", "--cgs", "--steps", "--variant"],
+            &|| run_trace(&args),
+        ),
+        (
+            "serve",
+            &[
+                "--seed",
+                "--workers",
+                "--worker-faults",
+                "--oracle-ppm",
+                "--stream",
+                "--no-cache",
+                "--cache",
+                "--perfetto",
+                "--stdin",
+                "--demo",
+                "--jobs-file",
+                "--out",
+            ],
+            &|| run_serve(&args, seed),
+        ),
+        ("faults", &["--seed"], &|| run_faults(seed)),
+        ("amr", &["--seed"], &|| run_amr(seed)),
+        ("torture", &["--seed", "--cases"], &|| {
+            run_torture(seed, cases)
+        }),
+        ("check", &[], &run_check),
+        ("comm", &[], &run_comm),
+        ("scale", &[], &run_scale),
+        ("analyze", &[], &run_analyze),
     ];
-    let is_campaign = |a: &str| campaigns.iter().any(|(name, _)| *name == a);
+    // The flags the paper's tables and figures read, as a group.
+    let table_flags = ["--jobs", "--serial", "--csv", "--seed"];
+    let is_campaign = |a: &str| campaigns.iter().any(|(name, _, _)| *name == a);
     if let Some(unknown) = positional
         .iter()
-        .find(|a| !is_campaign(a) && !bench::cli::EXPERIMENTS.contains(&a.as_str()))
+        .find(|a| !is_campaign(a) && !bench::cli::EXPERIMENTS.contains(a))
     {
         bench::cli::fail(
             unknown,
             &format!(
                 "unknown subcommand (campaigns: {}; experiments: {})",
-                campaigns.map(|(name, _)| name).join(" "),
+                campaigns.map(|(name, _, _)| name).join(" "),
                 bench::cli::EXPERIMENTS.join(" ")
             ),
         );
     }
+    // A flag no chosen subcommand reads would be silently ignored.
+    let tables = positional.is_empty() || positional.iter().any(|a| !is_campaign(a));
+    let read: Vec<&str> = campaigns
+        .iter()
+        .filter(|(name, _, _)| positional.contains(name))
+        .flat_map(|(_, reads, _)| reads.iter().copied())
+        .chain(tables.then_some(table_flags).into_iter().flatten())
+        .collect();
+    if let Some(unread) = flags.iter().find(|f| !read.contains(f)) {
+        bench::cli::fail(unread, "no chosen subcommand reads this flag");
+    }
     if let Some(dir) = &csv {
         std::fs::create_dir_all(dir).expect("create csv dir");
     }
-    for (name, run) in campaigns {
-        if positional.iter().any(|a| *a == name) {
+    for (name, _, run) in campaigns {
+        if positional.contains(&name) {
             run();
         }
     }
-    if !positional.is_empty() && positional.iter().all(|a| is_campaign(a)) {
+    if !tables {
         return;
     }
     let want = |name: &str| -> bool {

@@ -49,6 +49,76 @@ fn a_stray_flag_is_rejected_before_anything_runs() {
 }
 
 #[test]
+fn a_flag_no_chosen_subcommand_reads_is_rejected() {
+    // Each of these used to exit 0 with the flag ignored: `table3` reads
+    // no `--cases`, `--out` (which swallowed `--quick` as its value) is
+    // `serve`'s, and `check` reads neither `--seed` nor `--cgs`.
+    for (args, flag) in [
+        (&["table3", "--cases", "5"][..], "--cases"),
+        (&["table3", "--out", "--quick"], "--out"),
+        (&["check", "--seed", "3", "--cgs", "8"], "--seed"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "{args:?} ran something first");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.starts_with(&format!("ERROR: repro {flag}: ")) && stderr.lines().count() == 1,
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn serve_streams_a_line_and_writes_a_trace_per_executed_job() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_serve_stream");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let traces = dir.join("perfetto");
+    let json = dir.join("c.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .current_dir(&dir)
+        .args(["serve", "--demo", "4", "--workers", "2", "--no-cache"])
+        .args(["--stream", "1", "--perfetto"])
+        .arg(&traces)
+        .arg("--out")
+        .arg(&json)
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "{stderr}");
+    let artifact = std::fs::read_to_string(&json).expect("read the campaign JSON");
+    let executed: usize = artifact
+        .split("\"executed\": ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|n| n.parse().ok())
+        .expect("an executed count");
+    assert!(executed > 0, "no job ran");
+    let streamed = stderr
+        .lines()
+        .filter(|l| l.starts_with("campaign: "))
+        .count();
+    assert_eq!(streamed, executed, "{stderr}");
+    let keys: Vec<&str> = artifact
+        .split("\"key\": \"")
+        .skip(1)
+        .map(|rest| &rest[..32])
+        .collect();
+    let mut written: Vec<String> = std::fs::read_dir(&traces)
+        .expect("the trace directory")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    let mut expected: Vec<String> = keys.iter().map(|k| format!("{k}.perfetto.json")).collect();
+    expected.sort();
+    assert_eq!(written, expected);
+}
+
+#[test]
 fn ci_sh_runs_every_campaign_and_the_paper() {
     // Each campaign writes an artifact under results/, and ci.sh gates the
     // artifacts by regenerating them: a campaign without a stage there

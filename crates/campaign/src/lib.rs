@@ -19,11 +19,18 @@
 //! job is therefore **never lost and never duplicated**: the drain asserts
 //! exactly-once completion over the submitted set.
 //!
+//! The drain runs the cache misses in rounds, one per attempt number, and
+//! routes each round before it starts, so every number in the outcome
+//! apart from the host clocks is a function of the jobs and the
+//! [`CampaignConfig`].
+//!
 //! Reproducibility is enforced, not assumed: an always-on oracle re-executes
 //! a seeded sample of cache hits and compares result bytes against the
-//! stored record. Service telemetry (queue depth, in-flight, cache hit
-//! rate, p50/p99 job latency over `sw-telemetry` log2 histograms) streams
-//! to stderr while the campaign runs and lands in `results/CAMPAIGN.json`.
+//! stored record. Service telemetry (cache hit rate, retries, p50/p99
+//! attempt latency over a `sw-telemetry` log2 histogram) streams to stderr
+//! every `stream_every` completions; the latencies and the drain's wall
+//! time are host clocks, printed by `repro serve` and never written to an
+//! artifact.
 //!
 //! The `repro serve` subcommand in `bench` is the CLI front-end (JSONL job
 //! stream in, per-job records + campaign summary out, graceful drain on
@@ -32,11 +39,9 @@
 #![warn(missing_docs)]
 
 pub mod job;
-pub mod metrics;
 pub mod service;
 pub mod store;
 
 pub use job::{demo_jobs, JobSpec};
-pub use metrics::ServiceMetrics;
 pub use service::{AppFactory, CampaignConfig, CampaignOutcome, JobRecord, Service};
 pub use store::{ResultStore, StoreError};

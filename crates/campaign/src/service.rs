@@ -19,18 +19,22 @@
 //! shard routing, and completion order. A crash is a real `panic!` unwound
 //! inside the worker thread and caught per job; the coordinator detects
 //! it, backs off exponentially ([`FaultPlan::backoff_ps`], wall-scaled),
-//! re-dispatches up to `max_attempts`, blacklists a worker after repeated
-//! crashes, and degrades to inline execution when no worker is left.
+//! re-runs the job next round up to `max_attempts`, blacklists a worker
+//! after repeated crashes, and degrades to inline execution when no worker
+//! is left.
 //!
 //! # Determinism contract
 //!
 //! [`JobRecord`]s contain only schedule-independent bytes (submission
-//! index, content key, canonical line, result record). Latency, retries,
-//! and hit rates live in the separate service summary. Two runs of the
-//! same job set therefore produce byte-identical record arrays — the
-//! property the ci.sh campaign stage `cmp`s across its three runs.
+//! index, content key, canonical line, result record), so two runs of the
+//! same job set produce byte-identical record arrays whatever the pool
+//! size, cache state or fault plan — the property the ci.sh campaign stage
+//! `cmp`s across its three runs. The drain runs in rounds (see
+//! [`Service::drain`]) and routes a round before it starts, so the service
+//! counters are a function of the jobs and the [`CampaignConfig`] too;
+//! only the host clocks (latencies, `wall_ms`) vary between runs.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -39,12 +43,11 @@ use std::time::{Duration, Instant};
 
 use sw_resilience::{fold, FaultConfig, FaultCounts, FaultPlan, FaultStats, OffloadKey, SlotFault};
 use sw_telemetry::json::{arr, fixed, obj, Layout};
-use sw_telemetry::perfetto;
+use sw_telemetry::{perfetto, Hist};
 use uintah_core::{
     canonical_job, fnv128, validate_config, Application, ExecMode, Level, RunConfig, Simulation,
 };
 
-use crate::metrics::ServiceMetrics;
 use crate::store::{ResultStore, StoreError};
 
 /// Builds the application a worker runs on a given level. The factory
@@ -138,7 +141,7 @@ impl From<StoreError> for CampaignError {
 }
 
 /// Everything a finished campaign reports.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CampaignOutcome {
     /// Per-job records, in submission order. Deterministic bytes.
     pub records: Vec<JobRecord>,
@@ -348,48 +351,32 @@ fn worker_fault_key(key: u128, attempt: u32) -> OffloadKey {
     }
 }
 
-/// Work order sent to a worker.
-struct WorkMsg {
-    slot: usize,
-    attempt: u32,
-    level: Level,
-    run: RunConfig,
-}
-
-/// What a worker did with a work order.
+/// What a worker did with one attempt.
 enum WorkOutcome {
     /// Job ran to completion (or failed deterministically inside the
     /// simulation).
     Finished(Result<String, String>),
     /// The worker panicked mid-job (injected death or a real bug).
-    Crashed(String),
+    Crashed,
 }
 
-/// Completion report from a worker.
-struct DoneMsg {
-    slot: usize,
-    attempt: u32,
-    worker: usize,
-    outcome: WorkOutcome,
-}
-
-/// Run one work order inside a worker thread, converting panics into
+/// Run one attempt inside a worker thread, converting a panic into
 /// [`WorkOutcome::Crashed`]. The injected fault (if any) fires *before*
 /// the simulation starts, so a killed attempt never half-completes.
 fn worker_execute(
     factory: &AppFactory,
-    plan: Option<&Arc<FaultPlan>>,
-    job_key: u128,
-    msg: &WorkMsg,
+    plan: Option<&FaultPlan>,
+    job: &QueuedJob,
+    attempt: u32,
 ) -> WorkOutcome {
-    let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+    panic::catch_unwind(AssertUnwindSafe(|| {
         if let Some(plan) = plan {
-            match plan.slot_fault(&worker_fault_key(job_key, msg.attempt)) {
+            match plan.slot_fault(&worker_fault_key(job.key, attempt)) {
                 Some(SlotFault::Death) => {
                     FaultStats::bump(&plan.stats.injected_worker_death);
                     panic!(
-                        "injected worker death (job {job_key:032x} attempt {})",
-                        msg.attempt
+                        "injected worker death (job {:032x} attempt {attempt})",
+                        job.key
                     );
                 }
                 Some(SlotFault::Straggler { factor_milli }) => {
@@ -401,27 +388,39 @@ fn worker_execute(
                 None => {}
             }
         }
-        WorkOutcome::Finished(execute_job(factory, &msg.level, &msg.run))
-    }));
-    match caught {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            WorkOutcome::Crashed(msg)
-        }
+        WorkOutcome::Finished(execute_job(factory, &job.level, &job.run))
+    }))
+    .unwrap_or(WorkOutcome::Crashed)
+}
+
+/// Cache hit rate over answered jobs: `hits / (hits + executed)`, 0.0 when
+/// nothing has been answered yet.
+fn hit_rate(hits: u64, executed: u64) -> f64 {
+    if hits + executed == 0 {
+        0.0
+    } else {
+        hits as f64 / (hits + executed) as f64
     }
 }
 
 /// One accepted (validated, deduped) job waiting in the queue.
 struct QueuedJob {
+    slot: usize,
     key: u128,
     canon: String,
     level: Level,
     run: RunConfig,
+}
+
+impl QueuedJob {
+    fn record(&self, result: Result<String, String>) -> JobRecord {
+        JobRecord {
+            idx: self.slot,
+            key: self.key,
+            canon: self.canon.clone(),
+            result,
+        }
+    }
 }
 
 /// The campaign service. Submit jobs, then [`Service::drain`] once.
@@ -429,11 +428,15 @@ pub struct Service {
     cfg: CampaignConfig,
     factory: AppFactory,
     store: ResultStore,
-    metrics: ServiceMetrics,
     plan: Option<Arc<FaultPlan>>,
     queue: Vec<QueuedJob>,
-    seen: BTreeMap<u128, usize>,
-    rejects: Vec<JobRecord>,
+    seen: BTreeSet<u128>,
+    /// The record table, one write-once slot per accepted job.
+    slots: Vec<Option<JobRecord>>,
+    /// The outcome under construction: every counter is bumped here.
+    out: CampaignOutcome,
+    /// Per-attempt latency, microseconds: dispatch to fold.
+    latency_us: Hist,
 }
 
 impl Service {
@@ -444,52 +447,49 @@ impl Service {
             None => ResultStore::in_memory(),
         };
         let plan = cfg.worker_faults.map(|fc| Arc::new(FaultPlan::new(fc)));
+        let out = CampaignOutcome {
+            workers: cfg.workers,
+            ..CampaignOutcome::default()
+        };
         Ok(Service {
             cfg,
             factory,
             store,
-            metrics: ServiceMetrics::default(),
             plan,
             queue: Vec::new(),
-            seen: BTreeMap::new(),
-            rejects: Vec::new(),
+            seen: BTreeSet::new(),
+            slots: Vec::new(),
+            out,
+            latency_us: Hist::default(),
         })
-    }
-
-    /// Live metrics (counters stream while a drain is in progress).
-    pub fn metrics(&self) -> &ServiceMetrics {
-        &self.metrics
     }
 
     /// Submit one job. Invalid configs become failure records (the
     /// campaign reports them; it does not run them); duplicates of an
     /// already-accepted job are counted and dropped.
     pub fn submit(&mut self, level: Level, run: RunConfig) {
-        self.metrics.submitted.inc();
+        self.out.submitted += 1;
         let canon = canonical_job(&level, &self.cfg.app_name, &run);
         let key = fnv128(canon.as_bytes());
-        if self.seen.contains_key(&key) {
-            self.metrics.deduped.inc();
+        if !self.seen.insert(key) {
+            self.out.deduped += 1;
             return;
         }
-        let slot = self.queue.len() + self.rejects.len();
-        self.seen.insert(key, slot);
-        if let Err(e) = validate_config(&level, 1, &run) {
-            self.metrics.failed.inc();
-            self.rejects.push(JobRecord {
-                idx: slot,
-                key,
-                canon,
-                result: Err(format!("config rejected: {e}")),
-            });
-            return;
-        }
-        self.queue.push(QueuedJob {
+        let job = QueuedJob {
+            slot: self.slots.len(),
             key,
             canon,
             level,
             run,
-        });
+        };
+        if let Err(e) = validate_config(&job.level, 1, &job.run) {
+            self.out.failed += 1;
+            self.slots
+                .push(Some(job.record(Err(format!("config rejected: {e}")))));
+            return;
+        }
+        self.slots.push(None);
+        self.queue.push(job);
     }
 
     /// Shard-route a job attempt to a live worker. Routing starts from the
@@ -520,7 +520,7 @@ impl Service {
         roll < u64::from(self.cfg.oracle_ppm)
     }
 
-    fn write_perfetto(&self, key: u128, level: &Level, run: &RunConfig) {
+    fn write_perfetto(&self, job: &QueuedJob) {
         let Some(dir) = &self.cfg.perfetto_dir else {
             return;
         };
@@ -530,58 +530,58 @@ impl Service {
         // A dedicated traced run: telemetry on, everything else identical.
         // (The record of the primary run is not affected — traces are a
         // diagnostic product, never an input.)
-        let mut traced = run.clone();
+        let mut traced = job.run.clone();
         traced.options.telemetry = true;
-        let app = (self.factory)(level);
-        if let Ok(mut sim) = Simulation::try_new(level.clone(), app, traced) {
+        let app = (self.factory)(&job.level);
+        if let Ok(mut sim) = Simulation::try_new(job.level.clone(), app, traced) {
             if sim.try_run().is_ok() {
                 let snap = sim.recorder().snapshot();
                 let trace = perfetto::export(&snap);
-                let _ = std::fs::write(dir.join(format!("{key:032x}.perfetto.json")), trace);
+                let _ = std::fs::write(dir.join(format!("{:032x}.perfetto.json", job.key)), trace);
             }
         }
     }
 
-    /// Drain the queue through the worker pool and assemble the outcome.
-    /// Consumes the service: a campaign drains exactly once.
+    /// One telemetry stream line: progress counters so far.
+    fn stream_line(&self, round: u32, done: u64) -> String {
+        let o = &self.out;
+        format!(
+            "round={round} done={done} hits={} exec={} retries={} failed={} hit_rate={:.3} p50_us={} p99_us={}",
+            o.cache_hits,
+            o.executed,
+            o.retries,
+            o.failed,
+            hit_rate(o.cache_hits, o.executed),
+            self.latency_us.quantile(500),
+            self.latency_us.quantile(990),
+        )
+    }
+
+    /// Drain the queue: answer what the cache holds, run the misses in
+    /// rounds of attempts (one per attempt number, each routed before it
+    /// starts), re-execute the oracle's sample of cache hits, and assemble
+    /// the outcome. Consumes the service: a campaign drains exactly once.
     pub fn drain(mut self) -> Result<CampaignOutcome, CampaignError> {
         let t0 = Instant::now();
-        let n_workers = self.cfg.workers;
-        let total_slots = self.queue.len() + self.rejects.len();
-        let mut records: Vec<Option<JobRecord>> = vec![None; total_slots];
-        let mut duplicated = 0u64;
-        for r in std::mem::take(&mut self.rejects) {
-            let slot = r.idx;
-            records[slot] = Some(r);
-        }
-
-        // Phase 1: answer from the cache; queue the misses.
-        let mut pending: Vec<QueuedJob> = Vec::new();
-        let mut oracle_jobs: Vec<(usize, QueuedJob, String)> = Vec::new();
+        // Answer from the cache; the misses form round 0.
+        let mut misses = Vec::new();
+        let mut oracle_jobs = Vec::new();
         for job in std::mem::take(&mut self.queue) {
-            let slot = self.seen[&job.key];
             match self.store.get(job.key, &job.canon)? {
                 Some(hit) => {
-                    self.metrics.cache_hits.inc();
-                    self.metrics.completed.inc();
-                    records[slot] = Some(JobRecord {
-                        idx: slot,
-                        key: job.key,
-                        canon: job.canon.clone(),
-                        result: Ok(hit.record.clone()),
-                    });
+                    self.out.cache_hits += 1;
+                    self.slots[job.slot] = Some(job.record(Ok(hit.record.clone())));
                     if self.oracle_samples(job.key) {
-                        oracle_jobs.push((slot, job, hit.record));
+                        oracle_jobs.push((job, hit.record));
                     }
                 }
-                None => pending.push(job),
+                None => misses.push(job),
             }
         }
 
-        // Phase 2: spawn the pool and dispatch the misses. Injected worker
-        // deaths are real panics caught per job; silence the global hook
-        // while the pool runs so expected crashes don't spam stderr (same
-        // idiom as the torture campaign), and restore it after the join.
+        // Injected worker deaths are real panics caught per job; silence the
+        // global hook while the rounds run so expected crashes don't spam
+        // stderr (same idiom as the torture campaign).
         let quiet_panics = self
             .cfg
             .worker_faults
@@ -591,151 +591,17 @@ impl Service {
             panic::set_hook(Box::new(|_| {}));
             prev
         });
-        let (done_tx, done_rx) = mpsc::channel::<DoneMsg>();
-        let mut senders: Vec<mpsc::Sender<WorkMsg>> = Vec::new();
-        let mut handles = Vec::new();
-        for w in 0..n_workers {
-            let (tx, rx) = mpsc::channel::<WorkMsg>();
-            senders.push(tx);
-            let done = done_tx.clone();
-            let factory = Arc::clone(&self.factory);
-            let plan = self.plan.clone();
-            let keys: BTreeMap<usize, u128> =
-                pending.iter().map(|j| (self.seen[&j.key], j.key)).collect();
-            handles.push(std::thread::spawn(move || {
-                for msg in rx.iter() {
-                    let key = keys.get(&msg.slot).copied().unwrap_or(0);
-                    let outcome = worker_execute(&factory, plan.as_ref(), key, &msg);
-                    let report = DoneMsg {
-                        slot: msg.slot,
-                        attempt: msg.attempt,
-                        worker: w,
-                        outcome,
-                    };
-                    if done.send(report).is_err() {
-                        break; // coordinator gone; shut down quietly
-                    }
-                }
-            }));
-        }
-        drop(done_tx);
-
-        let mut blacklisted = vec![false; n_workers];
-        let mut crash_counts = vec![0u64; n_workers];
-        let mut in_flight: BTreeMap<usize, (QueuedJob, u32, Instant)> = BTreeMap::new();
-        let max_attempts = self.plan.as_ref().map_or(1, |p| p.max_attempts().max(1));
-
-        let mut queued = pending.len();
-        for job in pending {
-            let slot = self.seen[&job.key];
-            self.metrics.queue_depth.record(queued as u64);
-            queued -= 1;
-            self.dispatch(
-                job,
-                slot,
-                0,
-                &senders,
-                &blacklisted,
-                &mut in_flight,
-                &mut records,
-                &mut duplicated,
-            );
-        }
-
-        // Phase 3: collect completions, retrying crashed jobs.
-        while !in_flight.is_empty() {
-            let done = done_rx
-                .recv()
-                .map_err(|e| CampaignError::PoolWiring(format!("results channel closed: {e}")))?;
-            let Some((job, attempt, started)) = in_flight.remove(&done.slot) else {
-                // A completion for a slot we no longer track: exactly-once
-                // violation (should be impossible; counted, not panicked).
-                duplicated += 1;
-                continue;
-            };
-            debug_assert_eq!(attempt, done.attempt);
-            match done.outcome {
-                WorkOutcome::Finished(result) => {
-                    let latency = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                    self.metrics.latency_us.record(latency);
-                    self.metrics.executed.inc();
-                    self.finish(
-                        &mut records,
-                        &mut duplicated,
-                        done.slot,
-                        &job,
-                        result,
-                        attempt,
-                    )?;
-                }
-                WorkOutcome::Crashed(_why) => {
-                    if let Some(plan) = &self.plan {
-                        FaultStats::bump(&plan.stats.detected_worker);
-                    }
-                    crash_counts[done.worker] += 1;
-                    if crash_counts[done.worker] == BLACKLIST_AFTER && !blacklisted[done.worker] {
-                        blacklisted[done.worker] = true;
-                        if let Some(plan) = &self.plan {
-                            FaultStats::bump(&plan.stats.workers_blacklisted);
-                        }
-                    }
-                    if attempt + 1 >= max_attempts {
-                        self.finish(
-                            &mut records,
-                            &mut duplicated,
-                            done.slot,
-                            &job,
-                            Err(format!("worker crashed on all {max_attempts} attempts")),
-                            attempt,
-                        )?;
-                    } else {
-                        self.metrics.retries.inc();
-                        if let Some(plan) = &self.plan {
-                            FaultStats::bump(&plan.stats.retries_job);
-                            // Exponential backoff, virtual ps scaled to real
-                            // ns so tests stay fast but ordering is honest.
-                            let ps = plan.backoff_ps(attempt + 1);
-                            std::thread::sleep(Duration::from_nanos(ps / 1000));
-                        }
-                        self.dispatch(
-                            job,
-                            done.slot,
-                            attempt + 1,
-                            &senders,
-                            &blacklisted,
-                            &mut in_flight,
-                            &mut records,
-                            &mut duplicated,
-                        );
-                    }
-                }
-            }
-            if self.cfg.stream_every > 0
-                && self
-                    .metrics
-                    .completed
-                    .get()
-                    .is_multiple_of(self.cfg.stream_every as u64)
-            {
-                eprintln!("campaign: {}", self.metrics.stream_line(in_flight.len(), 0));
-            }
-        }
-
-        // Phase 4: graceful drain — close the work channels and join.
-        drop(senders);
-        for h in handles {
-            h.join()
-                .map_err(|_| CampaignError::PoolWiring("worker thread poisoned".to_string()))?;
-        }
+        let rounds = self.run_rounds(&misses);
         if let Some(prev) = prev_hook {
             panic::set_hook(prev);
         }
+        rounds?;
 
-        // Phase 5: reproducibility oracle over sampled cache hits.
-        for (_slot, job, stored) in oracle_jobs {
-            self.metrics.oracle_checks.inc();
+        // Reproducibility oracle over sampled cache hits.
+        for (job, stored) in oracle_jobs {
+            self.out.oracle_checks += 1;
             match execute_job(&self.factory, &job.level, &job.run) {
-                Ok(fresh) if fresh == stored => self.metrics.oracle_passes.inc(),
+                Ok(fresh) if fresh == stored => self.out.oracle_passes += 1,
                 Ok(fresh) => {
                     eprintln!(
                         "campaign: ORACLE MISMATCH for {:032x}\n  stored: {stored}\n  fresh:  {fresh}",
@@ -751,119 +617,189 @@ impl Service {
             }
         }
 
-        // Assemble the outcome. Slots still empty are lost jobs.
-        let lost = records.iter().filter(|r| r.is_none()).count() as u64;
-        let records: Vec<JobRecord> = records.into_iter().flatten().collect();
-        let fault_counts = self
-            .plan
-            .as_ref()
-            .map(|p| p.stats.snapshot())
-            .unwrap_or_default();
-        let m = &self.metrics;
-        Ok(CampaignOutcome {
-            workers: n_workers,
-            submitted: m.submitted.get(),
-            deduped: m.deduped.get(),
-            cache_hits: m.cache_hits.get(),
-            executed: m.executed.get(),
-            hit_rate: m.hit_rate(),
-            retries: m.retries.get(),
-            failed: m.failed.get(),
-            inline_runs: m.inline_runs.get(),
-            oracle_checks: m.oracle_checks.get(),
-            oracle_passes: m.oracle_passes.get(),
-            lost,
-            duplicated,
-            p50_latency_us: m.p50_latency_us(),
-            p99_latency_us: m.p99_latency_us(),
-            fault_counts,
-            wall_ms: t0.elapsed().as_millis().min(u128::from(u64::MAX)) as u64,
-            records,
-        })
+        // Slots still empty are lost jobs.
+        let mut o = self.out;
+        o.lost = self.slots.iter().filter(|r| r.is_none()).count() as u64;
+        o.records = self.slots.into_iter().flatten().collect();
+        o.hit_rate = hit_rate(o.cache_hits, o.executed);
+        o.p50_latency_us = self.latency_us.quantile(500);
+        o.p99_latency_us = self.latency_us.quantile(990);
+        if let Some(plan) = &self.plan {
+            o.fault_counts = plan.stats.snapshot();
+        }
+        o.wall_ms = t0.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
+        Ok(o)
     }
 
-    /// Send a job attempt to its shard worker, or run it inline when the
-    /// pool is empty/exhausted.
-    #[allow(clippy::too_many_arguments)] // coordinator-internal plumbing
-    fn dispatch(
-        &mut self,
-        job: QueuedJob,
-        slot: usize,
-        attempt: u32,
-        senders: &[mpsc::Sender<WorkMsg>],
-        blacklisted: &[bool],
-        in_flight: &mut BTreeMap<usize, (QueuedJob, u32, Instant)>,
-        records: &mut [Option<JobRecord>],
-        duplicated: &mut u64,
-    ) {
-        if let Some(w) = self.route(job.key, attempt, blacklisted) {
-            let msg = WorkMsg {
-                slot,
-                attempt,
-                level: job.level.clone(),
-                run: job.run.clone(),
-            };
-            if senders[w].send(msg).is_ok() {
-                in_flight.insert(slot, (job, attempt, Instant::now()));
-                return;
+    /// Run the cache misses in rounds, one per attempt number. A round
+    /// routes its jobs (in slot order) with the blacklist as it stood when
+    /// the round began, runs each live worker's share on a scoped thread
+    /// and folds every attempt as it arrives; crash counts move the
+    /// blacklist only after the round, and the crashed jobs with attempts
+    /// left form the next round. When every worker is blacklisted (or there
+    /// are none) the round runs inline on the coordinator, without fault
+    /// injection: the coordinator must not die.
+    fn run_rounds(&mut self, misses: &[QueuedJob]) -> Result<(), CampaignError> {
+        let n = self.cfg.workers;
+        let factory = Arc::clone(&self.factory);
+        let plan = self.plan.clone();
+        let mut blacklisted = vec![false; n];
+        let mut crashes = vec![0u64; n];
+        let mut pending: Vec<&QueuedJob> = misses.iter().collect();
+        let mut attempt = 0u32;
+        while !pending.is_empty() {
+            if let Some(plan) = plan.as_ref().filter(|_| attempt > 0) {
+                // Exponential backoff, virtual ps scaled to real ns so tests
+                // stay fast but ordering is honest.
+                std::thread::sleep(Duration::from_nanos(plan.backoff_ps(attempt) / 1000));
             }
-            // The worker's channel is gone (thread exited): fall through
-            // to inline execution rather than losing the job.
-        }
-        // Inline fallback: the coordinator runs the job itself. No fault
-        // injection here — the coordinator must not die.
-        self.metrics.inline_runs.inc();
-        self.metrics.executed.inc();
-        let t = Instant::now();
-        let result = execute_job(&self.factory, &job.level, &job.run);
-        self.metrics
-            .latency_us
-            .record(t.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        // finish() only errors on store I/O; surface it as a failure record
-        // rather than unwinding the dispatch path.
-        if let Err(e) = self.finish(records, duplicated, slot, &job, result, attempt) {
-            records[slot].get_or_insert(JobRecord {
-                idx: slot,
-                key: job.key,
-                canon: job.canon.clone(),
-                result: Err(format!("store error: {e}")),
-            });
-        }
-    }
-
-    /// Commit one completed attempt into its record slot exactly once,
-    /// caching successful records.
-    fn finish(
-        &mut self,
-        records: &mut [Option<JobRecord>],
-        duplicated: &mut u64,
-        slot: usize,
-        job: &QueuedJob,
-        result: Result<String, String>,
-        attempt: u32,
-    ) -> Result<(), CampaignError> {
-        if records[slot].is_some() {
-            *duplicated += 1;
-            return Ok(());
-        }
-        if let Ok(record) = &result {
-            self.store.put(job.key, &job.canon, record)?;
-            if attempt > 0 {
-                if let Some(plan) = &self.plan {
-                    FaultStats::bump(&plan.stats.recovered_job);
+            pending.sort_by_key(|job| job.slot);
+            let mut shards: Vec<Vec<&QueuedJob>> = vec![Vec::new(); n];
+            let mut next = Vec::new();
+            for job in pending {
+                match self.route(job.key, attempt, &blacklisted) {
+                    Some(w) => shards[w].push(job),
+                    None => {
+                        self.out.inline_runs += 1;
+                        let started = Instant::now();
+                        let result = execute_job(&self.factory, &job.level, &job.run);
+                        self.fold(job, attempt, WorkOutcome::Finished(result), started)?;
+                    }
                 }
             }
-            self.write_perfetto(job.key, &job.level, &job.run);
-        } else {
-            self.metrics.failed.inc();
+            let dispatched = Instant::now();
+            std::thread::scope(|s| {
+                let (tx, rx) = mpsc::channel();
+                let workers: Vec<_> = shards
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, jobs)| !jobs.is_empty())
+                    .map(|(w, jobs)| {
+                        let (tx, factory, plan) = (tx.clone(), &factory, plan.as_deref());
+                        s.spawn(move || {
+                            for job in jobs {
+                                let outcome = worker_execute(factory, plan, job, attempt);
+                                if tx.send((w, job, outcome)).is_err() {
+                                    break; // coordinator gone; stop quietly
+                                }
+                            }
+                        })
+                    })
+                    .collect();
+                drop(tx);
+                let folded = rx.iter().try_for_each(|(w, job, outcome)| {
+                    if let WorkOutcome::Crashed = outcome {
+                        crashes[w] += 1;
+                    }
+                    if self.fold(job, attempt, outcome, dispatched)? {
+                        next.push(job);
+                    }
+                    Ok::<_, CampaignError>(())
+                });
+                drop(rx);
+                let panicked = workers.into_iter().filter_map(|h| h.join().err()).count();
+                folded?;
+                if panicked > 0 {
+                    return Err(CampaignError::PoolWiring(format!(
+                        "{panicked} worker thread(s) panicked outside a job"
+                    )));
+                }
+                Ok(())
+            })?;
+            for w in 0..n {
+                if crashes[w] >= BLACKLIST_AFTER && !blacklisted[w] {
+                    blacklisted[w] = true;
+                    if let Some(plan) = &plan {
+                        FaultStats::bump(&plan.stats.workers_blacklisted);
+                    }
+                }
+            }
+            pending = next;
+            attempt += 1;
         }
-        self.metrics.completed.inc();
-        records[slot] = Some(JobRecord {
-            idx: slot,
-            key: job.key,
-            canon: job.canon.clone(),
-            result,
-        });
         Ok(())
+    }
+
+    /// Fold one attempt into the outcome as it arrives: a finished attempt
+    /// fills its record slot exactly once (caching a successful record); a
+    /// crashed one is counted and, with attempts left, returns `true` so
+    /// the job runs again next round, else fills its slot with a failure.
+    fn fold(
+        &mut self,
+        job: &QueuedJob,
+        attempt: u32,
+        outcome: WorkOutcome,
+        dispatched: Instant,
+    ) -> Result<bool, CampaignError> {
+        let result = match outcome {
+            WorkOutcome::Finished(result) => {
+                let us = dispatched.elapsed().as_micros();
+                self.latency_us
+                    .record(u64::try_from(us).unwrap_or(u64::MAX));
+                self.out.executed += 1;
+                result
+            }
+            WorkOutcome::Crashed => {
+                let max_attempts = self.plan.as_ref().map_or(1, |p| p.max_attempts().max(1));
+                if let Some(plan) = &self.plan {
+                    FaultStats::bump(&plan.stats.detected_worker);
+                }
+                if attempt + 1 < max_attempts {
+                    self.out.retries += 1;
+                    if let Some(plan) = &self.plan {
+                        FaultStats::bump(&plan.stats.retries_job);
+                    }
+                    return Ok(true);
+                }
+                Err(format!("worker crashed on all {max_attempts} attempts"))
+            }
+        };
+        if self.slots[job.slot].is_some() {
+            self.out.duplicated += 1;
+            return Ok(false);
+        }
+        match &result {
+            Ok(record) => {
+                self.store.put(job.key, &job.canon, record)?;
+                if attempt > 0 {
+                    if let Some(plan) = &self.plan {
+                        FaultStats::bump(&plan.stats.recovered_job);
+                    }
+                }
+                self.write_perfetto(job);
+            }
+            Err(_) => self.out.failed += 1,
+        }
+        self.slots[job.slot] = Some(job.record(result));
+        let done = self.out.cache_hits + self.out.executed + self.out.failed;
+        if self.cfg.stream_every > 0 && done.is_multiple_of(self.cfg.stream_every as u64) {
+            eprintln!("campaign: {}", self.stream_line(attempt, done));
+        }
+        Ok(false)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn idle_service() -> Service {
+        let factory: AppFactory = Arc::new(|_| unreachable!("no job runs"));
+        Service::new(CampaignConfig::default(), factory).expect("in-memory service")
+    }
+
+    #[test]
+    fn hit_rate_counts_only_answered_jobs() {
+        assert_eq!(hit_rate(0, 0), 0.0);
+        assert!((hit_rate(3, 1) - 0.75).abs() < 1e-12);
+        let drained = idle_service().drain().expect("empty drain");
+        assert_eq!(drained.hit_rate, 0.0);
+    }
+
+    #[test]
+    fn stream_line_is_single_line() {
+        let line = idle_service().stream_line(1, 0);
+        assert!(!line.contains('\n'));
+        assert!(line.starts_with("round=1 done=0 hits=0"), "{line}");
     }
 }

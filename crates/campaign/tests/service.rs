@@ -169,23 +169,42 @@ fn campaign_json_contains_records_and_service_sections() {
 #[test]
 fn identical_campaigns_render_byte_identical_json() {
     // The artifact holds no host clock (latencies and the drain's wall time
-    // are stdout only), so one invocation always writes the same bytes. The
-    // faulted case is ci.sh's `--worker-faults standard` demo campaign:
-    // deaths, retries and blacklisted workers included.
-    for worker_faults in [None, Some(FaultConfig::standard(42))] {
-        let render = || {
-            let cfg = CampaignConfig {
-                workers: 4,
-                seed: 42,
-                worker_faults,
-                ..CampaignConfig::default()
-            };
-            run_campaign(cfg, 42, 64).to_json()
+    // are stdout only) and the drain routes each round before it starts, so
+    // one invocation always writes the same bytes. The first faulted case
+    // is ci.sh's `--worker-faults standard` demo campaign: deaths, retries
+    // and blacklisted workers included. The second kills every first
+    // attempt on a 2-worker pool, so both workers are blacklisted after
+    // round 0; routing retries by completion order once made `inline_runs`
+    // vary from run to run here.
+    let cases = [
+        (4, 42, 42, 64, None, 2),
+        (4, 42, 42, 64, Some(FaultConfig::standard(42)), 2),
+        (2, 11, 2, 8, Some(always_die_once(77)), 20),
+    ];
+    for (workers, seed, job_seed, n, worker_faults, runs) in cases {
+        let cfg = CampaignConfig {
+            workers,
+            seed,
+            worker_faults,
+            ..CampaignConfig::default()
         };
-        let json = render();
-        assert_eq!(json, render());
+        let first = run_campaign(cfg.clone(), job_seed, n);
+        let json = first.to_json();
+        for _ in 1..runs {
+            assert_eq!(json, run_campaign(cfg.clone(), job_seed, n).to_json());
+        }
         for clock in ["p50_latency_us", "p99_latency_us", "wall_ms"] {
             assert!(!json.contains(clock), "{clock} is in the artifact");
+        }
+        if workers == 2 {
+            // Every first attempt dies, both workers are blacklisted after
+            // round 0, and every retry runs inline.
+            let jobs = first.records.len() as u64;
+            assert_eq!(jobs, 7, "demo_jobs(2, 8) dedups to 7");
+            assert_eq!(first.retries, jobs);
+            assert_eq!(first.inline_runs, jobs);
+            assert_eq!(first.fault_counts.workers_blacklisted, 2);
+            assert!(first.healthy());
         }
     }
 }

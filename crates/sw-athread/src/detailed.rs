@@ -11,7 +11,8 @@
 //! balanced assignment (the paper's z-slab partition gives every CPE the
 //! same work) the two agree exactly, which the cross-validation tests
 //! assert. The evaluation sweeps use the closed form (one event per
-//! kernel); this simulation exists to justify that choice.
+//! kernel); this simulation exists to justify that choice, so it is a
+//! test-only reference model compiled with the crate's tests.
 
 use sw_sim::{MachineConfig, SimDur, SimTime};
 

@@ -17,7 +17,8 @@
 
 #![warn(missing_docs)]
 pub mod cost;
-pub mod detailed;
+#[cfg(test)]
+mod detailed;
 pub mod exec;
 pub mod flag;
 pub mod group;
@@ -27,7 +28,6 @@ pub use cost::{
     kernel_timing, tile_time, with_spin_penalty, KernelRate, KernelTiming, TileCostModel,
     TransferMode,
 };
-pub use detailed::detailed_kernel_duration;
 pub use exec::{
     idx3, run_patch_functional, run_patch_functional_with, serial_fallback_count, CpeTileKernel,
     ExecPolicy, Field3, Field3Mut, TileCtx,

@@ -80,6 +80,21 @@ impl Hist {
             .map(|(b, &c)| (if b == 0 { 0 } else { 1u64 << (b - 1) }, c))
             .collect()
     }
+
+    /// Quantile estimate: the lower bound of the bucket where the
+    /// cumulative count first reaches `q_permille` of the total (500 = p50,
+    /// 990 = p99); 0 for an empty histogram.
+    pub fn quantile(&self, q_permille: u64) -> u64 {
+        let snap = self.snapshot();
+        let target = (snap.iter().sum::<u64>() * q_permille).div_ceil(1000);
+        let mut cum = 0u64;
+        snap.iter()
+            .position(|&c| {
+                cum += c;
+                cum >= target.max(1)
+            })
+            .map_or(0, |b| if b == 0 { 0 } else { 1u64 << (b - 1) })
+    }
 }
 
 /// The metrics registry carried by an enabled recorder.
@@ -153,6 +168,23 @@ mod tests {
         assert!(nz.contains(&(0, 1)));
         assert!(nz.contains(&(2, 2))); // 2 and 3
         assert!(nz.contains(&(1024, 2))); // 1024 and 1025
+    }
+
+    #[test]
+    fn quantiles_from_log2_buckets() {
+        let h = Hist::default();
+        assert_eq!(h.quantile(500), 0);
+        // 90 samples of ~1ms (bucket 11: 1024..2047), 10 of ~16ms
+        // (bucket 15: 16384..32767).
+        for _ in 0..90 {
+            h.record(1500);
+        }
+        for _ in 0..10 {
+            h.record(20_000);
+        }
+        assert_eq!(h.quantile(500), 1024);
+        assert_eq!(h.quantile(900), 1024);
+        assert_eq!(h.quantile(990), 16384);
     }
 
     #[test]
