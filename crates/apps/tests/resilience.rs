@@ -31,22 +31,6 @@ fn run_heat(
     (sim, report)
 }
 
-/// Final solution of every patch as exact bit patterns, x-fastest.
-fn solution_bits(sim: &Simulation) -> Vec<Vec<u64>> {
-    let level = sim.level();
-    (0..level.n_patches())
-        .map(|p| {
-            let var = sim.solution(p);
-            level
-                .patch(p)
-                .region
-                .iter()
-                .map(|c| var.get(c).to_bits())
-                .collect()
-        })
-        .collect()
-}
-
 fn tmpdir(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
 }
@@ -62,8 +46,8 @@ fn faulted_runs_match_fault_free_bit_exactly_across_variants() {
         let (clean, clean_report) = run_heat(variant, 6, 4, None);
         let (faulted, report) = run_heat(variant, 6, 4, Some(FaultConfig::standard(42)));
         assert_eq!(
-            solution_bits(&clean),
-            solution_bits(&faulted),
+            clean.solution_bits(),
+            faulted.solution_bits(),
             "variant {} diverged under recoverable faults",
             variant.name()
         );
@@ -99,7 +83,7 @@ fn offload_deaths_are_detected_retried_and_recovered() {
     };
     let (clean, _) = run_heat(Variant::ACC_ASYNC, 6, 4, None);
     let (faulted, report) = run_heat(Variant::ACC_ASYNC, 6, 4, Some(cfg));
-    assert_eq!(solution_bits(&clean), solution_bits(&faulted));
+    assert_eq!(clean.solution_bits(), faulted.solution_bits());
     let c = report.faults.unwrap();
     assert!(c.injected_slot_death > 0, "no deaths at 25%: {c:?}");
     assert!(
@@ -121,7 +105,7 @@ fn duplicate_messages_are_suppressed_exactly_once() {
     };
     let (clean, _) = run_heat(Variant::ACC_SYNC, 5, 4, None);
     let (faulted, report) = run_heat(Variant::ACC_SYNC, 5, 4, Some(cfg));
-    assert_eq!(solution_bits(&clean), solution_bits(&faulted));
+    assert_eq!(clean.solution_bits(), faulted.solution_bits());
     let c = report.faults.unwrap();
     assert!(c.injected_msg_dup > 0, "no duplicates at 30%: {c:?}");
     assert_eq!(
@@ -170,8 +154,8 @@ fn checkpoint_restart_reconverges_bit_exactly() {
     let restored_report = restored.run();
 
     assert_eq!(
-        solution_bits(&base),
-        solution_bits(&restored),
+        base.solution_bits(),
+        restored.solution_bits(),
         "restart from step 4 diverged from the uninterrupted run"
     );
     assert_eq!(restored_report.faults.unwrap().checkpoints_restored, 1);
@@ -208,8 +192,8 @@ fn ckpt_cadence_longer_than_the_run_is_a_clean_noop() {
     let (plain, _) = run(None, None);
     let (noop, noop_report) = run(Some(100), Some(dir.clone()));
     assert_eq!(
-        solution_bits(&plain),
-        solution_bits(&noop),
+        plain.solution_bits(),
+        noop.solution_bits(),
         "an unreachable checkpoint cadence changed the numerics"
     );
     assert_eq!(
@@ -254,8 +238,8 @@ fn restore_at_the_final_step_is_a_byte_identical_noop_run() {
     let report = restored.run();
     assert_eq!(report.steps, 4, "restored run reports the full step count");
     assert_eq!(
-        solution_bits(&base),
-        solution_bits(&restored),
+        base.solution_bits(),
+        restored.solution_bits(),
         "restore at the final step diverged from the uninterrupted run"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -288,8 +272,8 @@ fn restore_under_a_different_exec_policy_stays_byte_identical() {
     restored.restore_from(ckpt);
     restored.run();
     assert_eq!(
-        solution_bits(&base),
-        solution_bits(&restored),
+        base.solution_bits(),
+        restored.solution_bits(),
         "restarting under a different worker-pool size changed the bits"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -15,16 +15,17 @@
 //! cargo run --release -p bench --bin repro -- serve --demo 64 --workers 4
 //! ```
 //!
-//! `--jobs N` fans the independent sweep simulations behind the tables out
-//! over `N` pool workers (`0` = one per hardware thread); `--serial` is
-//! shorthand for `--jobs 1`. Output is byte-identical either way: the pool
-//! only prefetches the runner's cache, and cache insertion order is the
-//! deterministic input order (see `Runner::prefetch`).
+//! The tables and figures are the entries of `bench::experiments::
+//! EXPERIMENTS`, printed in its order. `--jobs N` fans every simulation
+//! behind the runner's tables out over `N` pool workers (`0` = one per
+//! hardware thread); `--serial` is shorthand for `--jobs 1`. Output is
+//! byte-identical either way: the pool only fills the runner's cache with
+//! the cells a recording pass of the same renderers asked for (see
+//! `Runner::render`).
 
-use bench::Runner;
-use bench::{ablation, experiments as ex};
+use bench::experiments::{self as ex, Experiment, EXPERIMENTS};
 use sw_resilience::FaultPreset;
-use uintah_core::{MachineConfig, Variant};
+use uintah_core::Variant;
 
 /// Every flag that takes a value: the word after one is its value, never a
 /// subcommand, and [`flag_values`] is the only place a value is read.
@@ -664,16 +665,17 @@ fn main() {
     // The flags the paper's tables and figures read, as a group.
     let table_flags = ["--jobs", "--serial", "--csv", "--seed"];
     let is_campaign = |a: &str| campaigns.iter().any(|(name, _, _)| *name == a);
+    let is_experiment = |a: &str| a == "all" || EXPERIMENTS.iter().any(|e| e.name == a);
     if let Some(unknown) = positional
         .iter()
-        .find(|a| !is_campaign(a) && !bench::cli::EXPERIMENTS.contains(a))
+        .find(|a| !is_campaign(a) && !is_experiment(a))
     {
         bench::cli::fail(
             unknown,
             &format!(
-                "unknown subcommand (campaigns: {}; experiments: {})",
+                "unknown subcommand (campaigns: {}; experiments: all {})",
                 campaigns.map(|(name, _, _)| name).join(" "),
-                bench::cli::EXPERIMENTS.join(" ")
+                EXPERIMENTS.map(|e| e.name).join(" ")
             ),
         );
     }
@@ -699,167 +701,26 @@ fn main() {
     if !tables {
         return;
     }
-    let want = |name: &str| -> bool {
-        positional.is_empty() || positional.iter().any(|a| *a == name || *a == "all")
-    };
-
-    let print_table = |title: &str, t: &bench::TextTable| {
-        println!("== {title} ==");
-        println!("{}", t.render());
-        if let Some(dir) = &csv {
-            let slug: String = title
-                .chars()
-                .map(|c| {
-                    if c.is_ascii_alphanumeric() {
-                        c.to_ascii_lowercase()
-                    } else {
-                        '_'
-                    }
-                })
-                .collect::<String>()
-                .split('_')
-                .filter(|s| !s.is_empty())
-                .collect::<Vec<_>>()
-                .join("_");
-            let path = dir.join(format!("{slug}.csv"));
-            std::fs::write(&path, t.render_csv()).expect("write csv");
-        }
-    };
-    let mut runner = Runner::new();
-
-    // Fan the union of all wanted experiments' independent sweep cells over
-    // the worker pool; the tables below then render from the warm cache.
-    let mut cells: Vec<bench::SweepCell> = Vec::new();
-    for name in [
-        "table1", "fig5", "table5", "table6", "table7", "fig6", "fig7", "fig8", "fig9", "fig10",
-    ] {
-        if want(name) {
-            cells.extend(ex::sweep_cells_for(name));
-        }
-    }
-    runner.prefetch(&cells, jobs);
-
+    let all = positional.is_empty() || positional.contains(&"all");
+    let chosen: Vec<&Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|e| all || positional.contains(&e.name))
+        .collect();
+    let sections = ex::render(&chosen, jobs, seed);
     println!("flop model: {}\n", ex::flop_model_summary());
-
-    if want("dot") {
-        let level = uintah_core::Level::new(uintah_core::iv(8, 8, 8), uintah_core::iv(2, 2, 1));
-        let a = uintah_core::LoadBalancer::Hilbert.assign(&level, 2);
-        println!("== Task graph (2x2x1 layout, 2 ranks, 3 stages) ==");
-        println!("{}", uintah_core::task::task_graph_dot(&level, &a, 3));
-    }
-
-    if want("table1") {
-        print_table(
-            "Table I: FLOP per cell for the model problem",
-            &ex::table1(&mut runner),
-        );
-    }
-    if want("table2") {
-        print_table(
-            "Table II: machine parameters",
-            &ex::table2(&MachineConfig::sw26010()),
-        );
-    }
-    if want("table3") {
-        print_table("Table III: problem settings", &ex::table3());
-    }
-    if want("table4") {
-        print_table("Table IV: experimental variants", &ex::table4());
-    }
-    if want("fig5") {
-        for (title, t) in ex::fig5(&mut runner) {
-            print_table(&title, &t);
+    for s in &sections {
+        println!("== {} ==", s.title);
+        println!("{}", s.text);
+        if let (Some(dir), Some(csv)) = (&csv, &s.csv) {
+            let slug = s
+                .title
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .filter(|w| !w.is_empty())
+                .collect::<Vec<_>>()
+                .join("_")
+                .to_ascii_lowercase();
+            std::fs::write(dir.join(format!("{slug}.csv")), csv).expect("write csv");
         }
-    }
-    if want("table5") {
-        print_table(
-            "Table V: strong scaling efficiency (min CGs -> 128)",
-            &ex::table5(&mut runner),
-        );
-    }
-    if want("table6") {
-        print_table(
-            "Table VI: async improvement, non-vectorized",
-            &ex::table6or7(&mut runner, false),
-        );
-    }
-    if want("table7") {
-        print_table(
-            "Table VII: async improvement, vectorized",
-            &ex::table6or7(&mut runner, true),
-        );
-    }
-    for which in [6usize, 7, 8] {
-        if want(&format!("fig{which}")) {
-            let (title, t) = ex::fig678(&mut runner, which);
-            print_table(&title, &t);
-        }
-    }
-    if want("fig9") {
-        print_table(
-            "Fig 9: floating point performance (Gflop/s), acc_simd.async",
-            &ex::fig9(&mut runner),
-        );
-    }
-    if want("fig10") {
-        print_table(
-            "Fig 10: floating point efficiency, acc_simd.async",
-            &ex::fig10(&mut runner),
-        );
-    }
-    if want("timeline") {
-        for v in [Variant::ACC_SYNC, Variant::ACC_ASYNC] {
-            println!("== Timeline: {} ==", v.name());
-            println!("{}", bench::timeline::render_timeline(v, 4, 3, 100));
-        }
-    }
-    if want("weak") {
-        print_table(
-            "Weak scaling (one 32x32x512 patch per CG) — not in the paper",
-            &ex::weak_scaling(&mut runner),
-        );
-    }
-    if want("breakdown") {
-        print_table(
-            "MPE time breakdown (32x64x512, 8 CGs; shares of total MPE-seconds)",
-            &bench::breakdown::breakdown_table(bench::MEDIUM, 8),
-        );
-        print_table(
-            "MPE time breakdown (16x16x512, 128 CGs)",
-            &bench::breakdown::breakdown_table(bench::SMALL, 128),
-        );
-    }
-    if want("fidelity") {
-        print_table(
-            "Fidelity: best-of-N under kernel noise (32x64x512, 8 CGs)",
-            &bench::fidelity::fidelity_best_of_n(&mut runner, 5, seed),
-        );
-        print_table(
-            "Fidelity: measurement-driven rebalance with one slow CG (16x16x512, 4 CGs)",
-            &bench::fidelity::fidelity_rebalance(&mut runner),
-        );
-    }
-    if want("ablation") {
-        print_table(
-            "Ablation: §IX extensions (double-buffer / packed tiles / CPE groups)",
-            &ablation::ablation_extensions(&mut runner),
-        );
-        print_table(
-            "Ablation: sync-spin memory-contention penalty",
-            &ablation::ablation_spin_penalty(&mut runner),
-        );
-        print_table(
-            "Ablation: completion-flag poll interval (16x16x512)",
-            &ablation::ablation_poll_interval(&mut runner),
-        );
-        print_table(
-            "Ablation: load balancer (32x64x512, 16 CGs)",
-            &ablation::ablation_load_balancer(&mut runner),
-        );
-        print_table(
-            "Ablation: software exp library (32x64x512, 8 CGs)",
-            &ablation::ablation_exp_library(&mut runner),
-        );
     }
     warn_serial_fallbacks();
 }

@@ -33,7 +33,7 @@ use sw_telemetry::json::{
 use uintah_core::{iv, prove_lookahead_for_plans, race_check, ExecMode, Level, RunConfig, Variant};
 
 use crate::problems::{PROBLEMS, SMALL};
-use crate::runner::{bits, burgers, plans, STAGES};
+use crate::runner::{burgers, plans, STAGES};
 use crate::scale::extension_level;
 
 /// One statically proved (problem, cgs) configuration.
@@ -371,7 +371,7 @@ fn dpor_explore(c: &DporConfig) -> DporCell {
     )
     .expect("a valid DPOR baseline");
     let base_report = sim.run();
-    let base_bits = bits(&sim);
+    let base_bits = sim.solution_bits();
     let base_steps: Vec<u64> = base_report.step_end.iter().map(|t| t.0).collect();
     let windows = sim.window_edges().to_vec();
     let ascending: Vec<usize> = (0..c.ranks).collect();
@@ -402,7 +402,7 @@ fn dpor_explore(c: &DporConfig) -> DporCell {
             let mut sim2 = burgers(&level, forced).expect("a valid DPOR replay");
             let rep2 = sim2.run();
             let steps2: Vec<u64> = rep2.step_end.iter().map(|t| t.0).collect();
-            identical &= bits(&sim2) == base_bits && steps2 == base_steps;
+            identical &= sim2.solution_bits() == base_bits && steps2 == base_steps;
             replays += 1;
         }
     }

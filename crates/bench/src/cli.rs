@@ -6,31 +6,6 @@
 //! stderr line for log triage — so no subcommand is allowed to invent its
 //! own failure dialect or to exit non-zero silently.
 
-/// The positional arguments `repro` accepts besides its campaign
-/// subcommands: `all` and the experiment names it expands to.
-pub const EXPERIMENTS: &[&str] = &[
-    "all",
-    "dot",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "timeline",
-    "weak",
-    "breakdown",
-    "fidelity",
-    "ablation",
-];
-
 /// Print the uniform failure line and exit 1.
 pub fn fail(subcmd: &str, detail: &str) -> ! {
     eprintln!("ERROR: repro {subcmd}: {detail}");

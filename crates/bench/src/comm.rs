@@ -34,7 +34,7 @@ use sw_telemetry::{analyze, Event};
 use uintah_core::{prove_lookahead_for_plans_with, CommConfig, ExecMode, RunConfig, Variant};
 
 use crate::problems::{ProblemSpec, SMALL};
-use crate::runner::{bits, burgers, plans};
+use crate::runner::{burgers, plans};
 use crate::trace::reconciles;
 
 /// Endpoint counts swept.
@@ -235,7 +235,7 @@ fn functional_bits(p: &ProblemSpec, comm: CommConfig) -> Vec<Vec<u64>> {
     };
     let mut sim = burgers(&p.level(), cfg).expect("a valid comm cell");
     sim.run();
-    bits(&sim)
+    sim.solution_bits()
 }
 
 /// Instrumented model run under `comm` (any Table IV variant); returns

@@ -1,4 +1,5 @@
-//! One generator per table and figure of the paper's evaluation (§VII).
+//! One generator per table and figure of the paper's evaluation (§VII), and
+//! [`EXPERIMENTS`], the one list of what `repro` prints.
 //!
 //! Each function measures on the simulated machine and renders the same rows
 //! or series the paper reports; EXPERIMENTS.md records the paper-vs-measured
@@ -8,11 +9,14 @@ use burgers::kernel::{cell_exp_flops, cell_flops};
 use burgers::phi::exact_u_flops;
 use sw_math::ExpKind;
 use uintah_core::grid::{iv, Level};
-use uintah_core::{ExecMode, MachineConfig, RunConfig, Variant};
+use uintah_core::{ExecMode, LoadBalancer, MachineConfig, RunConfig, Variant};
 
+use crate::breakdown::breakdown_table;
 use crate::problems::{ProblemSpec, ALL_CG_COUNTS, LARGE, MEDIUM, PROBLEMS, SMALL};
-use crate::runner::{paper_cell, Runner, SweepCell};
+use crate::runner::{paper_cell, Runner};
 use crate::table::{pct, secs, TextTable};
+use crate::timeline::render_timeline;
+use crate::{ablation, fidelity};
 
 /// The four offloading variants of the scaling study (host.sync is excluded
 /// from Fig 5 / Table V since it uses only the MPE).
@@ -23,78 +27,223 @@ pub const SCALING_VARIANTS: [Variant; 4] = [
     Variant::ACC_SIMD_ASYNC,
 ];
 
-/// The independent sweep cells an experiment will ask the [`Runner`] for —
-/// the work list `Runner::prefetch` fans out over the worker pool before the
-/// (order-sensitive, cache-hitting) table rendering runs. Experiments that
-/// do not go through the runner cache return an empty list.
-pub fn sweep_cells_for(experiment: &str) -> Vec<SweepCell> {
-    let mut cells: Vec<SweepCell> = Vec::new();
-    match experiment {
-        "table1" => {
-            for p in &PROBLEMS {
-                cells.push(paper_cell(p, Variant::ACC_SIMD_ASYNC, p.min_cgs));
-            }
+/// One titled section of the paper output: its text, and its CSV when it
+/// is a table.
+pub struct Section {
+    /// The heading, printed as `== title ==`.
+    pub title: String,
+    /// The body as printed.
+    pub text: String,
+    /// The `--csv` copy; `None` for a section that is not a table.
+    pub csv: Option<String>,
+}
+
+impl Section {
+    /// A table section.
+    pub fn table(title: impl Into<String>, t: TextTable) -> Self {
+        Self {
+            title: title.into(),
+            text: t.render(),
+            csv: Some(t.render_csv()),
         }
-        "fig5" => {
-            for p in &PROBLEMS {
-                for n in p.cg_counts() {
-                    for v in SCALING_VARIANTS {
-                        cells.push(paper_cell(p, v, n));
-                    }
-                }
-            }
-        }
-        "table5" => {
-            for p in &PROBLEMS {
-                for v in SCALING_VARIANTS {
-                    cells.push(paper_cell(p, v, p.min_cgs));
-                    cells.push(paper_cell(p, v, 128));
-                }
-            }
-        }
-        "table6" | "table7" => {
-            let (vs, va) = if experiment == "table7" {
-                (Variant::ACC_SIMD_SYNC, Variant::ACC_SIMD_ASYNC)
-            } else {
-                (Variant::ACC_SYNC, Variant::ACC_ASYNC)
-            };
-            for p in &PROBLEMS {
-                for &n in &ALL_CG_COUNTS {
-                    if n >= p.min_cgs {
-                        cells.push(paper_cell(p, vs, n));
-                        cells.push(paper_cell(p, va, n));
-                    }
-                }
-            }
-        }
-        "fig6" | "fig7" | "fig8" => {
-            let p: &'static ProblemSpec = match experiment {
-                "fig6" => SMALL,
-                "fig7" => MEDIUM,
-                _ => LARGE,
-            };
-            for n in p.cg_counts() {
-                for v in [
-                    Variant::HOST_SYNC,
-                    Variant::ACC_ASYNC,
-                    Variant::ACC_SIMD_ASYNC,
-                ] {
-                    cells.push(paper_cell(p, v, n));
-                }
-            }
-        }
-        "fig9" | "fig10" => {
-            for p in &PROBLEMS {
-                for &n in &ALL_CG_COUNTS {
-                    if n >= p.min_cgs {
-                        cells.push(paper_cell(p, Variant::ACC_SIMD_ASYNC, n));
-                    }
-                }
-            }
-        }
-        _ => {}
     }
-    cells
+
+    /// A free-text section (no CSV copy).
+    pub fn text(title: impl Into<String>, text: String) -> Self {
+        Self {
+            title: title.into(),
+            text,
+            csv: None,
+        }
+    }
+}
+
+/// How an [`Experiment`] renders its sections.
+#[derive(Clone, Copy)]
+pub(crate) enum Render {
+    /// From [`Runner`] cells and the `--seed`: rendered under
+    /// [`Runner::render`], so every cell is prefetched over the pool.
+    Cells(fn(&mut Runner, u64) -> Vec<Section>),
+    /// From no runner cell (its simulations, if any, are its own):
+    /// rendered once.
+    Direct(fn() -> Vec<Section>),
+}
+
+/// One experiment of the paper output: its `repro` name and renderer.
+pub struct Experiment {
+    /// The `repro` positional that selects it.
+    pub name: &'static str,
+    /// Its sections.
+    pub(crate) render: Render,
+}
+
+/// An experiment rendered from [`Runner`] cells.
+const fn cells(name: &'static str, f: fn(&mut Runner, u64) -> Vec<Section>) -> Experiment {
+    Experiment {
+        name,
+        render: Render::Cells(f),
+    }
+}
+
+/// An experiment that reads no [`Runner`] cell.
+const fn direct(name: &'static str, f: fn() -> Vec<Section>) -> Experiment {
+    Experiment {
+        name,
+        render: Render::Direct(f),
+    }
+}
+
+/// `t` as the one section of an experiment.
+fn one(title: &str, t: TextTable) -> Vec<Section> {
+    vec![Section::table(title, t)]
+}
+
+/// Every experiment, in output order.
+pub const EXPERIMENTS: [Experiment; 19] = [
+    direct("dot", || {
+        let level = Level::new(iv(8, 8, 8), iv(2, 2, 1));
+        let a = LoadBalancer::Hilbert.assign(&level, 2);
+        let dot = uintah_core::task::task_graph_dot(&level, &a, 3);
+        vec![Section::text(
+            "Task graph (2x2x1 layout, 2 ranks, 3 stages)",
+            dot,
+        )]
+    }),
+    cells("table1", |r, _| {
+        one("Table I: FLOP per cell for the model problem", table1(r))
+    }),
+    direct("table2", || {
+        one(
+            "Table II: machine parameters",
+            table2(&MachineConfig::sw26010()),
+        )
+    }),
+    direct("table3", || one("Table III: problem settings", table3())),
+    direct("table4", || {
+        one("Table IV: experimental variants", table4())
+    }),
+    cells("fig5", |r, _| fig5(r)),
+    cells("table5", |r, _| {
+        one(
+            "Table V: strong scaling efficiency (min CGs -> 128)",
+            table5(r),
+        )
+    }),
+    cells("table6", |r, _| {
+        one(
+            "Table VI: async improvement, non-vectorized",
+            table6or7(r, false),
+        )
+    }),
+    cells("table7", |r, _| {
+        one(
+            "Table VII: async improvement, vectorized",
+            table6or7(r, true),
+        )
+    }),
+    cells("fig6", |r, _| fig678(r, 6, "small", SMALL)),
+    cells("fig7", |r, _| fig678(r, 7, "medium", MEDIUM)),
+    cells("fig8", |r, _| fig678(r, 8, "large", LARGE)),
+    cells("fig9", |r, _| {
+        one(
+            "Fig 9: floating point performance (Gflop/s), acc_simd.async",
+            fig9(r),
+        )
+    }),
+    cells("fig10", |r, _| {
+        one(
+            "Fig 10: floating point efficiency, acc_simd.async",
+            fig10(r),
+        )
+    }),
+    direct("timeline", || {
+        [Variant::ACC_SYNC, Variant::ACC_ASYNC]
+            .map(|v| {
+                Section::text(
+                    format!("Timeline: {}", v.name()),
+                    render_timeline(v, 4, 3, 100),
+                )
+            })
+            .into()
+    }),
+    cells("weak", |r, _| {
+        one(
+            "Weak scaling (one 32x32x512 patch per CG) — not in the paper",
+            weak_scaling(r),
+        )
+    }),
+    direct("breakdown", || {
+        vec![
+            Section::table(
+                "MPE time breakdown (32x64x512, 8 CGs; shares of total MPE-seconds)",
+                breakdown_table(MEDIUM, 8),
+            ),
+            Section::table(
+                "MPE time breakdown (16x16x512, 128 CGs)",
+                breakdown_table(SMALL, 128),
+            ),
+        ]
+    }),
+    cells("fidelity", |r, seed| {
+        vec![
+            Section::table(
+                "Fidelity: best-of-N under kernel noise (32x64x512, 8 CGs)",
+                fidelity::fidelity_best_of_n(r, 5, seed),
+            ),
+            Section::table(
+                "Fidelity: measurement-driven rebalance with one slow CG (16x16x512, 4 CGs)",
+                fidelity::fidelity_rebalance(r),
+            ),
+        ]
+    }),
+    cells("ablation", |r, _| {
+        vec![
+            Section::table(
+                "Ablation: §IX extensions (double-buffer / packed tiles / CPE groups)",
+                ablation::ablation_extensions(r),
+            ),
+            Section::table(
+                "Ablation: sync-spin memory-contention penalty",
+                ablation::ablation_spin_penalty(r),
+            ),
+            Section::table(
+                "Ablation: completion-flag poll interval (16x16x512)",
+                ablation::ablation_poll_interval(r),
+            ),
+            Section::table(
+                "Ablation: load balancer (32x64x512, 16 CGs)",
+                ablation::ablation_load_balancer(r),
+            ),
+            Section::table(
+                "Ablation: software exp library (32x64x512, 8 CGs)",
+                ablation::ablation_exp_library(r),
+            ),
+        ]
+    }),
+];
+
+/// The sections of `chosen`, in order. The `Render::Cells` entries
+/// render together under [`Runner::render`], so their cells are recorded
+/// and computed over `jobs` pool workers before any of them renders for
+/// real; the `Render::Direct` entries render once.
+pub fn render(chosen: &[&Experiment], jobs: usize, seed: u64) -> Vec<Section> {
+    let from_cells = Runner::new().render(jobs, |r| {
+        chosen
+            .iter()
+            .map(|e| match e.render {
+                Render::Cells(f) => f(r, seed),
+                Render::Direct(_) => Vec::new(),
+            })
+            .collect::<Vec<_>>()
+    });
+    chosen
+        .iter()
+        .zip(from_cells)
+        .flat_map(|(e, sections)| match e.render {
+            Render::Cells(_) => sections,
+            Render::Direct(f) => f(),
+        })
+        .collect()
 }
 
 /// Table I: flops per cell, measured with the emulated hardware counters.
@@ -208,7 +357,7 @@ pub fn table4() -> TextTable {
 }
 
 /// Fig 5: wall time per step, strong scaling, one table per problem.
-pub fn fig5(runner: &mut Runner) -> Vec<(String, TextTable)> {
+pub fn fig5(runner: &mut Runner) -> Vec<Section> {
     let mut out = Vec::new();
     for p in &PROBLEMS {
         let mut header = vec!["CGs"];
@@ -222,7 +371,10 @@ pub fn fig5(runner: &mut Runner) -> Vec<(String, TextTable)> {
             }
             t.row(row);
         }
-        out.push((format!("Fig 5 — wall time per step, {}", p.name), t));
+        out.push(Section::table(
+            format!("Fig 5 — wall time per step, {}", p.name),
+            t,
+        ));
     }
     out
 }
@@ -276,14 +428,8 @@ pub fn table6or7(runner: &mut Runner, simd: bool) -> TextTable {
 }
 
 /// Figs 6/7/8: performance boost of the optimization steps over host.sync
-/// for the small/medium/large problem.
-pub fn fig678(runner: &mut Runner, which: usize) -> (String, TextTable) {
-    let p: &ProblemSpec = match which {
-        6 => SMALL,
-        7 => MEDIUM,
-        8 => LARGE,
-        _ => panic!("fig678 takes 6, 7, or 8"),
-    };
+/// for the `size` (small/medium/large) problem `p`, as Fig `fig`.
+fn fig678(runner: &mut Runner, fig: u8, size: &str, p: &ProblemSpec) -> Vec<Section> {
     let mut t = TextTable::new(vec![
         "CGs",
         "host.sync",
@@ -303,18 +449,11 @@ pub fn fig678(runner: &mut Runner, which: usize) -> (String, TextTable) {
             format!("{:.2}x", simd.boost_over(&host)),
         ]);
     }
-    (
-        format!(
-            "Fig {which} — optimization boosts, {} problem ({})",
-            match which {
-                6 => "small",
-                7 => "medium",
-                _ => "large",
-            },
-            p.name
-        ),
-        t,
-    )
+    let title = format!(
+        "Fig {fig} — optimization boosts, {size} problem ({})",
+        p.name
+    );
+    one(&title, t)
 }
 
 /// Fig 9: floating-point performance (Gflop/s) of acc_simd.async.

@@ -30,7 +30,7 @@ use uintah_core::grid::iv;
 use uintah_core::{ExecMode, Level, RunConfig, RunReport, Simulation, Variant};
 
 use crate::problems::SMALL;
-use crate::runner::{bits, burgers};
+use crate::runner::burgers;
 
 /// The functional proof problem: small enough to run every variant twice
 /// (clean + faulted) with real data in well under a second.
@@ -284,7 +284,7 @@ pub fn run_faults(seed: u64, ckpt_dir: &Path) -> FaultsOutcome {
             let (faulted, report) = proof_run(faulted_cfg);
             IdentityCell {
                 variant: variant.name(),
-                bit_identical: bits(&clean) == bits(&faulted),
+                bit_identical: clean.solution_bits() == faulted.solution_bits(),
                 counts: report.faults.expect("faulted run reports counters"),
             }
         })
@@ -317,7 +317,7 @@ pub fn run_faults(seed: u64, ckpt_dir: &Path) -> FaultsOutcome {
         RestartProof {
             resumed_step,
             ckpt_bytes,
-            restart_identical: bits(&base) == bits(&restored),
+            restart_identical: base.solution_bits() == restored.solution_bits(),
             counts: report.faults.expect("restored run reports counters"),
         }
     };

@@ -4,7 +4,8 @@
 //! A run is a `(Level, RunConfig)` pair: [`burgers`] constructs it, and
 //! its canonical line ([`canonical_job`]) names it — the line is also the
 //! [`Runner`]'s cache key, so two tables asking for the same run share one
-//! simulation.
+//! simulation. [`Runner::render`] finds a renderer's cells by running it
+//! once on stand-in reports, then computes them over the pool.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,6 +58,10 @@ pub fn paper_cell(p: &ProblemSpec, variant: Variant, n_cgs: usize) -> SweepCell 
 pub struct Runner {
     cache: BTreeMap<String, RunReport>,
     misses: usize,
+    /// While [`Runner::render`] records: every cell missed so far.
+    recorded: Option<Vec<SweepCell>>,
+    /// The stand-in report last handed out while recording.
+    stand_in: RunReport,
 }
 
 /// The cache key of a cell: its canonical line.
@@ -82,25 +87,54 @@ impl Runner {
         self.misses
     }
 
-    /// Run (or fetch) one cell.
+    /// Run (or fetch) one cell. While [`Runner::render`] records, a miss
+    /// is noted and answered by a stand-in: the cell's `steps` and
+    /// `n_ranks`, zeros elsewhere.
     pub fn run(&mut self, cell: &SweepCell) -> &RunReport {
+        let key = key(cell);
+        if let Some(recorded) = &mut self.recorded {
+            if !self.cache.contains_key(&key) {
+                recorded.push(cell.clone());
+                self.stand_in = RunReport {
+                    steps: cell.1.steps,
+                    n_ranks: cell.1.n_ranks,
+                    ..RunReport::default()
+                };
+                return &self.stand_in;
+            }
+        }
         let misses = &mut self.misses;
-        self.cache.entry(key(cell)).or_insert_with(|| {
+        self.cache.entry(key).or_insert_with(|| {
             *misses += 1;
             simulate(cell)
         })
     }
 
+    /// `f(self)`, with its cells computed over `jobs` pool workers first
+    /// (`0` = one per hardware thread).
+    ///
+    /// A recording pass runs `f` once on stand-in reports and notes every
+    /// cell it misses; those are prefetched, and `f` runs again for real
+    /// from the warm cache. The recording only chooses what to prefetch: a
+    /// cell whose choice depends on a stand-in's numbers would be computed
+    /// serially by the real pass, never wrongly.
+    pub fn render<T>(&mut self, jobs: usize, mut f: impl FnMut(&mut Self) -> T) -> T {
+        self.recorded = Some(Vec::new());
+        f(self);
+        let cells = self.recorded.take().unwrap_or_default();
+        self.prefetch(&cells, jobs);
+        f(self)
+    }
+
     /// Compute every not-yet-cached cell of `cells`, fanning the independent
-    /// simulations out over `jobs` pool workers (`0` = one per hardware
-    /// thread).
+    /// simulations out over `jobs` pool workers.
     ///
     /// The result is byte-identical to computing the cells serially: each
     /// cell is an isolated virtual-time simulation whose report cannot
     /// depend on wall-clock interleaving, and the cache is keyed by the
-    /// cell, not by who computed it. Tables rendered afterwards hit the
-    /// warm cache, so `--jobs N` output equals `--jobs 1` output.
-    pub fn prefetch(&mut self, cells: &[SweepCell], jobs: usize) {
+    /// cell, not by who computed it, so `--jobs N` output equals `--jobs 1`
+    /// output.
+    fn prefetch(&mut self, cells: &[SweepCell], jobs: usize) {
         // Dedupe against the cache and within the request, first-seen order.
         let mut seen = BTreeSet::new();
         let todo: Vec<(String, &SweepCell)> = cells
@@ -154,26 +188,11 @@ impl Runner {
     }
 }
 
-/// Final field of every patch as exact bit patterns: what every
-/// byte-identity proof in this crate compares.
-pub fn bits(sim: &Simulation) -> Vec<Vec<u64>> {
-    let level = sim.level();
-    (0..level.n_patches())
-        .map(|p| {
-            let var = sim.solution(p);
-            level
-                .patch(p)
-                .region
-                .iter()
-                .map(|c| var.get(c).to_bits())
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::weak_scaling;
+    use crate::fidelity::fidelity_rebalance;
     use crate::problems::{PROBLEMS, SMALL};
     use uintah_core::SimDur;
 
@@ -223,6 +242,32 @@ mod tests {
             parallel.run(&slow_poll).total_time,
             paper.total_time,
             "the slow-poll cell was served the paper cell's report"
+        );
+
+        // Through `render`: weak scaling and the rebalance table, whose
+        // cells are edited paper configs. The recording pass must name
+        // exactly the cells the real pass reads: each prefetched once,
+        // none run while recording, none missed afterwards.
+        let tables = |r: &mut Runner| {
+            [weak_scaling(r), fidelity_rebalance(r)]
+                .map(|t| t.render())
+                .concat()
+        };
+        let mut pooled = Runner::new();
+        let mut pass_misses = Vec::new();
+        let text = pooled.render(2, |r| {
+            let before = r.misses();
+            let text = tables(r);
+            pass_misses.push(r.misses() - before);
+            text
+        });
+        let mut cold = Runner::new();
+        assert_eq!(text, tables(&mut cold), "pooled text differs from serial");
+        assert_eq!(pass_misses, [0, 0], "a pass simulated a cell itself");
+        assert_eq!(
+            pooled.misses(),
+            cold.misses(),
+            "a recorded cell went unread"
         );
     }
 }

@@ -73,7 +73,7 @@ use uintah_core::{
     RunConfig, RunReport, SchedulerMode, SchedulerOptions, Simulation, Variant,
 };
 
-use crate::runner::{bits, burgers};
+use crate::runner::burgers;
 use crate::trace::reconciles;
 
 /// Domain discriminant for the torture generator's keyed draws (the
@@ -544,7 +544,7 @@ fn battery_valid(
     }
     passed.push("telemetry_reconciles");
 
-    let ref_bits = bits(&reference);
+    let ref_bits = reference.solution_bits();
 
     // --- Model-mode agreement: identical virtual step-end times. ---
     let (_, model) = run_edited(case, "model_agrees", None, |c| c.exec = ExecMode::Model)?;
@@ -572,7 +572,7 @@ fn battery_valid(
         c.options.telemetry = true;
         c.pdes = true;
     })?;
-    if bits(&pdes) != ref_bits {
+    if pdes.solution_bits() != ref_bits {
         return Err(fail(
             "pdes_bit_identical",
             "fields diverged under the windowed PDES engine".to_string(),
@@ -617,7 +617,7 @@ fn battery_valid(
             c.options.exec_policy = ExecPolicy::Parallel { threads };
             c.ckpt_every = None;
         })?;
-        if bits(&par) != ref_bits {
+        if par.solution_bits() != ref_bits {
             return Err(fail(
                 "parallel_bit_identical",
                 format!("fields diverged under ExecPolicy::Parallel {{ threads: {threads} }}"),
@@ -636,7 +636,7 @@ fn battery_valid(
                 c.options.exec_policy = ExecPolicy::Serial;
                 c.ckpt_every = None;
             })?;
-            if bits(&sib) != ref_bits {
+            if sib.solution_bits() != ref_bits {
                 return Err(fail(
                     "simd_sibling_bit_identical",
                     format!(
@@ -678,7 +678,7 @@ fn battery_valid(
                     format!("restored run reported {} of {} steps", rep.steps, cfg.steps),
                 ));
             }
-            if case.recovers() && bits(&restored) != ref_bits {
+            if case.recovers() && restored.solution_bits() != ref_bits {
                 return Err(fail(
                     "ckpt_restart",
                     format!("restore from step {boundary} diverged from the uninterrupted run"),

@@ -119,6 +119,67 @@ fn serve_streams_a_line_and_writes_a_trace_per_executed_job() {
 }
 
 #[test]
+fn serve_fails_when_a_trace_cannot_be_written() {
+    // The trace directory sits under a regular file, so it cannot be
+    // created; the drain used to drop the trace, write the campaign JSON
+    // and exit 0.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_serve_bad_trace");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("file"), "").unwrap();
+    let traces = dir.join("file").join("traces");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .current_dir(&dir)
+        .args(["serve", "--demo", "4", "--workers", "2", "--no-cache"])
+        .arg("--perfetto")
+        .arg(&traces)
+        .args(["--out", "c.json"])
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.starts_with("ERROR: repro serve: ")
+            && stderr.contains(&traces.display().to_string())
+            && stderr.lines().count() == 1,
+        "{stderr}"
+    );
+    assert!(
+        !dir.join("c.json").exists(),
+        "the campaign JSON was written"
+    );
+}
+
+#[test]
+fn experiments_md_lists_every_experiment() {
+    // EXPERIMENTS.md names the targets `repro` accepts; one missing from
+    // its list is a table a reader cannot find.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("nosuchthing")
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let names = stderr
+        .split("experiments: ")
+        .nth(1)
+        .and_then(|rest| rest.split(')').next())
+        .unwrap_or_else(|| panic!("no experiment list in {stderr:?}"));
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md"))
+        .expect("read EXPERIMENTS.md");
+    let targets = doc
+        .split("targets:")
+        .nth(1)
+        .and_then(|rest| rest.split(';').next())
+        .expect("a target list in EXPERIMENTS.md");
+    for name in names.split(' ') {
+        assert!(
+            targets.contains(&format!("`{name}`")),
+            "EXPERIMENTS.md's target list has no `{name}`"
+        );
+    }
+}
+
+#[test]
 fn ci_sh_runs_every_campaign_and_the_paper() {
     // Each campaign writes an artifact under results/, and ci.sh gates the
     // artifacts by regenerating them: a campaign without a stage there

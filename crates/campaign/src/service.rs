@@ -121,6 +121,8 @@ pub enum CampaignError {
     Store(StoreError),
     /// A worker channel died unexpectedly (coordinator bug, not a fault).
     PoolWiring(String),
+    /// A `perfetto_dir` trace could not be produced or written.
+    Trace(PathBuf, String),
 }
 
 impl core::fmt::Display for CampaignError {
@@ -128,6 +130,7 @@ impl core::fmt::Display for CampaignError {
         match self {
             CampaignError::Store(e) => write!(f, "result store: {e}"),
             CampaignError::PoolWiring(d) => write!(f, "worker pool wiring: {d}"),
+            CampaignError::Trace(path, d) => write!(f, "trace {}: {d}", path.display()),
         }
     }
 }
@@ -301,13 +304,10 @@ fn execute_job(factory: &AppFactory, level: &Level, run: &RunConfig) -> Result<S
         .try_run()
         .map_err(|e| format!("lookahead violation: {e}"))?;
     let bits = if run.exec == ExecMode::Functional {
-        let level = sim.level();
-        let mut bytes = Vec::new();
-        for p in 0..level.n_patches() {
-            let var = sim.solution(p);
-            for c in level.patch(p).region.iter() {
-                bytes.extend_from_slice(&var.get(c).to_bits().to_le_bytes());
-            }
+        let bits = sim.solution_bits();
+        let mut bytes = Vec::with_capacity(8 * bits.iter().map(Vec::len).sum::<usize>());
+        for b in bits.iter().flatten() {
+            bytes.extend_from_slice(&b.to_le_bytes());
         }
         format!("{:032x}", fnv128(&bytes))
     } else {
@@ -520,26 +520,27 @@ impl Service {
         roll < u64::from(self.cfg.oracle_ppm)
     }
 
-    fn write_perfetto(&self, job: &QueuedJob) {
+    /// The traced run of `job` under `perfetto_dir`, if set. A trace that
+    /// cannot be produced or written fails the drain.
+    fn write_perfetto(&self, job: &QueuedJob) -> Result<(), CampaignError> {
         let Some(dir) = &self.cfg.perfetto_dir else {
-            return;
+            return Ok(());
         };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
+        let path = dir.join(format!("{:032x}.perfetto.json", job.key));
+        let fail = |d: String| CampaignError::Trace(path.clone(), d);
+        std::fs::create_dir_all(dir).map_err(|e| fail(e.to_string()))?;
         // A dedicated traced run: telemetry on, everything else identical.
         // (The record of the primary run is not affected — traces are a
         // diagnostic product, never an input.)
         let mut traced = job.run.clone();
         traced.options.telemetry = true;
         let app = (self.factory)(&job.level);
-        if let Ok(mut sim) = Simulation::try_new(job.level.clone(), app, traced) {
-            if sim.try_run().is_ok() {
-                let snap = sim.recorder().snapshot();
-                let trace = perfetto::export(&snap);
-                let _ = std::fs::write(dir.join(format!("{:032x}.perfetto.json", job.key)), trace);
-            }
-        }
+        let mut sim = Simulation::try_new(job.level.clone(), app, traced)
+            .map_err(|e| fail(format!("config rejected: {e}")))?;
+        sim.try_run()
+            .map_err(|e| fail(format!("lookahead violation: {e}")))?;
+        let trace = perfetto::export(&sim.recorder().snapshot());
+        std::fs::write(&path, trace).map_err(|e| fail(e.to_string()))
     }
 
     /// One telemetry stream line: progress counters so far.
@@ -766,7 +767,7 @@ impl Service {
                         FaultStats::bump(&plan.stats.recovered_job);
                     }
                 }
-                self.write_perfetto(job);
+                self.write_perfetto(job)?;
             }
             Err(_) => self.out.failed += 1,
         }

@@ -1047,6 +1047,22 @@ impl Simulation {
         self.ranks[rank].solution(patch)
     }
 
+    /// Every patch's final solution as exact bit patterns, x-fastest per
+    /// patch: the byte-identity witness of a functional run.
+    pub fn solution_bits(&self) -> Vec<Vec<u64>> {
+        (0..self.level.n_patches())
+            .map(|p| {
+                let var = self.solution(p);
+                self.level
+                    .patch(p)
+                    .region
+                    .iter()
+                    .map(|c| var.get(c).to_bits())
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Final simulated physical time.
     pub fn final_time(&self) -> f64 {
         let dt = self

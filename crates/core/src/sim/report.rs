@@ -4,7 +4,7 @@
 use sw_sim::{FlopCounters, MachineConfig, SimDur, SimTime};
 
 /// Aggregate results of one simulation run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Variant name (paper Table IV).
     pub variant: &'static str,

@@ -32,19 +32,9 @@ fn functional_bits(comm: CommConfig) -> Vec<Vec<u64>> {
     let mut cfg = RunConfig::paper(Variant::ACC_ASYNC, ExecMode::Functional, CGS);
     cfg.steps = STEPS;
     cfg.comm = comm;
-    let mut sim = Simulation::new(level.clone(), app, cfg);
+    let mut sim = Simulation::new(level, app, cfg);
     sim.run();
-    (0..level.n_patches())
-        .map(|p| {
-            let var = sim.solution(p);
-            level
-                .patch(p)
-                .region
-                .iter()
-                .map(|c| var.get(c).to_bits())
-                .collect()
-        })
-        .collect()
+    sim.solution_bits()
 }
 
 /// Instrumented model run under `comm`: `(reconciled, agg_flushes)`.

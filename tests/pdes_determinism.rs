@@ -60,22 +60,6 @@ fn run(cfg: RunConfig) -> (Simulation, RunReport) {
     (sim, report)
 }
 
-/// Final field of every patch as exact bit patterns.
-fn bits(sim: &Simulation) -> Vec<Vec<u64>> {
-    let level = sim.level();
-    (0..level.n_patches())
-        .map(|p| {
-            let var = sim.solution(p);
-            level
-                .patch(p)
-                .region
-                .iter()
-                .map(|c| var.get(c).to_bits())
-                .collect()
-        })
-        .collect()
-}
-
 #[test]
 fn pdes_is_bit_identical_across_variants_faults_and_telemetry() {
     for variant in Variant::TABLE_IV {
@@ -84,7 +68,11 @@ fn pdes_is_bit_identical_across_variants_faults_and_telemetry() {
                 let what = format!("{} faults={fname} telemetry={telemetry}", variant.name());
                 let (ss, rs) = run(build_cfg(variant, faults, telemetry, false));
                 let (sp, rp) = run(build_cfg(variant, faults, telemetry, true));
-                assert_eq!(bits(&ss), bits(&sp), "{what}: fields diverged");
+                assert_eq!(
+                    ss.solution_bits(),
+                    sp.solution_bits(),
+                    "{what}: fields diverged"
+                );
                 // The full report — virtual times, flop counters, message
                 // and event counts, fault-plane counters — is identical,
                 // not merely close.
@@ -132,7 +120,7 @@ fn auto_thread_detection_matches_explicit() {
         c
     });
     let (se, re) = run(build_cfg(Variant::ACC_SIMD_ASYNC, None, false, true));
-    assert_eq!(bits(&sa), bits(&se));
+    assert_eq!(sa.solution_bits(), se.solution_bits());
     assert_eq!(format!("{ra:?}"), format!("{re:?}"));
 }
 
@@ -149,7 +137,7 @@ proptest! {
         let mut cfg = build_cfg(Variant::ACC_ASYNC, None, false, true);
         cfg.pdes_lookahead_ps = Some((max / divisor).max(1));
         let (sp, rp) = run(cfg);
-        prop_assert_eq!(bits(&ss), bits(&sp), "narrowed lookahead reordered events");
+        prop_assert_eq!(ss.solution_bits(), sp.solution_bits(), "narrowed lookahead reordered events");
         prop_assert_eq!(format!("{rs:?}"), format!("{rp:?}"));
     }
 
