@@ -45,8 +45,8 @@ if [[ "${1:-}" != "quick" ]]; then
   # deleted, the stages below write them again, and the last step fails on
   # any difference from the index (a file no stage wrote, a changed byte, a
   # stray file). Stage an intended artifact change with `git add results`;
-  # `git checkout -- results` restores the committed files. Each stage also
-  # gates itself: a broken invariant in its `violations()` is one
+  # `git checkout -- results` restores the committed files. `repro` also
+  # gates each stage: a broken invariant in its `violations()` is one
   # `ERROR: repro <stage>: ...` stderr line and a non-zero exit.
   repro() {
     step "repro $*" >&2
@@ -97,8 +97,8 @@ JOBS
   # The paper's tables and figures. README.md and EXPERIMENTS.md promise
   # the same bytes at any pool size: the pool only fills the runner's cache.
   repro all --jobs 2 --csv results/csv > results/repro_all.txt
-  repro all --serial | cmp - results/repro_all.txt \
-    || { echo "ci.sh: repro all output differs between --serial and --jobs 2"; exit 1; }
+  repro all --jobs 1 | cmp - results/repro_all.txt \
+    || { echo "ci.sh: repro all output differs between --jobs 1 and --jobs 2"; exit 1; }
 
   step "results/ regenerated exactly as in the index"
   changed=$(git status --porcelain --untracked-files=all -- results | grep -v '^. ' || true)

@@ -22,7 +22,6 @@
 //!    measured per-patch cost profile back through the LPT balancer must
 //!    strictly reduce the weighted makespan vs the static block assignment.
 
-use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -511,14 +510,6 @@ pub fn run_amr(seed: u64, ckpt_dir: &Path) -> AmrOutcome {
         restart,
         rebalance,
     }
-}
-
-/// Run the campaign and write `AMR.json` into `dir`.
-pub fn write_amr_json(dir: &Path, seed: u64) -> io::Result<AmrOutcome> {
-    std::fs::create_dir_all(dir)?;
-    let outcome = run_amr(seed, &dir.join("amr-ckpt"));
-    std::fs::write(dir.join("AMR.json"), outcome.to_json())?;
-    Ok(outcome)
 }
 
 #[cfg(test)]

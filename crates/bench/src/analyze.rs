@@ -10,8 +10,6 @@
 //! shape) is additionally checked on the smallest problem so multi-stage
 //! ghost exchanges are covered.
 
-use std::path::Path;
-
 use sw_analyze::AnalysisReport;
 use sw_telemetry::json::{arr, obj, Json, Layout::Compact};
 use uintah_core::grid::Level;
@@ -151,15 +149,6 @@ pub fn analyze_json(cells: &[AnalyzeCell]) -> String {
         ],
     );
     doc.render() + "\n"
-}
-
-/// Run the sweep and write `results/ANALYZE.json`; returns the cells for
-/// console reporting.
-pub fn write_analyze_json(dir: &Path) -> std::io::Result<Vec<AnalyzeCell>> {
-    let cells = run_analyze();
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("ANALYZE.json"), analyze_json(&cells))?;
-    Ok(cells)
 }
 
 #[cfg(test)]

@@ -21,8 +21,6 @@
 //! [`CheckOutcome::violations`] is the gate: all three analyses ran on
 //! non-vacuous inputs, zero findings, ≥ 50 interleavings explored.
 
-use std::io;
-use std::path::Path;
 use std::sync::Arc;
 
 use sw_sim::{Machine, SimTime, WindowGraph};
@@ -560,14 +558,6 @@ pub fn check_json(o: &CheckOutcome) -> String {
         ],
     );
     doc.render() + "\n"
-}
-
-/// Run the campaign and write `CHECK.json` under `dir`.
-pub fn write_check_json(dir: &Path) -> io::Result<CheckOutcome> {
-    std::fs::create_dir_all(dir)?;
-    let outcome = run_check();
-    std::fs::write(dir.join("CHECK.json"), check_json(&outcome))?;
-    Ok(outcome)
 }
 
 #[cfg(test)]

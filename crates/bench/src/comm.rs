@@ -23,9 +23,6 @@
 //! the aggregation-engaged checks; `repro comm` exits non-zero naming the
 //! cell (the ci.sh comm stage relies on it).
 
-use std::io;
-use std::path::Path;
-
 use sw_telemetry::json::{
     arr, fixed, obj,
     Layout::{Block, Row},
@@ -372,14 +369,6 @@ pub fn comm_json(o: &CommOutcome) -> String {
         ],
     );
     doc.render() + "\n"
-}
-
-/// Run the sweep and write `COMM.json` under `dir`.
-pub fn write_comm_json(dir: &Path) -> io::Result<CommOutcome> {
-    std::fs::create_dir_all(dir)?;
-    let outcome = run_comm();
-    std::fs::write(dir.join("COMM.json"), comm_json(&outcome))?;
-    Ok(outcome)
 }
 
 #[cfg(test)]

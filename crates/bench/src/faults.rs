@@ -18,7 +18,6 @@
 //! A Model-mode sweep at paper scale additionally measures the virtual-time
 //! cost of the fault plane (retry/backoff/resend overhead) per variant.
 
-use std::io;
 use std::path::Path;
 
 use sw_resilience::{Checkpoint, FaultConfig, FaultCounts, FaultPreset};
@@ -369,15 +368,6 @@ pub fn run_faults(seed: u64, ckpt_dir: &Path) -> FaultsOutcome {
         harsh,
         overhead,
     }
-}
-
-/// Run the campaign and write `FAULTS.json` under `dir` (checkpoints go to
-/// `dir/ckpt/`). Returns the outcome for printing.
-pub fn write_faults_json(dir: &Path, seed: u64) -> io::Result<FaultsOutcome> {
-    std::fs::create_dir_all(dir)?;
-    let outcome = run_faults(seed, &dir.join("ckpt"));
-    std::fs::write(dir.join("FAULTS.json"), outcome.to_json())?;
-    Ok(outcome)
 }
 
 #[cfg(test)]

@@ -18,8 +18,6 @@
 //! engine divergence, a collapsed strong-scaling curve, or async losing to
 //! sync on the paper problem while ranks still hold patches to overlap.
 
-use std::io;
-use std::path::Path;
 use std::time::Instant;
 
 use sw_telemetry::json::{
@@ -234,13 +232,14 @@ fn sweep_problem(name: &str, level: &Level, cg_axis: &[usize], cells: &mut Vec<S
     }
 }
 
-/// The CG counts swept on the paper problem and on the extension problem.
-const PAPER_AXIS: [usize; 5] = [1, 4, 16, 64, 128];
-const EXTENSION_AXIS: [usize; 4] = [64, 256, 512, 1024];
+/// The CG counts swept on the paper problem.
+pub const PAPER_AXIS: [usize; 5] = [1, 4, 16, 64, 128];
+/// The CG counts swept on the extension problem.
+pub const EXTENSION_AXIS: [usize; 4] = [64, 256, 512, 1024];
 
 /// Run the sweep over `paper_axis` on the paper problem and `ext_axis` on
 /// the extension problem.
-fn run_scale(paper_axis: &[usize], ext_axis: &[usize]) -> ScaleOutcome {
+pub fn run_scale(paper_axis: &[usize], ext_axis: &[usize]) -> ScaleOutcome {
     let mut cells = Vec::new();
     sweep_problem(SMALL.name, &SMALL.level(), paper_axis, &mut cells);
     let (name, level) = extension_level();
@@ -276,14 +275,6 @@ pub fn scale_json(outcome: &ScaleOutcome) -> String {
         ],
     );
     doc.render() + "\n"
-}
-
-/// Run the sweep and write it to `BENCH_scale.json` under `dir`.
-pub fn write_scale_json(dir: &Path) -> io::Result<ScaleOutcome> {
-    let outcome = run_scale(&PAPER_AXIS, &EXTENSION_AXIS);
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("BENCH_scale.json"), scale_json(&outcome))?;
-    Ok(outcome)
 }
 
 #[cfg(test)]

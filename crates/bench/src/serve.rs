@@ -7,8 +7,8 @@
 //! malformed lines are counted and reported, never silently dropped. The
 //! campaign drains through the worker pool with the content-addressed
 //! cache under `--cache` (so a re-run of the same job file is answered
-//! from disk and re-verified by the sampling oracle), and the outcome
-//! lands in `results/CAMPAIGN.json`.
+//! from disk and re-verified by the sampling oracle); `repro` writes the
+//! outcome to `results/CAMPAIGN.json` (or `--out`).
 
 use std::io::{self, BufRead as _};
 use std::path::PathBuf;
@@ -19,7 +19,7 @@ use sw_campaign::{demo_jobs, AppFactory, CampaignConfig, CampaignOutcome, JobSpe
 use sw_math::ExpKind;
 use uintah_core::Application;
 
-/// Parsed `repro serve` arguments (defaults match the CI campaign stage).
+/// Parsed `repro serve` arguments.
 pub struct ServeArgs {
     /// The service's configuration; its seed also seeds the demo jobs.
     pub campaign: CampaignConfig,
@@ -29,23 +29,6 @@ pub struct ServeArgs {
     pub jobs_file: Option<PathBuf>,
     /// Also read JSONL jobs from stdin.
     pub read_stdin: bool,
-    /// Output JSON path.
-    pub out: PathBuf,
-}
-
-impl Default for ServeArgs {
-    fn default() -> Self {
-        ServeArgs {
-            campaign: CampaignConfig {
-                cache_dir: Some(PathBuf::from("results/cache")),
-                ..CampaignConfig::default()
-            },
-            demo: 64,
-            jobs_file: None,
-            read_stdin: false,
-            out: PathBuf::from("results/CAMPAIGN.json"),
-        }
-    }
 }
 
 /// What a serve run produced, for the caller to render and judge.
@@ -88,13 +71,14 @@ fn submit_line(svc: &mut Service, bad: &mut Vec<String>, origin: &str, n: usize,
     }
 }
 
-/// Run a campaign from the parsed arguments and write the outcome JSON.
-pub fn run_serve(a: &ServeArgs) -> io::Result<ServeSummary> {
+/// Run a campaign from the parsed arguments. A failure is one line naming
+/// what failed (the job source's path, the service or the drain).
+pub fn run_serve(a: &ServeArgs) -> Result<ServeSummary, String> {
     let mut svc = Service::new(a.campaign.clone(), burgers_factory())
-        .map_err(|e| io::Error::other(format!("campaign service: {e}")))?;
+        .map_err(|e| format!("campaign service: {e}"))?;
     let mut bad_lines = Vec::new();
     if let Some(path) = &a.jobs_file {
-        let text = std::fs::read_to_string(path)?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         for (n, line) in text.lines().enumerate() {
             submit_line(
                 &mut svc,
@@ -108,21 +92,14 @@ pub fn run_serve(a: &ServeArgs) -> io::Result<ServeSummary> {
     if a.read_stdin {
         let stdin = io::stdin();
         for (n, line) in stdin.lock().lines().enumerate() {
-            submit_line(&mut svc, &mut bad_lines, "<stdin>", n + 1, &line?);
+            let line = line.map_err(|e| format!("<stdin>: {e}"))?;
+            submit_line(&mut svc, &mut bad_lines, "<stdin>", n + 1, &line);
         }
     }
     for (level, run) in demo_jobs(a.campaign.seed, a.demo) {
         svc.submit(level, run);
     }
-    let outcome = svc
-        .drain()
-        .map_err(|e| io::Error::other(format!("campaign drain: {e}")))?;
-    if let Some(dir) = a.out.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(&a.out, outcome.to_json())?;
+    let outcome = svc.drain().map_err(|e| format!("campaign drain: {e}"))?;
     Ok(ServeSummary { outcome, bad_lines })
 }
 
@@ -137,7 +114,6 @@ mod tests {
     #[test]
     fn demo_campaign_round_trips_through_the_cache() {
         let cache = tmp("cache");
-        let out = tmp("out.json");
         std::fs::remove_dir_all(&cache).ok();
         let args = ServeArgs {
             campaign: CampaignConfig {
@@ -147,8 +123,8 @@ mod tests {
                 ..CampaignConfig::default()
             },
             demo: 8,
-            out: out.clone(),
-            ..ServeArgs::default()
+            jobs_file: None,
+            read_stdin: false,
         };
         let first = run_serve(&args).unwrap();
         assert_eq!(first.violations(), Vec::<String>::new());
@@ -162,13 +138,11 @@ mod tests {
             |o: &CampaignOutcome| o.to_json().split("\"service\"").next().unwrap().to_string();
         assert_eq!(recs(&first.outcome), recs(&second.outcome));
         std::fs::remove_dir_all(&cache).ok();
-        std::fs::remove_file(&out).ok();
     }
 
     #[test]
     fn jobs_file_lines_are_validated_at_the_boundary() {
         let jobs = tmp("jobs.jsonl");
-        let out = tmp("jobs-out.json");
         std::fs::write(
             &jobs,
             concat!(
@@ -187,8 +161,7 @@ mod tests {
             },
             demo: 0,
             jobs_file: Some(jobs.clone()),
-            out: out.clone(),
-            ..ServeArgs::default()
+            read_stdin: false,
         };
         let summary = run_serve(&args).unwrap();
         assert_eq!(summary.outcome.records.len(), 1);
@@ -206,6 +179,5 @@ mod tests {
             summary.bad_lines
         );
         std::fs::remove_file(&jobs).ok();
-        std::fs::remove_file(&out).ok();
     }
 }

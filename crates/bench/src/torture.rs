@@ -52,7 +52,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write;
-use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1052,14 +1051,6 @@ pub fn run_torture(seed: u64, cases: u64) -> TortureOutcome {
     }
     panic::set_hook(prev_hook);
     outcome
-}
-
-/// Run the campaign and write `TORTURE.json` under `dir`.
-pub fn write_torture_json(dir: &Path, seed: u64, cases: u64) -> io::Result<TortureOutcome> {
-    std::fs::create_dir_all(dir)?;
-    let outcome = run_torture(seed, cases);
-    std::fs::write(dir.join("TORTURE.json"), outcome.to_json())?;
-    Ok(outcome)
 }
 
 #[cfg(test)]

@@ -19,9 +19,6 @@
 //! visible: each async variant hides strictly more communication than its
 //! sync sibling with the same kernel.
 
-use std::error::Error;
-use std::path::Path;
-
 use sw_telemetry::json::{
     arr, fixed, obj, Json,
     Layout::{Block, Row},
@@ -117,18 +114,6 @@ fn export(
         },
         json,
     )
-}
-
-/// Trace one (problem, variant, cgs, steps) configuration, discarding the
-/// Perfetto JSON (tests, summaries).
-pub fn trace_case(
-    p: &ProblemSpec,
-    variant: Variant,
-    cgs: usize,
-    steps: u32,
-) -> Result<TraceCase, ConfigError> {
-    let sim = traced(&p.level(), variant, cgs, steps)?;
-    Ok(export(p, variant, cgs, sim).0)
 }
 
 /// Every way a set of traced cases falls short, one line each: an empty
@@ -251,35 +236,26 @@ pub fn timeline_json(p: &ProblemSpec, cgs: usize, steps: u32, cases: &[TraceCase
     doc.render() + "\n"
 }
 
-/// Run the trace export end-to-end: one Perfetto file per variant plus the
-/// combined `TIMELINE.json`, all under `dir`. Every variant's configuration
-/// is checked before the first file is written, so an invalid `cgs` or
-/// `steps` fails with nothing written.
-pub fn write_trace_json(
-    dir: &Path,
+/// Trace every variant of `variants`: each case with its Perfetto
+/// trace-event JSON, in order. Every variant's configuration is checked
+/// before the first run, so an invalid `cgs` or `steps` fails with nothing
+/// run.
+pub fn run_trace(
     p: &ProblemSpec,
     variants: &[Variant],
     cgs: usize,
     steps: u32,
-) -> Result<Vec<TraceCase>, Box<dyn Error>> {
+) -> Result<Vec<(TraceCase, String)>, ConfigError> {
     let level = p.level();
     let sims = variants
         .iter()
         .map(|&v| traced(&level, v, cgs, steps))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("invalid run configuration: {e}"))?;
-    std::fs::create_dir_all(dir)?;
-    let mut cases = Vec::with_capacity(variants.len());
-    for (&v, sim) in variants.iter().zip(sims) {
-        let (case, json) = export(p, v, cgs, sim);
-        std::fs::write(dir.join(&case.trace_file), json)?;
-        cases.push(case);
-    }
-    std::fs::write(
-        dir.join("TIMELINE.json"),
-        timeline_json(p, cgs, steps, &cases),
-    )?;
-    Ok(cases)
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(variants
+        .iter()
+        .zip(sims)
+        .map(|(&v, sim)| export(p, v, cgs, sim))
+        .collect())
 }
 
 #[cfg(test)]
@@ -287,10 +263,17 @@ mod tests {
     use super::*;
     use crate::problems::SMALL;
 
+    /// The traced sync and async cases of [`SMALL`] on 2 CGs.
+    fn sync_and_async(steps: u32) -> Vec<TraceCase> {
+        let variants = [Variant::ACC_SYNC, Variant::ACC_ASYNC];
+        let traced = run_trace(SMALL, &variants, 2, steps).unwrap();
+        traced.into_iter().map(|(case, _)| case).collect()
+    }
+
     #[test]
     fn traced_sync_and_async_reconcile_and_async_hides_more() {
-        let sync = trace_case(SMALL, Variant::ACC_SYNC, 2, 3).unwrap();
-        let async_ = trace_case(SMALL, Variant::ACC_ASYNC, 2, 3).unwrap();
+        let cases = sync_and_async(3);
+        let (sync, async_) = (&cases[0], &cases[1]);
         assert!(sync.reconciled, "sync trace must reconcile with RunReport");
         assert!(async_.reconciled, "async trace must reconcile");
         assert!(sync.events > 0 && async_.events > 0);
@@ -300,7 +283,7 @@ mod tests {
             async_.phases.overlap_efficiency,
             sync.phases.overlap_efficiency
         );
-        for c in [&sync, &async_] {
+        for c in [sync, async_] {
             assert!(
                 (0.0..=1.0).contains(&c.phases.overlap_efficiency),
                 "efficiency in [0,1]"
@@ -312,12 +295,7 @@ mod tests {
 
     #[test]
     fn violations_name_the_variant_that_stopped_hiding_communication() {
-        let cases = || {
-            vec![
-                trace_case(SMALL, Variant::ACC_SYNC, 2, 2).unwrap(),
-                trace_case(SMALL, Variant::ACC_ASYNC, 2, 2).unwrap(),
-            ]
-        };
+        let cases = || sync_and_async(2);
         assert_eq!(violations(&cases()), Vec::<String>::new());
         let json = timeline_json(SMALL, 2, 2, &cases());
         assert!(json.contains("\"reconciled\": true"));

@@ -32,6 +32,9 @@ fn a_stray_flag_is_rejected_before_anything_runs() {
         &["scale", "--quick"][..],
         &["scale", "--full"],
         &["all", "--frobnicate"],
+        // `--serial` was a second spelling of `--jobs 1`.
+        &["table3", "--serial"],
+        &["serve", "--oracle-ppm", "5"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)
@@ -265,6 +268,17 @@ fn bad_or_missing_flag_values_fail_with_one_error_line() {
         (&["table3", "--jobs", "x"][..], "--jobs", "`x`"),
         (&["table3", "--seed", "x"], "--seed", "`x`"),
         (&["torture", "--cases"], "--cases", "missing value"),
+        // A repeated value flag used to run with its first value.
+        (
+            &["table3", "--seed", "1", "--seed", "2"],
+            "--seed",
+            "more than once",
+        ),
+        (
+            &["table3", "--jobs", "1", "--jobs", "2"],
+            "--jobs",
+            "more than once",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)
@@ -318,4 +332,76 @@ fn trace_rejects_an_invalid_run_config_with_one_error_line() {
             .collect();
         assert!(written.is_empty(), "{flag} {value} wrote {written:?}");
     }
+}
+
+/// The campaign names from the `repro nosuchthing` line.
+fn campaign_names() -> Vec<String> {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("nosuchthing")
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let names = stderr
+        .split("campaigns: ")
+        .nth(1)
+        .and_then(|rest| rest.split(';').next())
+        .unwrap_or_else(|| panic!("no campaign list in {stderr:?}"));
+    names.split(' ').map(str::to_string).collect()
+}
+
+/// `repro args` in `dir`: its exit code, stdout and stderr.
+fn repro_in(dir: &std::path::Path, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("spawn repro");
+    let text = |b: Vec<u8>| String::from_utf8(b).unwrap();
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+#[test]
+fn an_unwritable_results_directory_fails_every_subcommand_before_it_runs() {
+    // With `results` a regular file, `analyze`, `comm`, `faults`, `scale`
+    // and `table3 --csv` used to panic (exit 101, some after their whole
+    // sweep), and `trace` and `serve` to fail without naming the path.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_results_file");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("results"), "").unwrap();
+    let mut cases: Vec<(Vec<String>, &str)> = campaign_names()
+        .into_iter()
+        .map(|name| (vec![name], "results"))
+        .collect();
+    let csv = ["table3", "--csv", "results/csv"].map(String::from);
+    cases.push((csv.to_vec(), "results/csv"));
+    for (args, path) in cases {
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let (code, stdout, stderr) = repro_in(&dir, &args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} ran something first: {stdout}");
+        assert!(
+            stderr.starts_with("ERROR: repro ")
+                && stderr.contains(&format!(": {path}: "))
+                && !stderr.contains("panicked")
+                && stderr.lines().count() == 1,
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_failed_artifact_write_is_one_error_line_naming_the_path() {
+    // `repro analyze` used to panic with exit 101 when its artifact could
+    // not be written.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_artifact_dir");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(dir.join("results/ANALYZE.json")).unwrap();
+    let (code, _, stderr) = repro_in(&dir, &["analyze"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("ERROR: repro analyze: results/ANALYZE.json: ")
+            && stderr.lines().count() == 1,
+        "{stderr}"
+    );
 }

@@ -76,6 +76,10 @@ impl Application for BurgersApp {
         exact_u_flops(self.exp)
     }
 
+    fn exp(&self) -> Option<ExpKind> {
+        Some(self.exp)
+    }
+
     /// Forward-Euler stability: advective CFL (|phi| <= 1) plus the
     /// diffusion limit.
     fn stable_dt(&self, _level: &Level) -> f64 {

@@ -52,7 +52,9 @@ use crate::store::{ResultStore, StoreError};
 
 /// Builds the application a worker runs on a given level. The factory
 /// crosses thread boundaries; the `Arc<dyn Application>` it returns does
-/// not (each worker builds its own).
+/// not (each worker builds its own). It sees only the level, so a job whose
+/// `variant.exp` is not the app's [`Application::exp`] fails as `config
+/// rejected` instead of running the app's library.
 pub type AppFactory = Arc<dyn Fn(&Level) -> Arc<dyn Application> + Send + Sync>;
 
 /// Keyed-draw domain words (job generation uses 0x5EAF in `job.rs`).
@@ -298,6 +300,15 @@ impl CampaignOutcome {
 fn execute_job(factory: &AppFactory, level: &Level, run: &RunConfig) -> Result<String, String> {
     use std::fmt::Write as _;
     let app = factory(level);
+    // An app evaluating another exp library than the job names would be
+    // cached under a canonical line naming another run.
+    if let Some(exp) = app.exp().filter(|&exp| exp != run.variant.exp) {
+        return Err(format!(
+            "config rejected: the job names exp={} but the app evaluates exp={}",
+            run.variant.exp.name(),
+            exp.name()
+        ));
+    }
     let mut sim = Simulation::try_new(level.clone(), app, run.clone())
         .map_err(|e| format!("config rejected: {e}"))?;
     let report = sim

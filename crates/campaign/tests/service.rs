@@ -8,7 +8,8 @@ use sw_campaign::{demo_jobs, AppFactory, CampaignConfig, CampaignOutcome, Servic
 use sw_math::ExpKind;
 use sw_resilience::plan::PPM;
 use sw_resilience::FaultConfig;
-use uintah_core::Application;
+use uintah_core::grid::iv;
+use uintah_core::{Application, ExecMode, Level, RunConfig, Simulation, Variant};
 
 use burgers::BurgersApp;
 
@@ -264,4 +265,41 @@ fn zero_workers_degrades_to_inline_execution() {
     assert_eq!(outcome.duplicated, 0);
     assert_eq!(outcome.inline_runs, outcome.executed);
     assert!(outcome.healthy());
+}
+
+#[test]
+fn a_job_naming_another_exp_library_than_the_app_is_rejected_not_cached() {
+    // The factory builds fast-exp apps. An accurate-exp job used to run the
+    // fast-exp app and be recorded under a line reading `exp=accurate`
+    // (flops=10543824896 where the accurate run does 12623937536).
+    let level = Level::new(iv(16, 16, 512), iv(8, 8, 2));
+    let fast = RunConfig {
+        steps: 2,
+        ..RunConfig::paper(Variant::ACC_SIMD_ASYNC, ExecMode::Model, 8)
+    };
+    let mut accurate = fast.clone();
+    accurate.variant.exp = ExpKind::Accurate;
+    let mut svc = Service::new(CampaignConfig::default(), factory()).expect("service builds");
+    svc.submit(level.clone(), fast.clone());
+    svc.submit(level.clone(), accurate);
+    let outcome = svc.drain().expect("campaign drains");
+    assert_eq!(outcome.failed, 1);
+    let direct = Simulation::try_new(level.clone(), factory()(&level), fast)
+        .expect("a valid cell")
+        .run();
+    let record = outcome.records[0]
+        .result
+        .as_ref()
+        .expect("the fast job runs");
+    assert!(
+        record.contains(&format!(" flops={} ", direct.flops.total())),
+        "{record}"
+    );
+    let rejected = outcome.records[1].result.as_ref().unwrap_err();
+    assert!(
+        rejected.starts_with("config rejected: ")
+            && rejected.contains("exp=accurate")
+            && rejected.contains("exp=fast"),
+        "{rejected}"
+    );
 }

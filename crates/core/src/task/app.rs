@@ -9,6 +9,7 @@
 //! and the heat-equation example both implement it.
 
 use sw_athread::{CpeTileKernel, TileCostModel};
+use sw_math::ExpKind;
 use sw_mpi::ReduceOp;
 
 use crate::grid::{Level, Region};
@@ -49,6 +50,13 @@ pub trait Application: Send + Sync {
 
     /// Stable timestep for this level's spacing.
     fn stable_dt(&self, level: &Level) -> f64;
+
+    /// The exp library this application's kernels and cost model evaluate,
+    /// if they evaluate one (default: none). A run whose `variant.exp`
+    /// names another library would model one kernel and time another.
+    fn exp(&self) -> Option<ExpKind> {
+        None
+    }
 
     /// Functional hook: initial condition over `region` (cell centers).
     fn init(&self, level: &Level, region: &Region, var: &mut CcVar);
